@@ -24,11 +24,20 @@ class JacobiError(ValueError):
         super().__init__(f"Jacobi identity fails on basis triple {triple}")
 
 
+def _exact(c):
+    if isinstance(c, int):
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class LieAlgebra:
     """Basis-indexed antisymmetric structure constants.
 
     ``table[(i, j)]`` for i < j maps output index -> coefficient; other
-    orderings follow by antisymmetry.
+    orderings follow by antisymmetry. Coefficients are exact: an int
+    when integral, else a Fraction, so integer work on the table (dφ
+    assembly) stays in integers.
     """
 
     def __init__(self, labels, table):
@@ -36,7 +45,7 @@ class LieAlgebra:
         self.dim = len(self.labels)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.table = {
-            key: {k: Fraction(c) for k, c in entry.items() if c}
+            key: {k: _exact(c) for k, c in entry.items() if c}
             for key, entry in table.items()
             if any(entry.values())
         }
@@ -269,7 +278,7 @@ def build_g(poset):
         if i > j:
             i, j, c = j, i, -c
         table.setdefault((i, j), {})
-        table[(i, j)][k] = table[(i, j)].get(k, Fraction(0)) + Fraction(c)
+        table[(i, j)][k] = table[(i, j)].get(k, 0) + c
 
     for (p, q) in strict:
         e = index[("e", (p, q))]
@@ -302,7 +311,7 @@ def build_gA(poset):
         if i > j:
             i, j, c = j, i, -c
         table.setdefault((i, j), {})
-        table[(i, j)][k] = table[(i, j)].get(k, Fraction(0)) + Fraction(c)
+        table[(i, j)][k] = table[(i, j)].get(k, 0) + c
 
     for h in range(1, n):
         for (p, q) in strict:

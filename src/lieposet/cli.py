@@ -192,6 +192,8 @@ def cmd_analyze(args):
 
 def cmd_verify_catalog(args):
     lo, hi = args.n_range
+    if lo > hi:
+        raise InputError(f"--n-range {lo} {hi} is empty; LO must not exceed HI")
     results = []
     failed = []
     for fam in catalog():
@@ -399,6 +401,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.trials < 1:
+            raise InputError(f"--trials must be at least 1, got {args.trials}")
         return args.func(args)
     except (InputError, PosetError, FormError, BlockError, GlueError, ScriptError) as exc:
         print(f"error: {exc}", file=sys.stderr)

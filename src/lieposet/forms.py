@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .algebras import AlgebraElement, PosetLieAlgebra
@@ -152,14 +151,23 @@ class OneForm:
 
 
 def phi_on_basis(algebra, form):
-    """φ evaluated on every basis vector, as a Fraction list."""
-    if isinstance(algebra, PosetLieAlgebra):
-        out = []
-        for j in range(algebra.dim):
-            coords = algebra.to_matrix_coords(algebra._unit(j))
-            out.append(form.evaluate_coords(coords))
-        return out
-    raise ShapeError("poset one-forms apply to poset algebras only")
+    """φ on every basis vector, in closed form, as a Fraction list.
+
+    On g, φ(d_p) = φ_pp; on g_A, φ(h_i) = φ_ii - φ_{i+1,i+1}; on both,
+    φ(e_pq) = φ_pq.
+    """
+    if not isinstance(algebra, PosetLieAlgebra):
+        raise ShapeError("poset one-forms apply to poset algebras only")
+    coeff = form.coefficient
+    out = []
+    for kind, lab in algebra.labels:
+        if kind == "e":
+            out.append(coeff(*lab))
+        elif kind == "d":
+            out.append(coeff(lab, lab))
+        else:
+            out.append(coeff(lab, lab) - coeff(lab + 1, lab + 1))
+    return out
 
 
 def functional_on_basis(algebra, values):
@@ -188,23 +196,28 @@ def _as_values(algebra, form_or_values):
     return functional_on_basis(algebra, list(form_or_values))
 
 
-def _dphi_int_rows(algebra, values):
-    """Integer-scaled dφ rows (row scaling preserves rank and kernel)."""
+def _dphi_rows(algebra, values):
+    """Integer rows of s·dφ and the vector s·φ(b), for one scale s > 0.
+
+    ``values`` are φ on the basis (ints or Fractions). Entries come from
+    the sparse structure table: dφ[i][j] = -φ([b_i, b_j]). Scaling by s
+    changes neither rank nor kernel nor the solution of dφ x = φ(b).
+    """
+    _, phi = linalg.clear_denominators(values)
+    keys = []
+    entries = []
+    for key, entry in algebra.table.items():
+        v = sum(c * phi[k] for k, c in entry.items())
+        if v:
+            keys.append(key)
+            entries.append(v)
+    s, entries = linalg.clear_denominators(entries)
     n = algebra.dim
     rows = [[0] * n for _ in range(n)]
-    for (i, j), entry in algebra.table.items():
-        v = -sum((c * values[k] for k, c in entry.items()), Fraction(0))
-        if v:
-            rows[i][j] = v
-            rows[j][i] = -v
-    out = []
-    for row in rows:
-        d = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                d = lcm(d, x.denominator)
-        out.append([int(x * d) for x in row])
-    return out
+    for (i, j), v in zip(keys, entries):
+        rows[i][j] = -v
+        rows[j][i] = v
+    return rows, [s * x for x in phi]
 
 
 @dataclass
@@ -234,17 +247,12 @@ class KernelReport:
 
 def kernel(algebra, form_or_values, restrict_to_gA=False):
     """Exact kernel of dφ; optionally intersected with the trace-zero part."""
-    m = dphi_matrix(algebra, form_or_values)
-    rows = m.rows
+    rows, _ = _dphi_rows(algebra, _as_values(algebra, form_or_values))
     if restrict_to_gA:
         if not isinstance(algebra, PosetLieAlgebra) or algebra.kind != "g":
             raise ShapeError("trace restriction applies to full poset algebras")
-        trace_row = []
-        for j in range(algebra.dim):
-            lab = algebra.labels[j]
-            trace_row.append(Fraction(1) if lab[0] == "d" else Fraction(0))
-        rows = rows + [trace_row]
-    basis = linalg.kernel_basis(RatMatrix(rows))
+        rows.append([int(lab[0] == "d") for lab in algebra.labels])
+    basis = linalg.int_kernel_basis(rows, algebra.dim)
     if isinstance(algebra, PosetLieAlgebra):
         coords = [algebra.to_matrix_coords(v) for v in basis]
         space = "gA" if (algebra.kind == "gA" or restrict_to_gA) else "g"
@@ -270,14 +278,20 @@ def in_kernel(algebra, form_or_values, elem):
 
 
 def index(algebra, trials=INDEX_TRIALS, seed=0, coeff_bound=INDEX_COEFF_BOUND):
-    """Sampled index: minimum corank of dφ over random integer forms.
+    """Sampled index: the least corank of dφ over random integer forms.
 
-    Coefficients are uniform in [1, coeff_bound]; with the default five
-    trials the Schwartz-Zippel failure bound is far below 1e-4. Coranks
-    have the parity of dim, so a trial reaching that floor ends the
-    search early; a mod-p rank certifies that case cheaply before any
-    exact elimination runs.
+    Each trial is a Schwartz-Zippel trial: φ takes coefficients uniform
+    in [1, coeff_bound] on the basis, and dφ's rank is computed over
+    GF(2^61 - 1). Over Q the rank mod p is at most the exact rank, so a
+    trial's corank is at least the exact corank of its φ, which is at
+    least the true index: the result is never below the true index, and
+    it equals it unless every trial fails, which for the default five
+    trials has probability far below 1e-4. Coranks have the parity of
+    dim, so a trial reaching that floor ends the search early. Kernels,
+    solves, determinants and characteristic polynomials stay exact.
     """
+    if trials < 1:
+        raise ValueError(f"index needs at least one trial, got {trials}")
     n = algebra.dim
     if n == 0:
         return 0
@@ -287,13 +301,9 @@ def index(algebra, trials=INDEX_TRIALS, seed=0, coeff_bound=INDEX_COEFF_BOUND):
     parity_floor = n % 2
     best = n
     for _ in range(trials):
-        values = [Fraction(rng.randint(1, coeff_bound)) for _ in range(n)]
-        int_rows = _dphi_int_rows(algebra, values)
-        corank = n - linalg.rank_mod_p(int_rows, n)
-        if corank > parity_floor:
-            # mod-p rank is only a lower bound; confirm exactly
-            corank = n - linalg.rank(RatMatrix(int_rows))
-        best = min(best, corank)
+        values = [rng.randint(1, coeff_bound) for _ in range(n)]
+        rows, _ = _dphi_rows(algebra, values)
+        best = min(best, n - linalg.rank_mod_p(rows, n))
         if best == parity_floor:
             break
     return best
@@ -337,27 +347,24 @@ def is_contact_form(algebra, form_or_values, trials=INDEX_TRIALS, seed=0):
 def is_contact_form_volume(algebra, form_or_values):
     """Independent oracle: the bordered skew determinant is nonzero.
 
-    Builds [[0, φ(b_j)], [-φ(b_i), dφ(b_i, b_j)]] and tests its
-    determinant; this realizes the top volume-form condition directly.
+    Builds [[0, φ(b_j)], [-φ(b_i), dφ(b_i, b_j)]] and tests by exact
+    elimination that it is nonsingular; this realizes the top
+    volume-form condition directly.
     """
     n = algebra.dim
     if n % 2 == 0:
         raise ShapeError("volume-form test requires odd dimension")
-    values = _as_values(algebra, form_or_values)
-    m = dphi_matrix(algebra, values)
-    rows = [[Fraction(0)] + values]
-    for i in range(n):
-        rows.append([-values[i]] + m.rows[i])
-    return linalg.determinant(RatMatrix(rows)) != 0
+    rows, phi = _dphi_rows(algebra, _as_values(algebra, form_or_values))
+    bordered = [[0] + phi] + [[-p] + row for p, row in zip(phi, rows)]
+    return linalg.int_rank(bordered, n + 1) == n + 1
 
 
 def principal_element(algebra, form_or_values):
     """The unique x with φ([x, y]) = φ(y) for all y (Frobenius forms only)."""
-    values = _as_values(algebra, form_or_values)
-    m = dphi_matrix(algebra, values)
+    rows, phi = _dphi_rows(algebra, _as_values(algebra, form_or_values))
     # φ([x, b_j]) = Σ_i x_i φ([b_i, b_j]) = Σ_i (-M[i][j]) x_i = (M x)_j by skewness
-    sol = linalg.solve(m, values)
-    if sol is None or linalg.rank(m) < algebra.dim:
+    sol, rank = linalg.int_solve([row + [p] for row, p in zip(rows, phi)], algebra.dim)
+    if rank < algebra.dim:
         raise NotFrobeniusError("dφ is singular; the form is not Frobenius")
     return algebra.element(sol)
 

@@ -1,10 +1,12 @@
 """Exact rational dense linear algebra.
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, always reduced,
-positive denominator). Rank and determinant run fraction-free
-(Bareiss) on integer-scaled rows to bound coefficient growth; kernels
-and solves do an integer forward pass and only back-substitute with
-rationals.
+positive denominator). One fraction-free (Bareiss) elimination on
+integer rows bounds coefficient growth and serves rank, determinant,
+kernels and solves; the last two only back-substitute with rationals.
+Callers that already hold integer rows use the ``int_*`` entry points
+(and ``rank_mod_p``); the ``RatMatrix`` functions clear denominators row
+by row and call the same core.
 """
 
 from __future__ import annotations
@@ -117,30 +119,39 @@ class RatMatrix:
         return all(x == 0 for row in self.rows for x in row)
 
 
+def clear_denominators(xs):
+    """(d, [d * x]) for the least d > 0 that makes every d * x an int.
+
+    Accepts ints and Fractions alike (an int's denominator is 1).
+    """
+    d = lcm(1, *(x.denominator for x in xs))
+    return d, [x.numerator * (d // x.denominator) for x in xs]
+
+
 def _int_rows(m):
     """Clear denominators row by row; returns plain int rows."""
-    out = []
-    for row in m.rows:
-        d = 1
-        for x in row:
-            d = lcm(d, x.denominator)
-        out.append([int(x * d) for x in row])
-    return out
+    return [clear_denominators(row)[1] for row in m.rows]
 
 
 def _int_echelon(rows, ncols, augmented_from=None):
     """Fraction-free (Bareiss) forward elimination on integer rows.
 
-    Returns (rows, pivot_cols). When ``augmented_from`` is given, pivots
-    are only selected among columns < augmented_from (the tail columns
-    ride along as an augmented block).
+    Returns (rows, pivot_cols, sign), where sign is the parity of the row
+    swaps. When ``augmented_from`` is given, pivots are only selected
+    among columns < augmented_from (the tail columns ride along as an
+    augmented block). The k-th pivot is the k-th leading minor of the
+    row-permuted input, so a square nonsingular input's determinant is
+    sign times its last pivot.
     """
     rows = [r[:] for r in rows]
     pivot_limit = ncols if augmented_from is None else augmented_from
     pivots = []
+    sign = 1
     prev = 1
     r = 0
     for c in range(pivot_limit):
+        if r == len(rows):
+            break
         piv = None
         best = None
         for i in range(r, len(rows)):
@@ -154,6 +165,7 @@ def _int_echelon(rows, ncols, augmented_from=None):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
         prc = rows[r][c]
         for i in range(r + 1, len(rows)):
             ric = rows[i][c]
@@ -168,17 +180,60 @@ def _int_echelon(rows, ncols, augmented_from=None):
         prev = prc
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    return rows, pivots, sign
+
+
+def _back_substitute(ech, pivots, x, ncols, rhs=False):
+    """Fill the pivot entries of ``x`` from echelon rows, last pivot first.
+
+    With ``rhs`` the rows carry the right-hand side in column ``ncols``.
+    Known defect, kept so that results stay as they were: for a kernel
+    vector an empty sum leaves ``s`` the int 0, so that entry becomes
+    the float 0.0, and sums taken over such a vector turn into floats.
+    """
+    for k in range(len(pivots) - 1, -1, -1):
+        c = pivots[k]
+        row = ech[k]
+        s = sum(row[j] * x[j] for j in range(c + 1, ncols) if row[j] and x[j])
+        x[c] = ((Fraction(row[ncols]) if rhs else 0) - s) / row[c]
+    return x
+
+
+def int_rank(rows, ncols):
+    """Exact rank of integer rows, by fraction-free elimination."""
+    return len(_int_echelon(rows, ncols)[1])
+
+
+def int_kernel_basis(rows, ncols):
+    """Right null space of integer rows: one Fraction vector per free column."""
+    ech, pivots, _ = _int_echelon(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f not in pivot_set:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            basis.append(_back_substitute(ech, pivots, v, ncols))
+    return basis
+
+
+def int_solve(aug_rows, ncols):
+    """Solve integer rows ``[A | b]`` with ``ncols`` unknowns.
+
+    Returns (x, rank of A): x is one exact solution (free unknowns 0) as
+    Fractions, or None when the system is inconsistent.
+    """
+    ech, pivots, _ = _int_echelon(aug_rows, ncols + 1, augmented_from=ncols)
+    # inconsistent iff some residual row is 0 ... 0 | nonzero
+    if any(row[ncols] for row in ech[len(pivots):]):
+        return None, len(pivots)
+    x = _back_substitute(ech, pivots, [Fraction(0)] * ncols, ncols, rhs=True)
+    return x, len(pivots)
 
 
 def rank(m):
     """Exact rank via fraction-free elimination."""
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
-    _, pivots = _int_echelon(_int_rows(m), m.ncols)
-    return len(pivots)
+    return int_rank(_int_rows(m), m.ncols)
 
 
 def rank_mod_p(int_rows, ncols, p=_MODP):
@@ -216,30 +271,7 @@ def kernel_basis(m):
     Each vector is a list of Fractions of length ``m.ncols``; the basis
     has dimension ``ncols - rank``.
     """
-    n = m.ncols
-    if n == 0:
-        return []
-    if m.nrows == 0:
-        basis = []
-        for f in range(n):
-            v = [Fraction(0)] * n
-            v[f] = Fraction(1)
-            basis.append(v)
-        return basis
-    ech, pivots = _int_echelon(_int_rows(m), n)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for k in range(len(pivots) - 1, -1, -1):
-            c = pivots[k]
-            row = ech[k]
-            s = sum(Fraction(row[j]) * v[j] for j in range(c + 1, n) if row[j] and v[j])
-            v[c] = -s / row[c]
-        basis.append(v)
-    return basis
+    return int_kernel_basis(_int_rows(m), m.ncols)
 
 
 def determinant(m):
@@ -248,59 +280,24 @@ def determinant(m):
     n = m.nrows
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
+    scale = 1
     rows = []
     for row in m.rows:
-        d = 1
-        for x in row:
-            d = lcm(d, x.denominator)
+        d, ints = clear_denominators(row)
         scale *= d
-        rows.append([int(x * d) for x in row])
-    sign = 1
-    prev = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        prc = rows[c][c]
-        for i in range(c + 1, n):
-            ric = rows[i][c]
-            ri, rc = rows[i], rows[c]
-            for j in range(c + 1, n):
-                ri[j] = (ri[j] * prc - ric * rc[j]) // prev
-            ri[c] = 0
-        prev = prc
-    return Fraction(sign * rows[n - 1][n - 1]) / scale
+        rows.append(ints)
+    ech, pivots, sign = _int_echelon(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * ech[n - 1][n - 1], scale)
 
 
 def solve(m, b):
     """One exact solution of ``m x = b``, or None when inconsistent."""
     if len(b) != m.nrows:
         raise ShapeError("right-hand side length mismatch")
-    n = m.ncols
-    aug = RatMatrix([list(row) + [Fraction(bi)] for row, bi in zip(m.rows, b)])
-    if m.nrows == 0:
-        return [Fraction(0)] * n
-    ech, pivots = _int_echelon(_int_rows(aug), n + 1, augmented_from=n)
-    # inconsistent iff some residual row is 0 ... 0 | nonzero
-    for k in range(len(pivots), len(ech)):
-        row = ech[k]
-        if not any(row[:n]) and row[n]:
-            return None
-    x = [Fraction(0)] * n
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        row = ech[k]
-        s = sum(Fraction(row[j]) * x[j] for j in range(c + 1, n) if row[j] and x[j])
-        x[c] = (Fraction(row[n]) - s) / row[c]
-    return x
+    aug = [clear_denominators(list(row) + [Fraction(bi)])[1] for row, bi in zip(m.rows, b)]
+    return int_solve(aug, m.ncols)[0]
 
 
 def _poly_mul_linear(coeffs, d):
@@ -352,11 +349,8 @@ def char_poly(m):
         for i in range(n):
             coeffs = _poly_mul_linear(coeffs, m.rows[i][i])
         return coeffs
-    d = 1
-    for row in m.rows:
-        for x in row:
-            d = lcm(d, x.denominator)
-    rows = [[int(x * d) for x in row] for row in m.rows]
+    d, flat = clear_denominators([x for row in m.rows for x in row])
+    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
     scaled = _charpoly_faddeev_int(rows)
     # char_{dM}(x) = d^n char_M(x/d): coefficient i of M is scaled[i] / d^i
     return [Fraction(scaled[i], d**i) for i in range(n + 1)]

@@ -281,3 +281,26 @@ def test_sweep_cli(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["contact_found"] == 1
     assert "reachable" in capsys.readouterr().out
+
+
+def _single_error_line(capsys):
+    """Nothing on stdout and one ``error:`` line on stderr."""
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    return not captured.out and len(err) == 1 and err[0].startswith("error:")
+
+
+def test_trials_below_one_exit_code(tmp_path, capsys):
+    # --trials 0 used to print "index: 5" for the 3-chain, whose index is 1
+    path = write(tmp_path, "chain3.json", {"n": 3, "covers": [[1, 2], [2, 3]]})
+    for trials in ("0", "-2"):
+        assert main(["analyze", path, "--trials", trials]) == 2
+        assert _single_error_line(capsys)
+    assert main(["verify-catalog", "--trials", "0"]) == 2
+    assert _single_error_line(capsys)
+
+
+def test_verify_catalog_empty_n_range_exit_code(capsys):
+    # --n-range 9 3 used to check only the fixed blocks and exit 0
+    assert main(["verify-catalog", "--n-range", "9", "3"]) == 2
+    assert _single_error_line(capsys)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieposet import linalg
 from lieposet.algebras import build_custom, build_g, build_gA, footnote_algebra
 from lieposet.forms import (
     FormError,
@@ -19,12 +20,15 @@ from lieposet.forms import (
     is_regular,
     is_small,
     kernel,
+    phi_on_basis,
     principal_element,
     spectrum,
     udo_partition,
+    _dphi_rows,
 )
 from lieposet.linalg import ShapeError, char_poly
 from lieposet.posets import Poset
+from lieposet.sweep import enumerate_posets
 
 CHAIN2 = Poset.chain(2)
 CHAIN3 = Poset.chain(3)
@@ -166,6 +170,86 @@ def test_index_monotone_in_trials():
     gA = build_gA(CHAIN4)
     values = [index(gA, trials=t, seed=11) for t in (1, 2, 5)]
     assert values[0] >= values[1] >= values[2]
+
+
+def test_index_rejects_fewer_than_one_trial():
+    # with no trial run the old loop returned dim: 5 for the 3-chain, whose index is 1
+    gA = build_gA(CHAIN3)
+    for trials in (0, -1):
+        with pytest.raises(ValueError):
+            index(gA, trials=trials)
+    assert index(gA, trials=1) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_index_chain_formula(n):
+    assert index(build_gA(Poset.chain(n))) == (n - 1) // 2
+
+
+def _reference_phi(algebra, form):
+    """φ on the basis through each basis vector's matrix coordinates."""
+    return [
+        form.evaluate_coords(algebra.to_matrix_coords(algebra._unit(j)))
+        for j in range(algebra.dim)
+    ]
+
+
+def _random_form(poset, rng, denominators=(1,)):
+    pairs = sorted(poset.relations) + [(p, p) for p in poset.elements]
+    return OneForm(
+        poset,
+        {pq: Fraction(rng.randint(-(1 << 20), 1 << 20), rng.choice(denominators)) for pq in pairs},
+    )
+
+
+def _oracle_posets():
+    return enumerate_posets(5, connected_only=False) + [Poset.chain(n) for n in range(2, 13)]
+
+
+def test_phi_on_basis_closed_form_matches_matrix_coordinates():
+    rng = random.Random(5)
+    for poset in _oracle_posets():
+        form = _random_form(poset, rng, denominators=(1, 2, 3, 7))
+        for alg in (build_g(poset), build_gA(poset)):
+            assert phi_on_basis(alg, form) == _reference_phi(alg, form)
+
+
+def test_dphi_rows_modp_corank_matches_exact_rank():
+    # the mod-p corank of the integer assembler's rows against exact
+    # Bareiss rank on the Fraction dφ matrix built from reference φ values
+    rng = random.Random(7)
+    for poset in _oracle_posets():
+        form = _random_form(poset, rng)
+        for alg in (build_g(poset), build_gA(poset)):
+            n = alg.dim
+            rows, _ = _dphi_rows(alg, phi_on_basis(alg, form))
+            exact = n - linalg.rank(dphi_matrix(alg, _reference_phi(alg, form)))
+            assert n - linalg.rank_mod_p(rows, n) == exact, (poset.covers, alg.kind)
+
+
+def test_dphi_rows_scaling_keeps_exact_answers():
+    # rational coefficients: kernel, principal element and volume test must
+    # match the Fraction dφ matrix through the RatMatrix entry points
+    rng = random.Random(9)
+    for poset in (CHAIN3, CHAIN4, FORK5, SIX_A):
+        form = _random_form(poset, rng, denominators=(2, 3, 5))
+        gA = build_gA(poset)
+        m = dphi_matrix(gA, _reference_phi(gA, form))
+        assert kernel(gA, form).vectors == linalg.kernel_basis(m)
+        if gA.dim % 2 == 0:
+            x_hat = principal_element(gA, form)
+            assert list(x_hat.vec) == linalg.solve(m, phi_on_basis(gA, form))
+        else:
+            values = phi_on_basis(gA, form)
+            bordered = [[0] + values] + [[-v] + row for v, row in zip(values, m.rows)]
+            assert is_contact_form_volume(gA, form) == (
+                linalg.determinant(linalg.RatMatrix(bordered)) != 0
+            )
+    # rational structure constants scale the assembled entries as well
+    alg = build_custom(3, {(1, 2): {2: Fraction(1, 2)}, (1, 3): {3: Fraction(1, 3)}})
+    values = functional_on_basis(alg, [1, Fraction(2, 3), 5])
+    assert kernel(alg, values).vectors == linalg.kernel_basis(dphi_matrix(alg, values))
+    assert index(alg) == 1
 
 
 def test_is_regular():
