@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import RatMatrix, ShapeError
-from .posets import Poset
 
 
 class JacobiError(ValueError):
@@ -110,10 +109,6 @@ class LieAlgebra:
 
     def is_abelian(self):
         return not self.table
-
-    def check_antisymmetry(self):
-        # antisymmetry is structural (only i<j keys stored); check no (i,i)
-        return all(i != j for (i, j) in self.table)
 
     def jacobi_defect(self, i, j, k):
         """[[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j] as a dict."""
@@ -264,72 +259,45 @@ class PosetLieAlgebra(LieAlgebra):
         return self.element_from_coords({(p, p): 1 for p in self.poset.elements})
 
 
-def build_g(poset):
-    """Incidence algebra of the poset under the commutator bracket."""
-    n = poset.n
+def _poset_algebra(poset, kind, diagonal):
+    """Algebra on ``diagonal`` labels plus one e_pq per strict relation.
+
+    ``diagonal`` maps each diagonal label to its matrix diagonal {r: x_r};
+    such an x acts by [x, e_pq] = (x_p - x_q) e_pq. Strict brackets are
+    [e_pq, e_qs] = e_ps, read off the up-sets; no other pair of strict
+    basis vectors composes.
+    """
     strict = sorted(poset.relations)
-    labels = [("d", p) for p in range(1, n + 1)] + [("e", pq) for pq in strict]
+    labels = list(diagonal) + [("e", pq) for pq in strict]
     index = {lab: i for i, lab in enumerate(labels)}
     table = {}
 
     def add(i, j, k, c):
-        if i == j or not c:
-            return
         if i > j:
             i, j, c = j, i, -c
-        table.setdefault((i, j), {})
-        table[(i, j)][k] = table[(i, j)].get(k, 0) + c
+        table[(i, j)] = {k: c}  # every basis pair brackets to one basis vector
 
-    for (p, q) in strict:
-        e = index[("e", (p, q))]
-        add(index[("d", p)], e, e, 1)
-        add(index[("d", q)], e, e, -1)
-    for (p, q) in strict:
-        for (r, s) in strict:
-            if (p, q) >= (r, s):
-                continue
-            i, j = index[("e", (p, q))], index[("e", (r, s))]
-            if q == r:
-                add(i, j, index[("e", (p, s))], 1)
-            if s == p:
-                add(i, j, index[("e", (r, q))], -1)
-    table = {k: {m: c for m, c in v.items() if c} for k, v in table.items()}
-    return PosetLieAlgebra(poset, "g", labels, table)
+    for lab, x in diagonal.items():
+        for p, q in strict:
+            c = x.get(p, 0) - x.get(q, 0)
+            if c:
+                e = index[("e", (p, q))]
+                add(index[lab], e, e, c)
+    for p, q in strict:
+        for s in poset.up_sets[q]:
+            add(index[("e", (p, q))], index[("e", (q, s))], index[("e", (p, s))], 1)
+    return PosetLieAlgebra(poset, kind, labels, table)
+
+
+def build_g(poset):
+    """Incidence algebra of the poset under the commutator bracket."""
+    return _poset_algebra(poset, "g", {("d", p): {p: 1} for p in poset.elements})
 
 
 def build_gA(poset):
     """Trace-zero part: diagonal differences plus strict pairs."""
-    n = poset.n
-    strict = sorted(poset.relations)
-    labels = [("h", i) for i in range(1, n)] + [("e", pq) for pq in strict]
-    index = {lab: i for i, lab in enumerate(labels)}
-    table = {}
-
-    def add(i, j, k, c):
-        if i == j or not c:
-            return
-        if i > j:
-            i, j, c = j, i, -c
-        table.setdefault((i, j), {})
-        table[(i, j)][k] = table[(i, j)].get(k, 0) + c
-
-    for h in range(1, n):
-        for (p, q) in strict:
-            c = (p == h) - (q == h) - (p == h + 1) + (q == h + 1)
-            if c:
-                e = index[("e", (p, q))]
-                add(index[("h", h)], e, e, c)
-    for (p, q) in strict:
-        for (r, s) in strict:
-            if (p, q) >= (r, s):
-                continue
-            i, j = index[("e", (p, q))], index[("e", (r, s))]
-            if q == r:
-                add(i, j, index[("e", (p, s))], 1)
-            if s == p:
-                add(i, j, index[("e", (r, q))], -1)
-    table = {k: {m: c for m, c in v.items() if c} for k, v in table.items()}
-    return PosetLieAlgebra(poset, "gA", labels, table)
+    diagonal = {("h", i): {i: 1, i + 1: -1} for i in range(1, poset.n)}
+    return _poset_algebra(poset, "gA", diagonal)
 
 
 def build_custom(dim, brackets):

@@ -30,6 +30,7 @@ from .toral import (
     ScriptError,
     block,
     catalog,
+    disconnected_contact_check,
     ext_hasse_has_cycle,
     glue,
     is_contact_sequence,
@@ -91,16 +92,12 @@ def analyze(poset, form=None, seed=0, trials=5, search_forms=True):
     }
     ind = report["index"]["value"]
     if not poset.is_connected():
-        comps = poset.connected_components()
-        verdict = len(comps) == 2 and all(
-            index(build_gA(poset.induced_subposet(sorted(c))), trials=trials, seed=seed) == 0
-            for c in comps
-        )
+        split = disconnected_contact_check(poset, trials=trials, seed=seed)
         report["contact"] = {
-            "verdict": verdict,
+            "verdict": split.is_contact,
             "certificate": {
                 "criterion": "disjoint sum of exactly two Frobenius components",
-                "components": len(comps),
+                "components": report["poset"]["components"],
             },
         }
     elif ext_hasse_has_cycle(poset):
@@ -122,12 +119,7 @@ def analyze(poset, form=None, seed=0, trials=5, search_forms=True):
             "verdict": contact_res.is_contact,
             "certificate": {
                 "reason": contact_res.reason,
-                "reeb": None
-                if contact_res.reeb is None
-                else {
-                    f"{p},{q}": str(v)
-                    for (p, q), v in sorted(contact_res.reeb.matrix_coords.items())
-                },
+                "reeb": contact_res.reeb_json(),
             },
         }
         if frobenius:
@@ -257,12 +249,7 @@ def cmd_build(args):
             out["contact"] = {
                 "verdict": res.is_contact,
                 "reason": res.reason,
-                "reeb": None
-                if res.reeb is None
-                else {
-                    f"{p},{q}": str(v)
-                    for (p, q), v in sorted(res.reeb.matrix_coords.items())
-                },
+                "reeb": res.reeb_json(),
             }
             print(f"contact: {res.is_contact} ({res.reason})")
             if res.reeb is not None:
@@ -285,9 +272,10 @@ def cmd_glue(args):
     if args.identify:
         for item in args.identify.split(","):
             role, _, label = item.partition("=")
-            if not label:
-                raise InputError(f"bad identify entry {item!r}; use role=label")
-            identify[role.strip()] = int(label)
+            try:
+                identify[role.strip()] = int(label)
+            except ValueError:
+                raise InputError(f"bad identify entry {item!r}; use role=label") from None
     blk = block(args.block, args.n)
     result = glue(poset, blk, args.rule, identify)
     out = {

@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import linalg
 from .algebras import AlgebraElement, PosetLieAlgebra
 from .linalg import RatMatrix, ShapeError
+from .posets import is_forest
 
 INDEX_TRIALS = 5
 INDEX_COEFF_BOUND = 1 << 20
@@ -144,9 +145,12 @@ class OneForm:
         coeffs = None
         if "coeffs" in data:
             coeffs = {}
-            for key, val in data["coeffs"].items():
-                p, q = (int(x) for x in key.split(","))
-                coeffs[(p, q)] = Fraction(val)
+            try:
+                for key, val in data["coeffs"].items():
+                    p, q = (int(x) for x in key.split(","))
+                    coeffs[(p, q)] = Fraction(val)
+            except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise FormError(f"malformed one-form coefficient: {exc}") from exc
         return cls.from_support(poset, pairs, coeffs)
 
 
@@ -220,6 +224,11 @@ def _dphi_rows(algebra, values):
     return rows, [s * x for x in phi]
 
 
+def coords_json(coords):
+    """Matrix coordinates as a JSON object: "p,q" -> exact value string."""
+    return {f"{p},{q}": str(v) for (p, q), v in sorted(coords.items())}
+
+
 @dataclass
 class KernelReport:
     space: str  # "g", "gA", or "custom"
@@ -236,12 +245,7 @@ class KernelReport:
         return {
             "space": self.space,
             "dimension": self.dimension,
-            "generators": [
-                None
-                if c is None
-                else {f"{p},{q}": str(v) for (p, q), v in sorted(c.items())}
-                for c in self.coords
-            ],
+            "generators": [None if c is None else coords_json(c) for c in self.coords],
         }
 
 
@@ -323,6 +327,9 @@ class ContactResult:
 
     def __bool__(self):
         return self.is_contact
+
+    def reeb_json(self):
+        return None if self.reeb is None else coords_json(self.reeb.matrix_coords)
 
 
 def is_contact_form(algebra, form_or_values, trials=INDEX_TRIALS, seed=0):
@@ -422,22 +429,7 @@ def udo_partition(poset, form):
 def is_small(poset, form):
     """Strict support is a spanning tree of the comparability graph."""
     edges = form.strict_support
-    if len(edges) != poset.n - 1:
-        return False
-    parent = {p: p for p in poset.elements}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p, q in edges:
-        rp, rq = find(p), find(q)
-        if rp == rq:
-            return False
-        parent[rp] = rq
-    return True
+    return len(edges) == poset.n - 1 and is_forest(poset.elements, edges)
 
 
 def restrict_element(elem, label_map, target_algebra):

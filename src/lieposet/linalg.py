@@ -97,10 +97,6 @@ class RatMatrix:
             [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.rows]
         )
 
-    def scale(self, c):
-        c = Fraction(c)
-        return RatMatrix([[c * a for a in row] for row in self.rows])
-
     def mul_vector(self, vec):
         if len(vec) != self.ncols:
             raise ShapeError("vector length mismatch")

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .linalg import RatMatrix, rank
+from .linalg import int_rank
 
 ISO_SIZE_LIMIT = 12
 
@@ -221,12 +221,39 @@ class Poset:
         return len(self.connected_components()) == 1
 
     @cached_property
-    def height(self):
+    def depth(self):
+        """Length of the longest chain ending at each element."""
         depth = {}
-        for p in _linear_extension_order(self.n, self.covers):
-            below = [depth[q] for q in self.down_sets[p]]
-            depth[p] = 1 + max(below) if below else 0
-        return max(depth.values())
+        for p in self.elements:  # labels ascend along every relation
+            depth[p] = max((depth[q] + 1 for q in self.down_sets[p]), default=0)
+        return depth
+
+    @cached_property
+    def height(self):
+        return max(self.depth.values())
+
+    def ideals(self):
+        """All down-closed subsets, as sorted tuples.
+
+        Elements are decided in order of their down-set size, each first
+        left out and then put in, so the sequence is deterministic.
+        """
+        order = sorted(self.elements, key=lambda p: len(self.down_sets[p]))
+        down = self.down_sets
+        current = set()
+
+        def walk(i):
+            if i == len(order):
+                yield tuple(sorted(current))
+                return
+            e = order[i]
+            yield from walk(i + 1)
+            if down[e] <= current:
+                current.add(e)
+                yield from walk(i + 1)
+                current.remove(e)
+
+        return walk(0)
 
     def induced_subposet(self, subset):
         """Subposet on ``subset``, relabeled 1..|subset| in sorted label order."""
@@ -242,13 +269,6 @@ class Poset:
             if p in relabel and q in relabel
         }
         return Poset(len(subset), rels, relabeling=relabel, _validated=True)
-
-    def comparability_graph(self):
-        adj = {p: set() for p in self.elements}
-        for p, q in self.relations:
-            adj[p].add(q)
-            adj[q].add(p)
-        return adj
 
     def disjoint_sum(self, other):
         covers = list(self.covers) + [(p + self.n, q + self.n) for p, q in other.covers]
@@ -282,12 +302,6 @@ class Poset:
             out[k].sort()
         return out
 
-    def order_complex(self, max_dim=None):
-        """Faces of the order complex by dimension (chains of size dim+1)."""
-        cap = self.height + 1 if max_dim is None else min(max_dim + 1, self.height + 1)
-        chains = self.chains_by_size(cap)
-        return {k - 1: chains[k] for k in chains}
-
     def betti_numbers(self, max_dim):
         """Betti numbers beta_0..beta_max_dim of the order complex over Q."""
         faces = self.chains_by_size(min(max_dim + 2, self.height + 1))
@@ -299,13 +313,13 @@ class Poset:
             if k not in faces or not faces[k]:
                 ranks[k] = 0
                 continue
-            rows = len(faces[k - 1])
-            mat = RatMatrix.zeros(rows, len(faces[k]))
+            cols = len(faces[k])
+            rows = [[0] * cols for _ in faces[k - 1]]
             for j, face in enumerate(faces[k]):
                 for drop in range(k):
                     sub = face[:drop] + face[drop + 1 :]
-                    mat.rows[index[k - 1][sub]][j] = Fraction((-1) ** drop)
-            ranks[k] = rank(mat)
+                    rows[index[k - 1][sub]][j] = (-1) ** drop
+            ranks[k] = int_rank(rows, cols)
         betti = []
         for dim in range(max_dim + 1):
             k = dim + 1
@@ -316,16 +330,12 @@ class Poset:
     # ----- isomorphism ----------------------------------------------------
 
     def _signature(self):
-        depth = {}
-        for p in _linear_extension_order(self.n, self.covers):
-            below = [depth[q] for q in self.down_sets[p]]
-            depth[p] = 1 + max(below) if below else 0
         sig = {}
         for p in self.elements:
             sig[p] = (
                 len(self.down_sets[p]),
                 len(self.up_sets[p]),
-                depth[p],
+                self.depth[p],
                 sum(1 for c in self.covers if c[0] == p),
                 sum(1 for c in self.covers if c[1] == p),
             )
@@ -342,8 +352,6 @@ class Poset:
         if len(self.relations) != len(other.relations):
             return None
         sig_a, sig_b = self._signature(), other._signature()
-        from collections import Counter
-
         if Counter(sig_a.values()) != Counter(sig_b.values()):
             return None
         candidates = {
@@ -399,13 +407,9 @@ class Poset:
         return cls.from_covers(n, covers)
 
     def to_dot(self, name="poset"):
-        depth = {}
-        for p in _linear_extension_order(self.n, self.covers):
-            below = [depth[q] for q in self.down_sets[p]]
-            depth[p] = 1 + max(below) if below else 0
         lines = [f"digraph {name} {{", "  rankdir=BT;"]
         by_rank = {}
-        for p, d in depth.items():
+        for p, d in self.depth.items():
             by_rank.setdefault(d, []).append(p)
         for d in sorted(by_rank):
             members = " ".join(f'"{p}"' for p in sorted(by_rank[d]))
@@ -419,6 +423,24 @@ class Poset:
 def poset_from_json_file(path):
     with open(path) as fh:
         return Poset.from_json(json.load(fh))
+
+
+def is_forest(vertices, edges):
+    """True when the undirected graph on ``vertices`` has no cycle."""
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p, q in edges:
+        rp, rq = find(p), find(q)
+        if rp == rq:
+            return False
+        parent[rp] = rq
+    return True
 
 
 def transitive_reduction(n, relations):
@@ -439,6 +461,7 @@ __all__ = [
     "Poset",
     "PosetError",
     "UnsupportedSizeError",
+    "is_forest",
     "poset_from_json_file",
     "transitive_reduction",
 ]

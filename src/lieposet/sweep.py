@@ -15,7 +15,13 @@ from .algebras import build_gA
 from .forms import functional_on_basis, index, kernel
 from .posets import Poset
 from .toral.blocks import block, catalog
-from .toral.gluing import CONTACT_RULES, _valid_identifications, glue
+from .toral.gluing import (
+    CONTACT_RULES,
+    _valid_identifications,
+    disconnected_contact_check,
+    ext_hasse_has_cycle,
+    glue,
+)
 
 SWEEP_MAX_N = 8
 
@@ -50,27 +56,6 @@ def canonical_key(poset):
     return (n, best[0])
 
 
-def iter_ideals(poset):
-    """All down-closed subsets, as sorted tuples."""
-    order = sorted(poset.elements, key=lambda p: len(poset.down_sets[p]))
-    down = poset.down_sets
-    out = []
-
-    def walk(i, current):
-        if i == len(order):
-            out.append(tuple(sorted(current)))
-            return
-        e = order[i]
-        walk(i + 1, current)
-        if down[e] <= current:
-            current.add(e)
-            walk(i + 1, current)
-            current.remove(e)
-
-    walk(0, set())
-    return out
-
-
 def enumerate_posets(max_n, connected_only=True):
     """Isomorphism representatives of posets with up to max_n elements."""
     if max_n > SWEEP_MAX_N:
@@ -79,7 +64,7 @@ def enumerate_posets(max_n, connected_only=True):
     for n in range(2, max_n + 1):
         seen = {}
         for parent in levels[n - 1]:
-            for ideal in iter_ideals(parent):
+            for ideal in parent.ideals():
                 covers = list(parent.covers) + [
                     (i, n)
                     for i in ideal
@@ -107,16 +92,8 @@ def classify_contact(poset, seed=0, trials=5, witness_attempts=60):
     if d % 2 == 0:
         return False, "even dimension", None
     if not poset.is_connected():
-        comps = poset.connected_components()
-        if len(comps) != 2:
-            return False, f"{len(comps)} components", None
-        for comp in comps:
-            sub = poset.induced_subposet(sorted(comp))
-            if index(build_gA(sub), trials=trials, seed=seed) != 0:
-                return False, "a component is not Frobenius", None
-        return True, "disjoint sum of two Frobenius posets", None
-    from .toral.gluing import ext_hasse_has_cycle
-
+        res = disconnected_contact_check(poset, trials=trials, seed=seed)
+        return res.is_contact, res.reason, None
     if ext_hasse_has_cycle(poset):
         return False, "extremal Hasse diagram contains a cycle", None
     if index(gA, trials=trials, seed=seed) != 1:

@@ -18,6 +18,7 @@ from .. import linalg
 from ..algebras import build_g, build_gA
 from ..forms import (
     OneForm,
+    index,
     is_binary_spectrum,
     is_contact_form,
     is_small,
@@ -151,74 +152,58 @@ def _diamond_stack_dual_poset(n):
     return Poset.from_covers(2 * n + 1, covers)
 
 
-def iter_filters(poset):
-    """All up-closed subsets, as frozensets."""
-    order = sorted(poset.elements, key=lambda p: len(poset.up_sets[p]))
-    up = poset.up_sets
-    out = []
+def _least_tree_support(poset, accept):
+    """Lexicographically smallest spanning-tree support passing ``accept``.
 
-    def walk(i, current):
-        if i == len(order):
-            out.append(frozenset(current))
-            return
-        e = order[i]
-        walk(i + 1, current)
-        if up[e] <= current:
-            current.add(e)
-            walk(i + 1, current)
-            current.remove(e)
-
-    walk(0, set())
-    return out
+    A candidate support S orients every edge from an ideal D to the
+    filter U = complement, so the search walks the ideals and, for each,
+    the spanning trees of the bipartite relation graph D x U that contain
+    all extremal relations, in lexicographic order. Every such tree is a
+    candidate exactly once, so the result does not depend on the order
+    of the ideals. Returns a sorted tuple of pairs, or None.
+    """
+    n = poset.n
+    need = n - 1
+    if len(poset.relations) < need:
+        return None
+    rel_e = poset.extremal_data().rel_e
+    best = None
+    for ideal in poset.ideals():
+        d_set = set(ideal)
+        if not d_set or len(d_set) == n:
+            continue
+        if any(p not in d_set or q in d_set for p, q in rel_e):
+            continue
+        edges = sorted(
+            (p, q) for p, q in poset.relations if p in d_set and q not in d_set
+        )
+        if len(edges) < need:
+            continue
+        found = _first_spanning_tree(n, edges, rel_e, need, accept, best)
+        if found is not None and (best is None or found < best):
+            best = found
+    return best
 
 
 def derive_small_frobenius_form(poset):
     """Lexicographically smallest spanning-tree support that makes a
     Frobenius toral one-form.
 
-    Any qualifying support orients every edge from the source ideal D to
-    the sink filter U = complement, so the search enumerates filters
-    first and then spanning trees of the bipartite relation graph D x U
-    that contain all extremal relations, in lexicographic support order.
     Frobenius candidates are certified by a full mod-p rank of dφ (a
     mod-p rank never exceeds the true rank); with a trivial trace-zero
     kernel the full incidence kernel is spanned by the identity matrix,
     which settles the kernel-shape condition for free. Returns None if
     no support qualifies.
     """
-    n = poset.n
-    ext = poset.extremal_data()
-    rel_e = sorted(ext.rel_e)
-    need = n - 1
-    if len(poset.relations) < need:
-        return None
-    if (n - 1 + len(poset.relations)) % 2 == 1:
+    if (poset.n - 1 + len(poset.relations)) % 2 == 1:
         return None
     rels = sorted(poset.relations)
 
     def frobenius_modp(support):
         return _tree_form_corank_modp(rels, set(support)) == 0
 
-    best = None
-    for u_set in iter_filters(poset):
-        d_set = set(poset.elements) - u_set
-        if not u_set or not d_set:
-            continue
-        if any(p not in d_set or q not in u_set for p, q in rel_e):
-            continue
-        edges = sorted(
-            (p, q) for p, q in poset.relations if p in d_set and q in u_set
-        )
-        if len(edges) < need:
-            continue
-        found = _first_spanning_tree(
-            n, edges, set(rel_e), need, frobenius_modp, best
-        )
-        if found is not None and (best is None or found < best):
-            best = found
-    if best is None:
-        return None
-    return OneForm.from_support(poset, best)
+    best = _least_tree_support(poset, frobenius_modp)
+    return None if best is None else OneForm.from_support(poset, best)
 
 
 def _tree_form_corank_modp(relations_sorted, support_set):
@@ -583,9 +568,7 @@ def verify_contact_toral_pair(poset, form, trials=5, seed=0):
     if res.kernel is not None:
         details["kernel_trace_zero"] = res.kernel
     if res.reeb is not None:
-        details["reeb"] = {
-            f"{p},{q}": str(v) for (p, q), v in sorted(res.reeb.matrix_coords.items())
-        }
+        details["reeb"] = res.reeb_json()
     return PairReport("contact", conditions, details)
 
 
@@ -595,47 +578,27 @@ def verify_block(blk, trials=5, seed=0):
     return verify_contact_toral_pair(blk.poset, blk.form, trials=trials, seed=seed)
 
 
-def search_contact_form(poset, trials=5, seed=0, support_limit=200000):
-    """Spanning-tree search for a contact form E*_{1,1} + φ_S.
+def search_contact_form(poset, trials=5, seed=0):
+    """Lexicographically smallest contact form E*_{1,1} + φ_S, or None.
 
-    Mirrors the Frobenius search but appends the diagonal summand and
-    applies the contact verifier conditions; intended for catalog-scale
-    posets only.
+    The same spanning-tree search as the Frobenius one, over
+    every support S oriented from an ideal to its complementary filter
+    and covering all extremal relations; S is accepted when the exact
+    trace-zero kernel of dφ is one-dimensional and the form does not
+    vanish on its generator. The search is exhaustive, with no cap on
+    the number of supports tried; callers bound the poset size instead
+    (the CLI's ``SEARCH_SIZE_CAP``).
     """
     gA = build_gA(poset)
     if gA.dim % 2 == 0 or not poset.is_connected():
         return None
-    from ..forms import index as sampled_index
-    from ..forms import kernel as exact_kernel
-
-    if sampled_index(gA, trials=trials, seed=seed) != 1:
+    if index(gA, trials=trials, seed=seed) != 1:
         return None
-    rels = sorted(poset.relations)
-    n = poset.n
-    ext = poset.extremal_data()
-    need = n - 1
-    if len(rels) < need:
-        return None
-    from itertools import combinations
 
-    count = 0
-    for support in combinations(rels, need):
-        count += 1
-        if count > support_limit:
-            return None
-        if not all(e in support for e in ext.rel_e):
-            continue
+    def contact(support):
         phi = OneForm.from_support(poset, list(support) + [(1, 1)])
-        stripped = phi.subtract_pair(1, 1, 1)
-        if not is_small(poset, stripped):
-            continue
-        u, d, o = udo_partition(poset, stripped)
-        if o or not poset.is_filter(u) or not poset.is_ideal(d):
-            continue
-        rep = exact_kernel(gA, phi)
-        if rep.dimension != 1:
-            continue
-        gen = gA.element(rep.vectors[0])
-        if phi.evaluate(gen) != 0:
-            return phi
-    return None
+        rep = kernel(gA, phi)
+        return rep.dimension == 1 and phi.evaluate(gA.element(rep.vectors[0])) != 0
+
+    best = _least_tree_support(poset, contact)
+    return None if best is None else OneForm.from_support(poset, list(best) + [(1, 1)])

@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass, field
 
 from ..algebras import build_gA
-from ..forms import OneForm, index
-from ..posets import Poset, _linear_extension_order
+from ..forms import ContactResult, OneForm, index
+from ..posets import Poset, _linear_extension_order, is_forest
 from .blocks import block
 
 
@@ -255,17 +255,7 @@ class ScriptResult:
     audits: list
     prefix_posets: list  # accumulated poset after each step, in step labels
     prefix_forms: list  # built form after each step (step labels), or None
-    step_maps: list  # per step: block intrinsic label -> step-i label
     q_maps: list  # per step i>=1: labels of step i-1 -> labels of step i
-
-    def block_to_final_maps(self):
-        out = []
-        for i, smap in enumerate(self.step_maps):
-            acc = dict(smap)
-            for qmap in self.q_maps[i:]:
-                acc = {k: qmap[v] for k, v in acc.items()}
-            out.append(acc)
-        return out
 
     def audit_json(self):
         return {
@@ -314,7 +304,6 @@ def run_script(script, build_form=True):
     ]
     prefix_posets = [poset]
     prefix_forms = [form]
-    step_maps = [{p: p for p in poset.elements}]
     q_maps = []
     for idx, step in enumerate(steps[1:], start=2):
         blk = step.block()
@@ -358,9 +347,8 @@ def run_script(script, build_form=True):
         poset = result.poset
         prefix_posets.append(poset)
         prefix_forms.append(form)
-        step_maps.append(dict(result.s_map))
         q_maps.append(dict(result.q_map))
-    result = ScriptResult(poset, form, audits, prefix_posets, prefix_forms, step_maps, q_maps)
+    result = ScriptResult(poset, form, audits, prefix_posets, prefix_forms, q_maps)
     _finalize_audit_labels(result)
     return result
 
@@ -399,38 +387,30 @@ def index_delta_check(q_poset, blk, rule_name, identify, trials=5, seed=0):
 
 
 def ext_hasse_has_cycle(poset):
-    """Undirected cycle in the Hasse diagram of the extremal subposet."""
-    ext = sorted(poset.extremal_data().ext)
-    sub = poset.induced_subposet(ext)
-    edges = sub.covers
-    parent = {p: p for p in sub.elements}
+    """Undirected cycle in the Hasse diagram of the extremal subposet.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p, q in edges:
-        rp, rq = find(p), find(q)
-        if rp == rq:
-            return True
-        parent[rp] = rq
-    return False
+    No element lies strictly between two extremal ones, so that diagram's
+    edges are exactly the extremal relations Rel_E.
+    """
+    ext = poset.extremal_data()
+    return not is_forest(ext.ext, ext.rel_e)
 
 
 def disconnected_contact_check(poset, trials=5, seed=0):
-    """Disconnected posets are contact iff exactly two Frobenius components."""
+    """Disconnected posets are contact iff exactly two Frobenius components.
+
+    Returns a ContactResult, true exactly when the poset is contact.
+    """
     comps = poset.connected_components()
     if len(comps) == 1:
         raise ValueError("the poset is connected; use the contact form tests instead")
     if len(comps) != 2:
-        return False
+        return ContactResult(False, f"{len(comps)} components")
     for comp in comps:
         sub = poset.induced_subposet(sorted(comp))
         if index(build_gA(sub), trials=trials, seed=seed) != 0:
-            return False
-    return True
+            return ContactResult(False, "a component is not Frobenius")
+    return ContactResult(True, "disjoint sum of two Frobenius posets")
 
 
 _RANDOM_TORAL_POOL = (

@@ -120,7 +120,6 @@ def test_jacobi_poset_algebras_exhaustive():
     for poset in (GATE, Poset.chain(4), Poset.from_covers(5, [(1, 2), (2, 3), (3, 4), (3, 5)])):
         for alg in (build_g(poset), build_gA(poset)):
             assert alg.check_jacobi() is None
-            assert alg.check_antisymmetry()
 
 
 def test_custom_footnote_algebra():

@@ -13,7 +13,8 @@ from lieposet.toral import (
     verify_contact_toral_pair,
     verify_toral_pair,
 )
-from lieposet.toral.blocks import verify_block
+from lieposet.sweep import enumerate_posets
+from lieposet.toral.blocks import search_contact_form, verify_block
 
 
 def test_catalog_listing():
@@ -284,3 +285,20 @@ def test_block_order_complexes_are_contractible():
         ext = blk.poset.extremal_data()
         assert len(ext.rel_e) - len(ext.ext) + 1 == 0
         assert blk.poset.betti_numbers(2) == [1, 0, 0], fam.id
+
+
+def test_searched_contact_forms_pass_the_pair_verifier():
+    # The search asks nothing of the poset beyond connectedness, so a
+    # poset with four or more extremal elements fails only cp2 (a block
+    # condition on the poset); every form condition must hold.
+    found = 0
+    for poset in enumerate_posets(6):
+        form = search_contact_form(poset)
+        if form is not None:
+            found += 1
+            report = verify_contact_toral_pair(poset, form)
+            failed = set(report.failed())
+            if len(poset.extremal_data().ext) > 3:
+                failed.discard("cp2_extremal_count")
+            assert not failed, (poset, form, report.failed())
+    assert found > 0

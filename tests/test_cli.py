@@ -1,6 +1,7 @@
 import json
 
 from lieposet.cli import main
+from lieposet.forms import OneForm
 from lieposet.posets import Poset
 from lieposet.sweep import (
     canonical_key,
@@ -8,6 +9,7 @@ from lieposet.sweep import (
     conjecture_sweep,
     enumerate_posets,
 )
+from lieposet.toral import block, verify_contact_toral_pair
 
 GATE = {"n": 4, "covers": [[1, 2], [2, 3], [2, 4]]}
 CYCLE7 = {
@@ -64,12 +66,20 @@ def test_analyze_with_form_certificates(tmp_path):
     assert report["contact_pair_check"]["all_pass"] is True
 
 
-def test_analyze_parse_error_exit_code(tmp_path):
+def test_analyze_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["analyze", str(bad)]) == 2
     missing = write(tmp_path, "badposet.json", {"n": 2, "covers": [[1, 9]]})
     assert main(["analyze", missing]) == 2
+    ppath = write(tmp_path, "chain3.json", {"n": 3, "covers": [[1, 2], [2, 3]]})
+    for coeffs in ({"1;3": "1"}, {"1,3": "abc"}):
+        form = {"support": [[1, 3], [2, 3]], "coeffs": coeffs}
+        fpath = write(tmp_path, "form.json", form)
+        assert main(["analyze", ppath, "--form", fpath]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line[:6] for line in err.splitlines()[-2:]] == ["error:", "error:"]
 
 
 def test_verify_catalog_small_range(tmp_path, capsys):
@@ -155,12 +165,18 @@ def test_glue_command(tmp_path):
     assert payload["poset"]["n"] == 6
 
 
-def test_glue_invalid_rule_exit_code(tmp_path):
+def test_glue_invalid_rule_exit_code(tmp_path, capsys):
     ppath = write(tmp_path, "chain3.json", {"n": 3, "covers": [[1, 2], [2, 3]]})
     assert (
         main(["glue", ppath, "--block", "chain2", "--rule", "D1", "--identify", "c=1,a1=2"])
         == 2
     )
+    assert (
+        main(["glue", ppath, "--block", "chain2", "--rule", "A1", "--identify", "a1=x"])
+        == 2
+    )
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error:") for line in err)
 
 
 def test_export_dot(tmp_path, capsys):
@@ -185,6 +201,23 @@ def test_enumerate_posets_counts():
     conn4 = enumerate_posets(4)
     assert len([p for p in conn4 if p.n == 3]) == 3
     assert len([p for p in conn4 if p.n == 4]) == 10
+    # OEIS A000112 (all posets) and A000608 (connected posets) at n = 5, 6
+    all6 = enumerate_posets(6, connected_only=False)
+    for n, total, connected in ((5, 63, 44), (6, 318, 238)):
+        assert len([p for p in all6 if p.n == n]) == total
+        assert len([p for p in all6 if p.n == n and p.is_connected()]) == connected
+
+
+def test_analyze_finds_contact_form_at_search_cap(tmp_path):
+    # n = 8 is the CLI's search cap; the exhaustive search must still succeed
+    poset = block("contact_pendant_high", 8).poset
+    ppath = write(tmp_path, "p.json", poset.to_json())
+    out = tmp_path / "report.json"
+    assert main(["analyze", ppath, "--json-out", str(out)]) == 0
+    contact = json.loads(out.read_text())["contact"]
+    assert contact["verdict"] is True
+    form = OneForm.from_json(poset, contact["certificate"]["form"])
+    assert verify_contact_toral_pair(poset, form).all_pass
 
 
 def test_canonical_key_iso_invariant():

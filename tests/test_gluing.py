@@ -344,7 +344,6 @@ def test_restriction_property_of_built_kernels():
     result = run_script(script)
     g_final = build_g(result.poset)
     rep = kernel(g_final, result.form)
-    maps = result.block_to_final_maps()
     for vec in rep.vectors:
         elem = g_final.element(vec)
         for i, step in enumerate(script.steps):
@@ -352,7 +351,7 @@ def test_restriction_property_of_built_kernels():
             g_blk = build_g(blk.poset)
             from lieposet.forms import restrict_element
 
-            restricted = restrict_element(elem, maps[i], g_blk)
+            restricted = restrict_element(elem, result.audits[i].block_map, g_blk)
             assert in_kernel(g_blk, blk.form, restricted), (i, step.block_id)
 
 

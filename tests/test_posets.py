@@ -121,12 +121,6 @@ def test_induced_subposet():
     assert sub.relations == {(1, 2), (1, 3)}
 
 
-def test_comparability_graph():
-    adj = GATE.comparability_graph()
-    assert adj[1] == {2, 3, 4}
-    assert adj[3] == {1, 2}
-
-
 def test_betti_gate_contractible():
     assert GATE.betti_numbers(2) == [1, 0, 0]
 
