@@ -23,7 +23,7 @@ from .forms import (
     spectrum,
 )
 from .posets import Poset, PosetError
-from .sweep import conjecture_sweep
+from .sweep import SWEEP_MAX_N, conjecture_sweep
 from .toral import (
     ConstructionScript,
     GlueError,
@@ -289,8 +289,8 @@ def cmd_glue(args):
 
 
 def cmd_sweep(args):
-    if args.max_n > 8:
-        raise InputError("sweep supports max-n up to 8")
+    if not 1 <= args.max_n <= SWEEP_MAX_N:
+        raise InputError(f"--max-n must be between 1 and {SWEEP_MAX_N}, got {args.max_n}")
     report = conjecture_sweep(args.max_n, seed=args.seed, trials=args.trials)
     print(
         f"sweep: {report['connected_posets_checked']} connected posets up to "

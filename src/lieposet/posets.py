@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -78,7 +77,7 @@ def _linear_extension_order(n, pairs):
 
 
 class Poset:
-    """Immutable finite poset; construct via ``Poset.from_covers``."""
+    """Immutable finite poset; construct via ``from_covers`` or ``from_closed``."""
 
     def __init__(self, n, relations, relabeling=None, _validated=False):
         if n < 1:
@@ -106,12 +105,21 @@ class Poset:
                 raise PosetError(f"cover ({p},{q}) out of range 1..{n}")
             if p == q:
                 raise PosetError(f"cover ({p},{p}) is reflexive")
-        order = _linear_extension_order(n, covers)  # raises CycleError
-        closure = _transitive_closure(n, covers)
-        if all(p < q for p, q in closure):
-            return cls(n, closure, _validated=True)
+        return cls.from_closed(n, _transitive_closure(n, covers))  # raises CycleError
+
+    @classmethod
+    def from_closed(cls, n, relations):
+        """Poset on a transitively closed relation set over labels 1..n.
+
+        The labels are kept when p < q already holds; otherwise they are
+        relabeled by a linear extension and the permutation is recorded.
+        The input is trusted, not re-validated.
+        """
+        if all(p < q for p, q in relations):
+            return cls(n, relations, _validated=True)
+        order = _linear_extension_order(n, relations)
         relabel = {old: new for new, old in enumerate(order, start=1)}
-        relabeled = {(relabel[p], relabel[q]) for p, q in closure}
+        relabeled = {(relabel[p], relabel[q]) for p, q in relations}
         return cls(n, relabeled, relabeling=relabel, _validated=True)
 
     @classmethod
@@ -329,65 +337,16 @@ class Poset:
 
     # ----- isomorphism ----------------------------------------------------
 
-    def _signature(self):
-        sig = {}
-        for p in self.elements:
-            sig[p] = (
-                len(self.down_sets[p]),
-                len(self.up_sets[p]),
-                self.depth[p],
-                sum(1 for c in self.covers if c[0] == p),
-                sum(1 for c in self.covers if c[1] == p),
-            )
-        return sig
-
     def isomorphism_to(self, other):
         """An order isomorphism as a dict, or None. Capped at 12 elements."""
         if self.n != other.n:
             return None
-        if self.n > ISO_SIZE_LIMIT:
-            raise UnsupportedSizeError(
-                f"isomorphism search is capped at {ISO_SIZE_LIMIT} elements"
-            )
-        if len(self.relations) != len(other.relations):
+        key, mine = _canonical_labelling(self)
+        other_key, theirs = _canonical_labelling(other)
+        if key != other_key:
             return None
-        sig_a, sig_b = self._signature(), other._signature()
-        if Counter(sig_a.values()) != Counter(sig_b.values()):
-            return None
-        candidates = {
-            p: [q for q in other.elements if sig_b[q] == sig_a[p]] for p in self.elements
-        }
-        order = sorted(self.elements, key=lambda p: len(candidates[p]))
-        mapping = {}
-        used = set()
-
-        def backtrack(i):
-            if i == len(order):
-                return True
-            p = order[i]
-            for q in candidates[p]:
-                if q in used:
-                    continue
-                ok = True
-                for p2, q2 in mapping.items():
-                    if ((p, p2) in self.relations) != ((q, q2) in other.relations):
-                        ok = False
-                        break
-                    if ((p2, p) in self.relations) != ((q2, q) in other.relations):
-                        ok = False
-                        break
-                if ok:
-                    mapping[p] = q
-                    used.add(q)
-                    if backtrack(i + 1):
-                        return True
-                    del mapping[p]
-                    used.remove(q)
-            return False
-
-        if backtrack(0):
-            return dict(mapping)
-        return None
+        back = {label: q for q, label in theirs.items()}
+        return {p: back[label] for p, label in mine.items()}
 
     def is_isomorphic_to(self, other):
         return self.isomorphism_to(other) is not None
@@ -418,6 +377,60 @@ class Poset:
             lines.append(f'  "{p}" -> "{q}";')
         lines.append("}")
         return "\n".join(lines)
+
+
+def canonical_key(poset):
+    """``(n, relations)`` under the canonical labelling; two posets get
+    the same key exactly when they are isomorphic."""
+    return poset.n, _canonical_labelling(poset)[0]
+
+
+def _canonical_labelling(poset):
+    """Least sorted relation tuple over the leaves of an individualise-and-
+    refine search, with a labelling that attains it.
+
+    Colours start at depth and are refined by the sorted colours of each
+    down-set and up-set, numbered by signature rank, so every class is an
+    antichain and classes come in depth order: each leaf labelling is a
+    linear extension and keeps the p<q convention. Ties are broken in the
+    first tied class, one branch per twin class (equal down- and up-sets),
+    since swapping twins is an automorphism. The search grows as k! on k
+    identical disjoint components, hence the cap.
+    """
+    if poset.n > ISO_SIZE_LIMIT:
+        raise UnsupportedSizeError(f"isomorphism search is capped at {ISO_SIZE_LIMIT} elements")
+    down, up = poset.down_sets, poset.up_sets
+
+    def refine(colour):
+        while (classes := len(set(colour.values()))) < poset.n:
+            sig = {
+                p: (
+                    c,
+                    tuple(sorted(map(colour.get, down[p]))),
+                    tuple(sorted(map(colour.get, up[p]))),
+                )
+                for p, c in colour.items()
+            }
+            rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+            if len(rank) == classes:
+                break
+            colour = {p: rank[s] for p, s in sig.items()}
+        return colour
+
+    def leaves(colour):
+        colour = refine(colour)
+        values = list(colour.values())
+        tied = min((c for c in values if values.count(c) > 1), default=None)
+        if tied is None:
+            yield tuple(sorted((colour[p] + 1, colour[q] + 1) for p, q in poset.relations)), colour
+        twins = {(frozenset(down[p]), frozenset(up[p])): p for p in colour if colour[p] == tied}
+        for v in twins.values():
+            # v keeps colour tied, the rest of its class and later classes move up one
+            marked = {p: c + (c > tied or (c == tied and p != v)) for p, c in colour.items()}
+            yield from leaves(marked)
+
+    key, colour = min(leaves(poset.depth), key=lambda leaf: leaf[0])
+    return key, {p: c + 1 for p, c in colour.items()}
 
 
 def poset_from_json_file(path):
@@ -461,6 +474,7 @@ __all__ = [
     "Poset",
     "PosetError",
     "UnsupportedSizeError",
+    "canonical_key",
     "is_forest",
     "poset_from_json_file",
     "transitive_reduction",

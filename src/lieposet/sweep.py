@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .algebras import build_gA
 from .forms import functional_on_basis, index, kernel
-from .posets import Poset
+from .posets import Poset, canonical_key
 from .toral.blocks import block, catalog
 from .toral.gluing import (
     CONTACT_RULES,
@@ -26,36 +26,6 @@ from .toral.gluing import (
 SWEEP_MAX_N = 8
 
 
-def canonical_key(poset):
-    """Lexicographically smallest relation tuple over all relabelings
-    that keep the ascending-label convention."""
-    n = poset.n
-    rels = poset.relations
-    if not rels:
-        return (n, ())
-    down = poset.down_sets
-    best = [None]
-
-    def extend(assigned, placed):
-        if len(placed) == n:
-            key = tuple(sorted((assigned[p], assigned[q]) for p, q in rels))
-            if best[0] is None or key < best[0]:
-                best[0] = key
-            return
-        nxt = len(placed) + 1
-        for cand in poset.elements:
-            if cand in assigned or not down[cand] <= placed:
-                continue
-            assigned[cand] = nxt
-            placed.add(cand)
-            extend(assigned, placed)
-            del assigned[cand]
-            placed.remove(cand)
-
-    extend({}, set())
-    return (n, best[0])
-
-
 def enumerate_posets(max_n, connected_only=True):
     """Isomorphism representatives of posets with up to max_n elements."""
     if max_n > SWEEP_MAX_N:
@@ -65,12 +35,8 @@ def enumerate_posets(max_n, connected_only=True):
         seen = {}
         for parent in levels[n - 1]:
             for ideal in parent.ideals():
-                covers = list(parent.covers) + [
-                    (i, n)
-                    for i in ideal
-                    if not any(j in parent.up_sets[i] and j in ideal for j in ideal)
-                ]
-                child = Poset.from_covers(n, covers)
+                # n lies above a down-closed set, so the union stays closed
+                child = Poset.from_closed(n, parent.relations | {(i, n) for i in ideal})
                 key = canonical_key(child)
                 if key not in seen:
                     seen[key] = child

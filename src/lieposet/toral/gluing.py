@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..algebras import build_gA
 from ..forms import ContactResult, OneForm, index
-from ..posets import Poset, _linear_extension_order, is_forest
+from ..posets import Poset, is_forest
 from .blocks import block
 
 
@@ -126,23 +126,12 @@ def glue(q_poset, blk, rule_name, identify):
     # merged vertices are extremal on both sides, so the union is closed
     for (p, q) in relations:
         assert p != q, "identification produced a reflexive relation"
-    new_poset, relabel = _normalize(total, relations)
+    new_poset = Poset.from_closed(total, relations)
+    relabel = new_poset.relabeling
     q_map = {p: relabel[p] for p in q_poset.elements}
     s_map = {p: relabel[s_provisional[p]] for p in blk.poset.elements}
     merged = {role: relabel[target] for role, target in identify.items()}
     return GlueResult(new_poset, q_map, s_map, merged)
-
-
-def _normalize(n, relations):
-    """Relabel to the p<q convention only when violated."""
-    if all(p < q for p, q in relations):
-        poset = Poset(n, relations, _validated=False)
-        return poset, {p: p for p in range(1, n + 1)}
-    covers_like = relations  # linear extension only needs a DAG
-    order = _linear_extension_order(n, covers_like)
-    relabel = {old: new for new, old in enumerate(order, start=1)}
-    poset = Poset(n, {(relabel[p], relabel[q]) for p, q in relations}, relabeling=relabel)
-    return poset, relabel
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import permutations
 
 from lieposet.cli import main
 from lieposet.forms import OneForm
@@ -201,11 +203,11 @@ def test_enumerate_posets_counts():
     conn4 = enumerate_posets(4)
     assert len([p for p in conn4 if p.n == 3]) == 3
     assert len([p for p in conn4 if p.n == 4]) == 10
-    # OEIS A000112 (all posets) and A000608 (connected posets) at n = 5, 6
-    all6 = enumerate_posets(6, connected_only=False)
-    for n, total, connected in ((5, 63, 44), (6, 318, 238)):
-        assert len([p for p in all6 if p.n == n]) == total
-        assert len([p for p in all6 if p.n == n and p.is_connected()]) == connected
+    # OEIS A000112 (all posets) and A000608 (connected posets) at n = 5, 6, 7
+    all7 = enumerate_posets(7, connected_only=False)
+    for n, total, connected in ((5, 63, 44), (6, 318, 238), (7, 2045, 1650)):
+        assert len([p for p in all7 if p.n == n]) == total
+        assert len([p for p in all7 if p.n == n and p.is_connected()]) == connected
 
 
 def test_analyze_finds_contact_form_at_search_cap(tmp_path):
@@ -220,12 +222,38 @@ def test_analyze_finds_contact_form_at_search_cap(tmp_path):
     assert verify_contact_toral_pair(poset, form).all_pass
 
 
+def _brute_isomorphic(a, b):
+    """Oracle: some permutation of the labels maps a's relations onto b's."""
+    if a.n != b.n or len(a.relations) != len(b.relations):
+        return False
+    return any(
+        {(perm[p - 1], perm[q - 1]) for p, q in a.relations} == b.relations
+        for perm in permutations(range(1, a.n + 1))
+    )
+
+
 def test_canonical_key_iso_invariant():
     a = Poset.from_covers(4, [(1, 2), (2, 3), (2, 4)])
     b = Poset.from_covers(4, [(1, 3), (3, 2), (3, 4)])
     assert canonical_key(a) == canonical_key(b)
     c = Poset.chain(4)
     assert canonical_key(a) != canonical_key(c)
+    # every poset up to 5 elements against seeded random relabelings
+    rng = random.Random(23)
+    posets = enumerate_posets(5, connected_only=False)
+    relabeled = []
+    for poset in posets:
+        perm = list(poset.elements)
+        rng.shuffle(perm)
+        relabeled.append(
+            Poset.from_covers(poset.n, [(perm[p - 1], perm[q - 1]) for p, q in poset.covers])
+        )
+    for left in posets:
+        n, rels = canonical_key(left)
+        assert n == left.n and all(p < q for p, q in rels)
+        for right in relabeled:
+            same_key = canonical_key(left) == canonical_key(right)
+            assert same_key == _brute_isomorphic(left, right)
 
 
 def test_classify_contact_chain3():
@@ -337,3 +365,10 @@ def test_verify_catalog_empty_n_range_exit_code(capsys):
     # --n-range 9 3 used to check only the fixed blocks and exit 0
     assert main(["verify-catalog", "--n-range", "9", "3"]) == 2
     assert _single_error_line(capsys)
+
+
+def test_sweep_max_n_out_of_range_exit_code(capsys):
+    # --max-n 0 and --max-n -3 used to print an empty report and exit 0
+    for max_n in ("0", "-3", "9"):
+        assert main(["sweep", "--max-n", max_n]) == 2
+        assert _single_error_line(capsys)

@@ -5,6 +5,7 @@ import pytest
 from lieposet.algebras import build_g, build_gA
 from lieposet.forms import in_kernel, index, is_contact_form, kernel
 from lieposet.posets import Poset
+from lieposet.sweep import reachable_contact_posets
 from lieposet.toral import (
     ConstructionScript,
     GlueError,
@@ -458,3 +459,9 @@ def test_prefix_forms_satisfy_contact_conditions():
             "contact",
         ):
             assert rep.conditions[name], (poset.n, name, rep.failed())
+
+
+def test_reachable_glue_results_pass_the_validating_constructor():
+    # glue trusts its union to be closed and p<q-labelled; check it here
+    for poset in reachable_contact_posets(6).values():
+        assert Poset(poset.n, poset.relations) == poset

@@ -216,22 +216,31 @@ def test_isomorphism_chains():
     assert not a.is_isomorphic_to(Poset.antichain(3))
 
 
+def crown(k):
+    """Minima 1..k and maxima k+1..2k; i lies below k+i and k+(i mod k)+1."""
+    return Poset.from_covers(
+        2 * k, [(i, k + j) for i in range(1, k + 1) for j in (i, i % k + 1)]
+    )
+
+
 def test_isomorphism_witness_is_order_preserving():
     rng = random.Random(17)
-    for _ in range(10):
-        n = rng.randint(2, 6)
-        p = Poset.from_covers(n, random_covers(rng, n))
-        perm = list(range(1, n + 1))
+    claw = Poset.from_covers(12, [(1, q) for q in range(2, 13)])
+    chains = Poset.from_covers(12, [(i, i + 1) for i in range(1, 12, 2)])
+    # refinement leaves the minima of both crowns in one class though they lie in two orbits
+    crowns = crown(3).disjoint_sum(crown(2))
+    cases = [Poset.from_covers(n, random_covers(rng, n)) for n in rng.choices(range(2, 7), k=10)]
+    for p in cases + [claw, chains] + [crowns] * 8:
+        perm = list(p.elements)
         rng.shuffle(perm)
         relabeled = {(perm[a - 1], perm[b - 1]) for a, b in p.covers}
-        q = Poset.from_covers(n, relabeled)
+        q = Poset.from_covers(p.n, relabeled)
         f = p.isomorphism_to(q)
         assert f is not None
-        for a, b in p.relations:
-            assert (min(f[a], f[b]), max(f[a], f[b])) in q.relations or (
-                f[a],
-                f[b],
-            ) in q.relations
+        assert sorted(f.values()) == list(q.elements)
+        assert {(f[a], f[b]) for a, b in p.relations} == q.relations
+    # both are 2-regular on 12 elements, so refinement alone cannot tell them apart
+    assert crown(6).isomorphism_to(crown(3).disjoint_sum(crown(3))) is None
 
 
 def test_fork_and_dual_fork_not_isomorphic():
