@@ -60,6 +60,14 @@ def _load_json(path, what):
         raise InputError(f"cannot read {what} from {path}: {exc}") from exc
 
 
+def _write_text(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_poset(path):
     try:
         return Poset.from_json(_load_json(path, "poset"))
@@ -261,8 +269,7 @@ def cmd_build(args):
         print(f"built form with {len(result.form.support)} summands")
     _emit_json(args, out)
     if args.dot_out:
-        with open(args.dot_out, "w") as fh:
-            fh.write(result.poset.to_dot())
+        _write_text(args.dot_out, result.poset.to_dot())
     return exit_code
 
 
@@ -310,8 +317,7 @@ def cmd_export_dot(args):
     poset = _load_poset(args.poset)
     text = poset.to_dot()
     if args.dot_out:
-        with open(args.dot_out, "w") as fh:
-            fh.write(text)
+        _write_text(args.dot_out, text)
     else:
         print(text)
     return 0
@@ -319,8 +325,7 @@ def cmd_export_dot(args):
 
 def _emit_json(args, payload):
     if getattr(args, "json_out", None):
-        with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        _write_text(args.json_out, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _add_common(parser):

@@ -140,7 +140,7 @@ class OneForm:
     def from_json(cls, poset, data):
         try:
             pairs = [(int(p), int(q)) for p, q in data["support"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise FormError(f"malformed one-form JSON: {exc}") from exc
         coeffs = None
         if "coeffs" in data:
@@ -149,7 +149,7 @@ class OneForm:
                 for key, val in data["coeffs"].items():
                     p, q = (int(x) for x in key.split(","))
                     coeffs[(p, q)] = Fraction(val)
-            except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+            except (AttributeError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise FormError(f"malformed one-form coefficient: {exc}") from exc
         return cls.from_support(poset, pairs, coeffs)
 

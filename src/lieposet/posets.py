@@ -17,6 +17,9 @@ from functools import cached_property
 from .linalg import int_rank
 
 ISO_SIZE_LIMIT = 12
+# largest poset read from JSON: every catalog block and the timed chains
+# (up to 20 elements) fit, a hostile "n" allocates nothing
+JSON_SIZE_LIMIT = 32
 
 
 class PosetError(ValueError):
@@ -361,8 +364,12 @@ class Poset:
         try:
             n = int(data["n"])
             covers = [(int(p), int(q)) for p, q in data["covers"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise PosetError(f"malformed poset JSON: {exc}") from exc
+        if n > JSON_SIZE_LIMIT:
+            raise UnsupportedSizeError(
+                f"poset JSON has n={n}; at most {JSON_SIZE_LIMIT} elements are supported"
+            )
         return cls.from_covers(n, covers)
 
     def to_dot(self, name="poset"):
@@ -471,6 +478,7 @@ __all__ = [
     "CycleError",
     "ExtremalData",
     "ISO_SIZE_LIMIT",
+    "JSON_SIZE_LIMIT",
     "Poset",
     "PosetError",
     "UnsupportedSizeError",

@@ -17,6 +17,7 @@ from .posets import Poset, canonical_key
 from .toral.blocks import block, catalog
 from .toral.gluing import (
     CONTACT_RULES,
+    RULES,
     _valid_identifications,
     disconnected_contact_check,
     ext_hasse_has_cycle,
@@ -50,7 +51,14 @@ def enumerate_posets(max_n, connected_only=True):
 
 
 def classify_contact(poset, seed=0, trials=5, witness_attempts=60):
-    """(verdict, reason, witness-or-None); empirical, never a proof."""
+    """(verdict, reason, witness-or-None); empirical, never a proof.
+
+    The index check comes after the first witness kernel: in odd
+    dimension a one-dimensional exact kernel of dφ bounds the index by 1
+    and parity bounds it below by 1, so it certifies index 1. The sampled
+    ``index`` decides only the posets whose first kernel has dimension
+    other than 1.
+    """
     gA = build_gA(poset)
     d = gA.dim
     if d == 0:
@@ -62,16 +70,16 @@ def classify_contact(poset, seed=0, trials=5, witness_attempts=60):
         return res.is_contact, res.reason, None
     if ext_hasse_has_cycle(poset):
         return False, "extremal Hasse diagram contains a cycle", None
-    if index(gA, trials=trials, seed=seed) != 1:
-        return False, "index is not one", None
     rng = random.Random(seed)
     strict_idx = [i for i, lab in enumerate(gA.labels) if lab[0] == "e"]
     diag_idx = [i for i, lab in enumerate(gA.labels) if lab[0] == "h"]
-    for _ in range(witness_attempts):
+    for attempt in range(witness_attempts):
         values = [Fraction(0)] * d
         for i in strict_idx:
             values[i] = Fraction(rng.randint(1, 1 << 16))
         rep = kernel(gA, functional_on_basis(gA, values))
+        if attempt == 0 and rep.dimension != 1 and index(gA, trials=trials, seed=seed) != 1:
+            return False, "index is not one", None
         if rep.dimension != 1:
             continue
         gen = rep.vectors[0]
@@ -90,7 +98,11 @@ def classify_contact(poset, seed=0, trials=5, witness_attempts=60):
 
 
 def reachable_contact_posets(max_n, rule_pool=CONTACT_RULES):
-    """Canonical keys of contact-sequence outputs with at most max_n elements."""
+    """Canonical keys of contact-sequence outputs with at most max_n elements.
+
+    A gluing step's size is known from the rule alone, so steps that
+    would exceed max_n are skipped before any identification is listed.
+    """
     contact_start = []
     toral_blocks = []
     for fam in catalog():
@@ -115,14 +127,15 @@ def reachable_contact_posets(max_n, rule_pool=CONTACT_RULES):
         if key not in seen:
             seen[key] = blk.poset
             frontier.append(blk.poset)
+    rules = sorted(rule_pool)
     while frontier:
         poset = frontier.pop()
         for blk in toral_blocks:
-            for rule in sorted(rule_pool):
+            for rule in rules:
+                if poset.n + blk.poset.n - len(RULES[rule].identified) > max_n:
+                    continue
                 for identify in _valid_identifications(poset, blk, rule):
                     result = glue(poset, blk, rule, identify)
-                    if result.poset.n > max_n:
-                        continue
                     key = canonical_key(result.poset)
                     if key not in seen:
                         seen[key] = result.poset

@@ -177,18 +177,21 @@ class ConstructionScript:
             steps = []
             for raw in data["steps"]:
                 blk = raw["block"]
+                block_id, n, rule = blk["id"], blk.get("n"), raw.get("rule")
+                if not isinstance(block_id, str) or not (rule is None or isinstance(rule, str)):
+                    raise TypeError("block ids and rule names must be strings")
                 identify = tuple(
                     sorted((role, int(label)) for role, label in raw.get("identify", {}).items())
                 )
                 steps.append(
                     ScriptStep(
-                        block_id=blk["id"],
-                        n=blk.get("n"),
-                        rule=raw.get("rule"),
+                        block_id=block_id,
+                        n=None if n is None else int(n),
+                        rule=rule,
                         identify=identify,
                     )
                 )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ScriptError(f"malformed script JSON: {exc}") from exc
         return cls(steps)
 

@@ -1,17 +1,28 @@
+import io
 import json
+import os
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
+from types import SimpleNamespace
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from lieposet import sweep
+from lieposet.algebras import build_gA
 from lieposet.cli import main
-from lieposet.forms import OneForm
-from lieposet.posets import Poset
+from lieposet.forms import OneForm, index
+from lieposet.posets import JSON_SIZE_LIMIT, Poset
 from lieposet.sweep import (
     canonical_key,
     classify_contact,
     conjecture_sweep,
     enumerate_posets,
 )
-from lieposet.toral import block, verify_contact_toral_pair
+from lieposet.toral import block, catalog, verify_contact_toral_pair
+from lieposet.toral.gluing import RULES
 
 GATE = {"n": 4, "covers": [[1, 2], [2, 3], [2, 4]]}
 CYCLE7 = {
@@ -266,6 +277,44 @@ def test_classify_contact_height_one_false():
     assert not verdict
 
 
+def test_classify_contact_index_verdicts_agree_with_sampled_index():
+    # a one-dimensional witness kernel stands in for the sampled index;
+    # both must agree on every connected poset with at most 6 elements
+    seen = {"true": 0, "index": 0}
+    for poset in enumerate_posets(6):
+        verdict, reason, _ = classify_contact(poset)
+        if verdict:
+            seen["true"] += 1
+            assert index(build_gA(poset)) == 1, poset
+        elif reason == "index is not one":
+            seen["index"] += 1
+            assert index(build_gA(poset)) != 1, poset
+    assert seen["true"] and seen["index"]
+
+
+def test_classify_contact_larger_first_kernel_defers_to_sampled_index(monkeypatch):
+    # a non-regular first draw certifies nothing, so the sampled index decides
+    real_kernel, real_index = sweep.kernel, sweep.index
+    calls = {"kernel": 0, "index": 0}
+
+    def first_kernel_larger(gA, values):
+        calls["kernel"] += 1
+        return SimpleNamespace(dimension=3) if calls["kernel"] == 1 else real_kernel(gA, values)
+
+    def counted_index(gA, **kwargs):
+        calls["index"] += 1
+        return real_index(gA, **kwargs)
+
+    monkeypatch.setattr(sweep, "kernel", first_kernel_larger)
+    monkeypatch.setattr(sweep, "index", counted_index)
+    verdict, _, _ = classify_contact(Poset.chain(3))
+    assert verdict and calls["index"] == 1
+    calls.update(kernel=0, index=0)
+    three_middles = Poset.from_covers(5, [(1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)])
+    verdict, reason, _ = classify_contact(three_middles)  # dim 11, index 3
+    assert not verdict and reason == "index is not one" and calls["index"] == 1
+
+
 def test_verify_catalog_flags_corrupted_entry(tmp_path, monkeypatch):
     # tamper with one block's form and expect a named condition failure
     import lieposet.toral.blocks as blocks_mod
@@ -372,3 +421,164 @@ def test_sweep_max_n_out_of_range_exit_code(capsys):
     for max_n in ("0", "-3", "9"):
         assert main(["sweep", "--max-n", max_n]) == 2
         assert _single_error_line(capsys)
+
+
+def test_poset_json_above_size_cap_exit_code(tmp_path, capsys):
+    path = write(tmp_path, "big.json", {"n": JSON_SIZE_LIMIT + 1, "covers": []})
+    for argv in (["analyze", path], ["export-dot", path]):
+        assert main(argv) == 2
+        assert _single_error_line(capsys)
+
+
+def test_malformed_inputs_exit_code(tmp_path, capsys):
+    # each of these used to end in a traceback
+    chain3 = write(tmp_path, "chain3.json", {"n": 3, "covers": [[1, 2], [2, 3]]})
+    contact = {"block": {"id": "contact_chain3"}}
+    scripts = [
+        [contact, {"block": None, "rule": "A1", "identify": None}],
+        [{"block": {"id": []}}],
+        [contact, {"block": {"id": "chain2"}, "rule": ["C"]}],
+        [contact, {"block": {"id": "pendant_chain", "n": "x"}, "rule": "A1"}],
+    ]
+    inf_form = {"support": [[1, 2]], "coeffs": {"1,2": float("inf")}}
+    cases = [
+        ["analyze", write(tmp_path, "inf.json", {"n": float("inf"), "covers": []})],
+        ["analyze", chain3, "--form", write(tmp_path, "form.json", inf_form)],
+        ["export-dot", chain3, "--dot-out", str(tmp_path / "missing" / "out.dot")],
+        ["analyze", chain3, "--json-out", str(tmp_path / "missing" / "out.json")],
+    ]
+    for i, steps in enumerate(scripts):
+        cases.append(["build", write(tmp_path, f"script{i}.json", {"steps": steps})])
+    for argv in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), (argv, err)
+
+
+_MISSING = object()
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 9),
+    st.sampled_from(["", "x", "3", "1,2", "1/0", float("inf"), float("nan"), 2.5]),
+    st.lists(st.integers(-1, 6), max_size=3),
+    st.just({}),
+)
+_RAW = st.sampled_from(["", "{", "[1, 2", "null", "not json"])
+_SMALL = st.integers(-2, 7).map(str)
+_BLOCK_IDS = [fam.id for fam in catalog()]
+
+
+def _covers(n):
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n))
+    upward = pairs.filter(lambda pq: pq[0] != pq[1]).map(sorted)
+    return st.lists(st.one_of(upward, pairs.map(list)), max_size=6)
+
+
+def _poset(n):
+    return st.fixed_dictionaries({"n": st.just(n), "covers": _covers(n)})
+
+
+_HUGE = st.sampled_from([JSON_SIZE_LIMIT + 1, 10**9])
+_POSETS = st.one_of(
+    st.integers(1, 5).flatmap(_poset),
+    st.fixed_dictionaries({"n": st.one_of(_JUNK, _HUGE), "covers": _JUNK}),
+    st.fixed_dictionaries({"covers": _covers(3)}),
+    _JUNK,
+    _RAW,
+    st.just(_MISSING),
+)
+_COEFF_KEYS = st.sampled_from(["1,2", "1,1", "2;3", "x", "1,2,3"])
+_FORMS = st.one_of(
+    st.fixed_dictionaries(
+        {"support": st.lists(st.lists(st.integers(0, 6), min_size=2, max_size=2), max_size=5)},
+        optional={"coeffs": st.one_of(st.dictionaries(_COEFF_KEYS, _JUNK, max_size=2), _JUNK)},
+    ),
+    _JUNK,
+    _RAW,
+    st.just(_MISSING),
+)
+_RULES = st.sampled_from(sorted(RULES) + ["", "Z"])
+_IDENTIFY = st.dictionaries(
+    st.sampled_from(["c", "a1", "a2", "x"]), st.one_of(st.integers(0, 8), _JUNK), max_size=3
+)
+_STEP = st.fixed_dictionaries(
+    {
+        "block": st.one_of(
+            st.fixed_dictionaries(
+                {"id": st.one_of(st.sampled_from(_BLOCK_IDS), _JUNK)}, optional={"n": _JUNK}
+            ),
+            _JUNK,
+        )
+    },
+    optional={"rule": st.one_of(_RULES, _JUNK), "identify": st.one_of(_IDENTIFY, _JUNK)},
+)
+_SCRIPTS = st.one_of(
+    st.fixed_dictionaries({"steps": st.lists(_STEP, max_size=3)}),
+    st.fixed_dictionaries({"steps": _JUNK}),
+    _JUNK,
+    _RAW,
+    st.just(_MISSING),
+)
+_COMMANDS = ["analyze", "verify-catalog", "build", "glue", "sweep", "export-dot", "bogus"]
+_IDENTIFY_ARGS = ["a1=3", "c=1,a1=2", "a1=x", "=", "", "a2=1,c=4"]
+_BAD_ARGV = [["bogus"], [], ["sweep"], ["analyze", "--trials", "x"]]
+
+
+def _argv(data, tmp):
+    def path_of(strategy, name):
+        payload = data.draw(strategy)
+        path = os.path.join(tmp, name)
+        if payload is not _MISSING:
+            with open(path, "w") as fh:
+                fh.write(payload if isinstance(payload, str) else json.dumps(payload))
+        return path
+
+    command = data.draw(st.sampled_from(_COMMANDS))
+    if command == "analyze":
+        argv = [command, path_of(_POSETS, "poset.json")]
+        if data.draw(st.booleans()):
+            argv += ["--form", path_of(_FORMS, "form.json")]
+    elif command == "verify-catalog":
+        argv = [command, "--n-range", data.draw(_SMALL), data.draw(_SMALL)]
+    elif command == "build":
+        argv = [command, path_of(_SCRIPTS, "script.json")]
+        for flag in ("--check-contact", "--audit"):
+            if data.draw(st.booleans()):
+                argv.append(flag)
+    elif command == "glue":
+        argv = [command, path_of(_POSETS, "poset.json"), "--rule", data.draw(_RULES)]
+        argv += ["--block", data.draw(st.sampled_from(_BLOCK_IDS + ["nope"]))]
+        if data.draw(st.booleans()):
+            argv += ["--n", data.draw(_SMALL)]
+        if data.draw(st.booleans()):
+            argv += ["--identify", data.draw(st.sampled_from(_IDENTIFY_ARGS))]
+    elif command == "sweep":
+        argv = [command, "--max-n", data.draw(st.integers(-1, 5).map(str))]
+    elif command == "export-dot":
+        argv = [command, path_of(_POSETS, "poset.json")]
+    else:
+        return data.draw(st.sampled_from(_BAD_ARGV))
+    if data.draw(st.booleans()):
+        argv += ["--seed", data.draw(_SMALL), "--trials", data.draw(st.integers(-1, 3).map(str))]
+    if data.draw(st.booleans()):
+        out = data.draw(st.sampled_from(["out.json", "missing/out.json"]))
+        argv += ["--json-out", os.path.join(tmp, out)]
+    return argv
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_cli_fuzz_exit_codes(data):
+    # any argv over small inputs, well-formed or not, ends in exit 0, 1
+    # or 2 and never in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _argv(data, tmp)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv itself
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv

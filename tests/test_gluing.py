@@ -4,7 +4,7 @@ import pytest
 
 from lieposet.algebras import build_g, build_gA
 from lieposet.forms import in_kernel, index, is_contact_form, kernel
-from lieposet.posets import Poset
+from lieposet.posets import Poset, canonical_key
 from lieposet.sweep import reachable_contact_posets
 from lieposet.toral import (
     ConstructionScript,
@@ -12,6 +12,7 @@ from lieposet.toral import (
     ScriptError,
     ScriptStep,
     block,
+    catalog,
     disconnected_contact_check,
     ext_hasse_has_cycle,
     glue,
@@ -21,6 +22,7 @@ from lieposet.toral import (
     random_toral_script,
     run_script,
 )
+from lieposet.toral.gluing import CONTACT_RULES, _valid_identifications
 
 
 def script_of(*specs):
@@ -465,3 +467,51 @@ def test_reachable_glue_results_pass_the_validating_constructor():
     # glue trusts its union to be closed and p<q-labelled; check it here
     for poset in reachable_contact_posets(6).values():
         assert Poset(poset.n, poset.relations) == poset
+
+
+def _reach_by_gluing_everything(max_n):
+    """The reach as it was first written: glue every valid identification
+    and drop the results above max_n only afterwards."""
+    contact_start, toral_blocks = [], []
+    for fam in catalog():
+        sizes = range(fam.n_range[0], fam.n_range[1] + 1) if fam.parametric else [None]
+        for n in sizes:
+            blk = block(fam.id, n)
+            if blk.poset.n <= max_n:
+                (contact_start if fam.kind == "contact" else toral_blocks).append(blk)
+    seen, frontier = {}, []
+    for blk in contact_start:
+        key = canonical_key(blk.poset)
+        if key not in seen:
+            seen[key] = blk.poset
+            frontier.append(blk.poset)
+    while frontier:
+        poset = frontier.pop()
+        for blk in toral_blocks:
+            for rule in sorted(CONTACT_RULES):
+                for identify in _valid_identifications(poset, blk, rule):
+                    result = glue(poset, blk, rule, identify).poset
+                    if result.n > max_n:
+                        continue
+                    key = canonical_key(result)
+                    if key not in seen:
+                        seen[key] = result
+                        frontier.append(result)
+    return seen
+
+
+def test_reach_size_prune_matches_gluing_everything():
+    # the reach skips a (poset, block, rule) triple whose glued size
+    # exceeds max_n before listing identifications; keys and the kept
+    # representatives must be those of gluing everything
+    for max_n in range(1, 7):
+        pruned = reachable_contact_posets(max_n)
+        oracle = _reach_by_gluing_everything(max_n)
+        assert pruned.keys() == oracle.keys(), max_n
+        for key, poset in oracle.items():
+            assert pruned[key].relations == poset.relations, (max_n, key)
+
+
+def test_reach_counts():
+    counts = [len(reachable_contact_posets(n)) for n in range(1, 8)]
+    assert counts == [0, 0, 1, 4, 15, 60, 253]

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieposet.posets import (
+    JSON_SIZE_LIMIT,
     CycleError,
     Poset,
     PosetError,
     UnsupportedSizeError,
     transitive_reduction,
 )
+from lieposet.toral import block, catalog
 
 GATE = Poset.from_covers(4, [(1, 2), (2, 3), (2, 4)])  # 1 < 2 < {3,4}
 
@@ -269,6 +271,19 @@ def test_json_roundtrip_and_dot():
     assert Poset.from_json(data) == GATE
     dot = GATE.to_dot()
     assert '"2" -> "3"' in dot and "rank=same" in dot
+
+
+def test_json_size_cap():
+    # an unbounded "n" used to run the closure over that many elements
+    assert 20 <= JSON_SIZE_LIMIT <= 64
+    with pytest.raises(UnsupportedSizeError, match="at most"):
+        Poset.from_json({"n": JSON_SIZE_LIMIT + 1, "covers": []})
+    chain = {"n": JSON_SIZE_LIMIT, "covers": [[i, i + 1] for i in range(1, JSON_SIZE_LIMIT)]}
+    assert Poset.from_json(chain) == Poset.chain(JSON_SIZE_LIMIT)
+    for fam in catalog():
+        sizes = range(fam.n_range[0], fam.n_range[1] + 1) if fam.parametric else [None]
+        for n in sizes:
+            assert block(fam.id, n).poset.n <= JSON_SIZE_LIMIT
 
 
 def test_closure_idempotent_randomized():
