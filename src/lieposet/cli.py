@@ -320,6 +320,7 @@ def cmd_export_dot(args):
         _write_text(args.dot_out, text)
     else:
         print(text)
+    _emit_json(args, {"poset": poset.to_json(), "dot": text})
     return 0
 
 

@@ -286,13 +286,15 @@ def index(algebra, trials=INDEX_TRIALS, seed=0, coeff_bound=INDEX_COEFF_BOUND):
 
     Each trial is a Schwartz-Zippel trial: φ takes coefficients uniform
     in [1, coeff_bound] on the basis, and dφ's rank is computed over
-    GF(2^61 - 1). Over Q the rank mod p is at most the exact rank, so a
-    trial's corank is at least the exact corank of its φ, which is at
-    least the true index: the result is never below the true index, and
-    it equals it unless every trial fails, which for the default five
-    trials has probability far below 1e-4. Coranks have the parity of
-    dim, so a trial reaching that floor ends the search early. Kernels,
-    solves, determinants and characteristic polynomials stay exact.
+    GF(2^61 - 1) by the sparse elimination of ``linalg.rank_mod_p``,
+    which suits dφ's few nonzeros. Over Q the rank mod p is at most the
+    exact rank, so a trial's corank is at least the exact corank of its
+    φ, which is at least the true index: the result is never below the
+    true index, and it equals it unless every trial fails, which for the
+    default five trials has probability far below 1e-4. Coranks have the
+    parity of dim, so a trial reaching that floor ends the search early.
+    Kernels, solves, determinants and characteristic polynomials stay
+    exact.
     """
     if trials < 1:
         raise ValueError(f"index needs at least one trial, got {trials}")
@@ -354,15 +356,18 @@ def is_contact_form(algebra, form_or_values, trials=INDEX_TRIALS, seed=0):
 def is_contact_form_volume(algebra, form_or_values):
     """Independent oracle: the bordered skew determinant is nonzero.
 
-    Builds [[0, φ(b_j)], [-φ(b_i), dφ(b_i, b_j)]] and tests by exact
-    elimination that it is nonsingular; this realizes the top
-    volume-form condition directly.
+    Builds [[0, φ(b_j)], [-φ(b_i), dφ(b_i, b_j)]] and tests that it is
+    nonsingular; this realizes the top volume-form condition directly.
+    Full rank over GF(p) already certifies full rank over Q, so only a
+    rank deficit mod p falls back to exact elimination.
     """
     n = algebra.dim
     if n % 2 == 0:
         raise ShapeError("volume-form test requires odd dimension")
     rows, phi = _dphi_rows(algebra, _as_values(algebra, form_or_values))
     bordered = [[0] + phi] + [[-p] + row for p, row in zip(phi, rows)]
+    if linalg.rank_mod_p(bordered, n + 1) == n + 1:
+        return True
     return linalg.int_rank(bordered, n + 1) == n + 1
 
 

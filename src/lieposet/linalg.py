@@ -1,12 +1,14 @@
-"""Exact rational dense linear algebra.
+"""Exact rational linear algebra, plus a sparse rank over GF(p).
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, always reduced,
-positive denominator). One fraction-free (Bareiss) elimination on
+positive denominator). One fraction-free (Bareiss) elimination on dense
 integer rows bounds coefficient growth and serves rank, determinant,
 kernels and solves; the last two only back-substitute with rationals.
-Callers that already hold integer rows use the ``int_*`` entry points
-(and ``rank_mod_p``); the ``RatMatrix`` functions clear denominators row
-by row and call the same core.
+Callers that already hold integer rows use the ``int_*`` entry points;
+the ``RatMatrix`` functions clear denominators row by row and call the
+same core. ``rank_mod_p`` takes the same dense integer rows but
+eliminates sparsely over GF(2^61 - 1), for the sampled index and other
+mod-p certificates.
 """
 
 from __future__ import annotations
@@ -233,31 +235,51 @@ def rank(m):
 
 
 def rank_mod_p(int_rows, ncols, p=_MODP):
-    """Rank of an integer matrix over GF(p); a lower bound for the true rank."""
-    rows = [[x % p for x in r] for r in int_rows]
-    r = 0
+    """Rank of an integer matrix over GF(p); a lower bound for the true rank.
+
+    Sparse elimination: each row is a dict of its nonzero residues, and
+    one set per column holds the live rows with an entry there. Columns
+    are eliminated in increasing order of their initial count, each
+    pivoting on its shortest live row (a Markowitz-style choice that
+    keeps fill-in low); entries that cancel are deleted. The rank over
+    GF(p) does not depend on the pivot order.
+    """
+    rows = []
+    cols = [set() for _ in range(ncols)]
+    for r in int_rows:
+        row = {j: v for j, x in enumerate(r) if x and (v := x % p)}
+        if row:
+            for j in row:
+                cols[j].add(len(rows))
+            rows.append(row)
     rk = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
+    for c in sorted(range(ncols), key=lambda c: len(cols[c])):
+        holders = cols[c]
+        if not holders:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rr = [(x * inv) % p for x in rows[r]]
-        rows[r] = rr
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                ri = rows[i]
-                rows[i] = [(a - f * b) % p for a, b in zip(ri, rr)]
-        r += 1
         rk += 1
-        if r == len(rows):
-            break
+        piv = min(holders, key=lambda i: len(rows[i]))
+        prow = rows[piv]
+        for j in prow:
+            cols[j].discard(piv)
+        if not holders:
+            continue
+        inv = pow(prow.pop(c), -1, p)
+        tail = [(j, v * inv % p) for j, v in prow.items()]
+        for i in holders:
+            ri = rows[i]
+            f = ri.pop(c)
+            for j, v in tail:
+                x = ri.get(j)
+                if x is None:
+                    ri[j] = -f * v % p
+                    cols[j].add(i)
+                elif x := (x - f * v) % p:
+                    ri[j] = x
+                else:
+                    del ri[j]
+                    cols[j].discard(i)
+        holders.clear()
     return rk
 
 

@@ -198,6 +198,20 @@ def test_export_dot(tmp_path, capsys):
     assert '"2" -> "4"' in capsys.readouterr().out
 
 
+def test_export_dot_json_mirror(tmp_path, capsys):
+    ppath = write(tmp_path, "gate.json", GATE)
+    out = tmp_path / "out.json"
+    assert main(["export-dot", ppath, "--json-out", str(out)]) == 0
+    mirror = json.loads(out.read_text())
+    assert Poset.from_json(mirror["poset"]) == Poset.from_json(GATE)
+    assert mirror["dot"] == Poset.from_json(GATE).to_dot()
+    capsys.readouterr()
+    missing = str(tmp_path / "missing" / "out.json")
+    assert main(["export-dot", ppath, "--json-out", missing]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_poset_roundtrip_through_cli_files(tmp_path):
     poset = Poset.from_json(GATE)
     again = Poset.from_json(json.loads(json.dumps(poset.to_json())))

@@ -181,7 +181,7 @@ def test_index_rejects_fewer_than_one_trial():
     assert index(gA, trials=1) == 1
 
 
-@pytest.mark.parametrize("n", range(2, 17))
+@pytest.mark.parametrize("n", [*range(2, 17), 20, 24])
 def test_index_chain_formula(n):
     assert index(build_gA(Poset.chain(n))) == (n - 1) // 2
 
@@ -335,6 +335,28 @@ def test_contact_oracles_agree_on_random_small_pairs():
         agree += lhs == rhs
         checked += 1
     assert agree == checked
+
+
+def test_contact_volume_modp_certificate_matches_exact_rank():
+    # the GF(p) shortcut must give the exact bordered-rank verdict; the
+    # zero form and sparse 0/1 forms are often not contact, so the exact
+    # fallback runs as well
+    rng = random.Random(11)
+    verdicts = set()
+    for poset in enumerate_posets(5):
+        for alg in (build_g(poset), build_gA(poset)):
+            n = alg.dim
+            if n % 2 == 0:
+                continue
+            pairs = sorted(poset.relations) + [(p, p) for p in poset.elements]
+            sparse = OneForm.from_support(poset, [pq for pq in pairs if rng.random() < 0.5])
+            for form in (OneForm(poset, {}), sparse, _random_form(poset, rng)):
+                rows, phi = _dphi_rows(alg, phi_on_basis(alg, form))
+                bordered = [[0] + phi] + [[-p] + row for p, row in zip(phi, rows)]
+                exact = linalg.int_rank(bordered, n + 1) == n + 1
+                assert is_contact_form_volume(alg, form) == exact, (poset.covers, alg.kind)
+                verdicts.add(exact)
+    assert verdicts == {True, False}
 
 
 def test_principal_element_chain2():

@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieposet.linalg import (
+    _MODP,
     RatMatrix,
     ShapeError,
     char_poly,
     determinant,
+    int_rank,
     integer_sqrt_exact,
     kernel_basis,
     poly_eval_matrix,
     rank,
+    rank_mod_p,
     solve,
 )
 
@@ -40,6 +43,25 @@ def naive_rref(rows):
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def dense_rank_mod_p(int_rows, ncols, p):
+    """Dense forward elimination over GF(p); the same-field oracle."""
+    rows = [[x % p for x in r] for r in int_rows]
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rr = [(x * inv) % p for x in rows[r]]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rr)]
+        r += 1
+    return r
 
 
 def random_matrix(rng, nrows, ncols, bound=9, rational=False):
@@ -216,3 +238,56 @@ def test_solve_consistency_property(rows):
     got = solve(m, b)
     assert got is not None
     assert m.mul_vector(got) == b
+
+
+def int_matrices(max_rows, max_cols, entries):
+    """Integer row lists of one random width, empty lists included."""
+    return st.integers(0, max_cols).flatmap(
+        lambda ncols: st.tuples(
+            st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=max_rows),
+            st.just(ncols),
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(6, 6, st.integers(-9, 9) | st.just(0)))
+def test_rank_mod_p_matches_exact_rank_on_small_matrices(case):
+    # every minor of a 6 x 6 matrix with |entries| <= 9 is below 9^6 * 6^3 < p,
+    # so no nonzero minor vanishes mod p and the two ranks agree
+    rows, ncols = case
+    assert rank_mod_p(rows, ncols) == int_rank(rows, ncols)
+
+
+# zero is drawn by two of the four branches, so about half the entries are zero
+_SPARSE_ENTRY = st.integers(-3, 3) | st.integers(-(1 << 70), 1 << 70) | st.just(0) | st.just(0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    int_matrices(24, 24, _SPARSE_ENTRY),
+    st.sampled_from([2, 3, 7, _MODP]),
+)
+def test_rank_mod_p_matches_dense_elimination(case, p):
+    # small primes make entries cancel, which exercises the deletions
+    rows, ncols = case
+    assert rank_mod_p(rows, ncols, p) == dense_rank_mod_p(rows, ncols, p)
+
+
+def test_rank_mod_p_edge_shapes():
+    assert rank_mod_p([], 0) == 0
+    assert rank_mod_p([], 4) == 0
+    assert rank_mod_p([[], []], 0) == 0
+    assert rank_mod_p([[0, 0, 0], [0, 0, 0]], 3) == 0
+    assert rank_mod_p([[0, 0, 0], [1, 2, 3], [0, 0, 0], [2, 4, 7]], 3) == 2
+    assert rank_mod_p([[1, 0], [0, 1], [1, 1]], 2) == 2
+    assert rank_mod_p([[1, 2, 3, 4]], 4) == 1
+
+
+def test_rank_mod_p_multiples_of_p_are_zero():
+    p = _MODP
+    assert rank_mod_p([[p, -p, 2 * p]], 3) == 0
+    assert rank_mod_p([[p, 1], [-p, 1], [2 * p, 3]], 2) == 1
+    # a lower bound only: [[p]] has rank 1 over Q
+    assert int_rank([[p]], 1) == 1 and rank_mod_p([[p]], 1) == 0
+    assert rank_mod_p([[1, 0], [0, 7]], 2, p=7) == 1
