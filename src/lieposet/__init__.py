@@ -34,7 +34,6 @@ from .forms import (
 )
 from .linalg import (
     RatMatrix,
-    Rational,
     ShapeError,
     char_poly,
     determinant,

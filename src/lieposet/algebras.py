@@ -49,13 +49,6 @@ class LieAlgebra:
             if any(entry.values())
         }
 
-    def structure_constant(self, i, j, k):
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self.table.get((i, j), {}).get(k, Fraction(0))
-        return -self.table.get((j, i), {}).get(k, Fraction(0))
-
     def bracket_basis(self, i, j):
         """[b_i, b_j] as a sparse dict index -> coefficient."""
         if i == j:

@@ -29,7 +29,7 @@ from .toral import (
     GlueError,
     ScriptError,
     block,
-    catalog,
+    catalog_blocks,
     disconnected_contact_check,
     ext_hasse_has_cycle,
     glue,
@@ -196,28 +196,21 @@ def cmd_verify_catalog(args):
         raise InputError(f"--n-range {lo} {hi} is empty; LO must not exceed HI")
     results = []
     failed = []
-    for fam in catalog():
-        if fam.parametric:
-            flo, fhi = fam.n_range
-            ns = [n for n in range(max(lo, flo), min(hi, fhi) + 1)]
-        else:
-            ns = [None]
-        for n in ns:
-            blk = block(fam.id, n)
-            rep = verify_block(blk, seed=args.seed)
-            entry = {
-                "block": fam.id,
-                "n": n,
-                "kind": fam.kind,
-                "all_pass": rep.all_pass,
-                "failed": rep.failed(),
-            }
-            results.append(entry)
-            if not rep.all_pass:
-                failed.append(entry)
-            tag = "ok" if rep.all_pass else "FAIL " + ",".join(rep.failed())
-            label = fam.id if n is None else f"{fam.id}(n={n})"
-            print(f"{label}: {tag}")
+    for blk in catalog_blocks((lo, hi)):
+        rep = verify_block(blk, seed=args.seed)
+        entry = {
+            "block": blk.id,
+            "n": blk.n,
+            "kind": blk.kind,
+            "all_pass": rep.all_pass,
+            "failed": rep.failed(),
+        }
+        results.append(entry)
+        if not rep.all_pass:
+            failed.append(entry)
+        tag = "ok" if rep.all_pass else "FAIL " + ",".join(rep.failed())
+        label = blk.id if blk.n is None else f"{blk.id}(n={blk.n})"
+        print(f"{label}: {tag}")
     summary = {
         "checked": len(results),
         "failed": len(failed),

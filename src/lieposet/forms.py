@@ -381,28 +381,43 @@ def principal_element(algebra, form_or_values):
     return algebra.element(sol)
 
 
+def ad_weights(algebra, elem):
+    """Eigenvalues of ad(x) with multiplicity, read off the poset.
+
+    Every strict bracket [e_rs, e_pq] lands on a pair of larger span
+    q - p, so for any x, diagonal or not, ad(x) is triangular in a basis
+    ordered by span: it has 0 on each diagonal basis vector and
+    x_pp - x_qq on each e_pq, where x_pp are x's diagonal matrix
+    coordinates. Spectra exist only for poset algebras: an element of a
+    custom algebra has no matrix coordinates and raises ``ShapeError``.
+    """
+    coords = elem.matrix_coords
+    pairs = algebra.strict_pairs
+    weights = [Fraction(0)] * (algebra.dim - len(pairs))
+    for p, q in pairs:
+        weights.append(coords.get((p, p), Fraction(0)) - coords.get((q, q), Fraction(0)))
+    return weights
+
+
 def is_binary_spectrum(algebra, form_or_values):
-    """char_poly(ad(x̂)) == λ^(d/2) (λ-1)^(d/2); false for odd dimension."""
+    """ad(x̂) has eigenvalues 0 and 1, each d/2 times; false for odd d."""
     d = algebra.dim
     if d % 2 == 1:
         return False
-    x_hat = principal_element(algebra, form_or_values)
-    coeffs = linalg.char_poly(algebra.ad_matrix(x_hat))
-    half = d // 2
-    expected = [Fraction(1)]
-    for _ in range(half):
-        nxt = expected + [Fraction(0)]
-        for k in range(len(expected)):
-            nxt[k + 1] -= expected[k]
-        expected = nxt
-    expected = expected + [Fraction(0)] * half  # multiply by λ^{d/2}
-    return coeffs == expected
+    weights = ad_weights(algebra, principal_element(algebra, form_or_values))
+    return weights.count(0) == weights.count(1) == d // 2
 
 
 def spectrum(algebra, form_or_values):
-    """Characteristic polynomial of ad of the principal element."""
-    x_hat = principal_element(algebra, form_or_values)
-    return linalg.char_poly(algebra.ad_matrix(x_hat))
+    """Characteristic polynomial of ad(x̂), as descending coefficients.
+
+    The product of (λ - w) over ``ad_weights``; ``linalg.char_poly`` of
+    ``ad_matrix`` is the reference it is tested against.
+    """
+    coeffs = [Fraction(1)]
+    for w in ad_weights(algebra, principal_element(algebra, form_or_values)):
+        coeffs = [a - w * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
 
 
 @dataclass(frozen=True)

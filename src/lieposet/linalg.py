@@ -16,8 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-Rational = Fraction
-
 _MODP = (1 << 61) - 1  # Mersenne prime used by the probabilistic rank fast path
 
 
@@ -53,14 +51,6 @@ class RatMatrix:
             m.rows[i][i] = Fraction(1)
         return m
 
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.rows[i][j]
-
-    def __setitem__(self, idx, value):
-        i, j = idx
-        self.rows[i][j] = Fraction(value)
-
     def __eq__(self, other):
         return (
             isinstance(other, RatMatrix)
@@ -72,24 +62,8 @@ class RatMatrix:
     def __repr__(self):
         return f"RatMatrix({self.rows!r})"
 
-    def copy(self):
-        return RatMatrix(self.rows)
-
     def transpose(self):
         return RatMatrix([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
-
-    def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ShapeError("size mismatch in addition")
-        return RatMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __neg__(self):
-        return RatMatrix([[-a for a in row] for row in self.rows])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -318,14 +292,6 @@ def solve(m, b):
     return int_solve(aug, m.ncols)[0]
 
 
-def _poly_mul_linear(coeffs, d):
-    """Multiply a monic polynomial (descending coefficients) by (x - d)."""
-    out = coeffs + [Fraction(0)]
-    for k in range(len(coeffs)):
-        out[k + 1] -= d * coeffs[k]
-    return out
-
-
 def _charpoly_faddeev_int(rows):
     n = len(rows)
     coeffs = [1]
@@ -350,23 +316,17 @@ def _charpoly_faddeev_int(rows):
 
 
 def char_poly(m):
-    """Monic characteristic polynomial det(xI - M).
+    """Monic characteristic polynomial det(xI - M), by Faddeev-LeVerrier.
 
     Returned as descending coefficients ``[1, c_1, ..., c_n]`` of length
-    side + 1.
+    side + 1. The reference oracle for ``forms.spectrum``, which reads
+    the eigenvalues of ad off the poset instead.
     """
     if m.nrows != m.ncols:
         raise ShapeError("characteristic polynomial requires a square matrix")
     n = m.nrows
     if n == 0:
         return [Fraction(1)]
-    upper = all(m.rows[i][j] == 0 for i in range(n) for j in range(i))
-    lower = upper or all(m.rows[i][j] == 0 for i in range(n) for j in range(i + 1, n))
-    if upper or lower:
-        coeffs = [Fraction(1)]
-        for i in range(n):
-            coeffs = _poly_mul_linear(coeffs, m.rows[i][i])
-        return coeffs
     d, flat = clear_denominators([x for row in m.rows for x in row])
     rows = [flat[i * n : (i + 1) * n] for i in range(n)]
     scaled = _charpoly_faddeev_int(rows)

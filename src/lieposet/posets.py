@@ -10,7 +10,6 @@ when the input violates it and record the permutation.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -148,9 +147,6 @@ class Poset:
     @property
     def elements(self):
         return range(1, self.n + 1)
-
-    def leq(self, p, q):
-        return p == q or (p, q) in self.relations
 
     def related(self, p, q):
         return p == q or (p, q) in self.relations or (q, p) in self.relations
@@ -440,11 +436,6 @@ def _canonical_labelling(poset):
     return key, {p: c + 1 for p, c in colour.items()}
 
 
-def poset_from_json_file(path):
-    with open(path) as fh:
-        return Poset.from_json(json.load(fh))
-
-
 def is_forest(vertices, edges):
     """True when the undirected graph on ``vertices`` has no cycle."""
     parent = {v: v for v in vertices}
@@ -484,6 +475,5 @@ __all__ = [
     "UnsupportedSizeError",
     "canonical_key",
     "is_forest",
-    "poset_from_json_file",
     "transitive_reduction",
 ]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .algebras import build_gA
 from .forms import functional_on_basis, index, kernel
 from .posets import Poset, canonical_key
-from .toral.blocks import block, catalog
+from .toral.blocks import catalog_blocks
 from .toral.gluing import (
     CONTACT_RULES,
     RULES,
@@ -105,21 +105,9 @@ def reachable_contact_posets(max_n, rule_pool=CONTACT_RULES):
     """
     contact_start = []
     toral_blocks = []
-    for fam in catalog():
-        sizes = []
-        if fam.parametric:
-            lo, hi = fam.n_range
-            sizes = [n for n in range(lo, hi + 1)]
-        else:
-            sizes = [None]
-        for n in sizes:
-            blk = block(fam.id, n)
-            if blk.poset.n > max_n:
-                continue
-            if fam.kind == "contact":
-                contact_start.append(blk)
-            else:
-                toral_blocks.append(blk)
+    for blk in catalog_blocks():
+        if blk.poset.n <= max_n:
+            (contact_start if blk.kind == "contact" else toral_blocks).append(blk)
     frontier = []
     seen = {}
     for blk in contact_start:

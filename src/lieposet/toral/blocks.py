@@ -445,6 +445,24 @@ def catalog():
     return list(_FAMILIES)
 
 
+def catalog_blocks(n_range=None):
+    """Every block instance of the catalog, family by family.
+
+    A fixed family gives its one block; a parametric family gives one
+    block per size of its range, cut to ``n_range`` (inclusive
+    ``(lo, hi)``) when that is given.
+    """
+    for fam in _FAMILIES:
+        if not fam.parametric:
+            yield block(fam.id)
+            continue
+        lo, hi = fam.n_range
+        if n_range is not None:
+            lo, hi = max(lo, n_range[0]), min(hi, n_range[1])
+        for n in range(lo, hi + 1):
+            yield block(fam.id, n)
+
+
 def block(block_id, n=None):
     """Instantiate a catalog block; parametric families require n."""
     fam = _FAMILY_BY_ID.get(block_id)
@@ -514,7 +532,7 @@ def _f4_holds(poset, full_kernel):
     return True
 
 
-def verify_toral_pair(poset, form, trials=5, seed=0):
+def verify_toral_pair(poset, form):
     """Itemized check of the Frobenius building-block conditions."""
     conditions = {}
     details = {}
@@ -574,7 +592,7 @@ def verify_contact_toral_pair(poset, form, trials=5, seed=0):
 
 def verify_block(blk, trials=5, seed=0):
     if blk.kind == "toral":
-        return verify_toral_pair(blk.poset, blk.form, trials=trials, seed=seed)
+        return verify_toral_pair(blk.poset, blk.form)
     return verify_contact_toral_pair(blk.poset, blk.form, trials=trials, seed=seed)
 
 

@@ -9,6 +9,7 @@ from lieposet.forms import (
     FormError,
     NotFrobeniusError,
     OneForm,
+    ad_weights,
     dphi_matrix,
     form_graph,
     functional_on_basis,
@@ -415,6 +416,61 @@ def test_spectrum_invariance_across_frobenius_forms():
         if alternates >= 3:
             break
     assert alternates >= 1
+
+
+def _poly_from_roots(roots):
+    """Descending coefficients of the product of (λ - r)."""
+    coeffs = [Fraction(1)]
+    for r in roots:
+        nxt = coeffs + [Fraction(0)]
+        for k, c in enumerate(coeffs):
+            nxt[k + 1] -= r * c
+        coeffs = nxt
+    return coeffs
+
+
+def test_ad_weights_match_faddeev_for_non_diagonal_elements():
+    rng = random.Random(17)
+    checked = 0
+    for poset in enumerate_posets(5, connected_only=False):
+        for alg in (build_g(poset), build_gA(poset)):
+            strict = [i for i, lab in enumerate(alg.labels) if lab[0] == "e"]
+            for _ in range(2):
+                vec = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(alg.dim)]
+                if strict:
+                    vec[rng.choice(strict)] = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+                x = alg.element(vec)
+                expected = char_poly(alg.ad_matrix(x))
+                assert _poly_from_roots(ad_weights(alg, x)) == expected, (poset.covers, alg.kind)
+                checked += 1
+    assert checked == 2 * 2 * 87
+
+
+def test_spectrum_matches_faddeev_on_searched_frobenius_forms():
+    from lieposet.toral.blocks import derive_small_frobenius_form
+
+    forms = 0
+    for poset in enumerate_posets(6):
+        form = derive_small_frobenius_form(poset)
+        if form is None:
+            continue
+        gA = build_gA(poset)
+        reference = char_poly(gA.ad_matrix(principal_element(gA, form)))
+        half = gA.dim // 2
+        binary = reference == _poly_from_roots([0] * half + [1] * half)
+        assert spectrum(gA, form) == reference, poset.covers
+        assert is_binary_spectrum(gA, form) == binary, poset.covers
+        forms += 1
+    assert forms == 71
+
+
+def test_spectrum_of_custom_algebra_is_shape_error():
+    alg = build_custom(2, {(1, 2): {2: 1}})  # [e1, e2] = e2, Frobenius for e2*
+    assert principal_element(alg, [0, 1]).vec == (1, 0)
+    with pytest.raises(ShapeError):
+        is_binary_spectrum(alg, [0, 1])
+    with pytest.raises(ShapeError):
+        spectrum(alg, [0, 1])
 
 
 def test_form_graph_contact_chain3():

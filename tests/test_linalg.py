@@ -193,7 +193,7 @@ def test_char_poly_triangular_fast_path_agrees():
     for i in range(n):
         for j in range(i, n):
             m.rows[i][j] = Fraction(rng.randint(-3, 3))
-    # oracle: char poly of a triangular matrix = product of (x - diag entry)
+    # Faddeev on triangular input against the product of (x - diag entry)
     poly = [Fraction(1)]
     for i in range(n):
         nxt = poly + [Fraction(0)]
