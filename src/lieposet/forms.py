@@ -9,11 +9,12 @@ the support-graph combinatorics (small forms, sink/source partition).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
-from .algebras import AlgebraElement, PosetLieAlgebra
+from .algebras import AlgebraElement, LieAlgebra, PosetLieAlgebra
 from .linalg import RatMatrix, ShapeError
 from .posets import is_forest
 
@@ -201,7 +202,7 @@ def _as_values(algebra, form_or_values):
 
 
 def _dphi_rows(algebra, values):
-    """Integer rows of s·dφ and the vector s·φ(b), for one scale s > 0.
+    """Rows ``{col: int}`` of s·dφ and the vector s·φ(b), for one scale s > 0.
 
     ``values`` are φ on the basis (ints or Fractions). Entries come from
     the sparse structure table: dφ[i][j] = -φ([b_i, b_j]). Scaling by s
@@ -217,7 +218,7 @@ def _dphi_rows(algebra, values):
             entries.append(v)
     s, entries = linalg.clear_denominators(entries)
     n = algebra.dim
-    rows = [[0] * n for _ in range(n)]
+    rows = [{} for _ in range(n)]
     for (i, j), v in zip(keys, entries):
         rows[i][j] = -v
         rows[j][i] = v
@@ -234,7 +235,14 @@ class KernelReport:
     space: str  # "g", "gA", or "custom"
     dimension: int
     vectors: list  # coordinate vectors in the algebra basis
-    coords: list  # matrix-coordinate dicts (poset algebras) or None entries
+    algebra: LieAlgebra = field(repr=False, compare=False)
+
+    @cached_property
+    def coords(self):
+        """Matrix-coordinate dicts (poset algebras) or None entries, built on first read."""
+        if isinstance(self.algebra, PosetLieAlgebra):
+            return [self.algebra.to_matrix_coords(v) for v in self.vectors]
+        return [None] * self.dimension
 
     def generator_coords(self):
         if self.dimension != 1:
@@ -255,15 +263,12 @@ def kernel(algebra, form_or_values, restrict_to_gA=False):
     if restrict_to_gA:
         if not isinstance(algebra, PosetLieAlgebra) or algebra.kind != "g":
             raise ShapeError("trace restriction applies to full poset algebras")
-        rows.append([int(lab[0] == "d") for lab in algebra.labels])
+        rows.append({i: 1 for i, lab in enumerate(algebra.labels) if lab[0] == "d"})
     basis = linalg.int_kernel_basis(rows, algebra.dim)
+    space = "custom"
     if isinstance(algebra, PosetLieAlgebra):
-        coords = [algebra.to_matrix_coords(v) for v in basis]
         space = "gA" if (algebra.kind == "gA" or restrict_to_gA) else "g"
-    else:
-        coords = [None] * len(basis)
-        space = "custom"
-    return KernelReport(space, len(basis), basis, coords)
+    return KernelReport(space, len(basis), basis, algebra)
 
 
 def in_kernel(algebra, form_or_values, elem):
@@ -335,15 +340,18 @@ class ContactResult:
 
 
 def is_contact_form(algebra, form_or_values, trials=INDEX_TRIALS, seed=0):
-    """Kernel-generator contact test; returns the Reeb vector when true."""
+    """Kernel-generator contact test; returns the Reeb vector when true.
+
+    Exact: in odd dimension a one-dimensional kernel bounds the index by
+    1 and parity bounds it below by 1, so no sampled ``index`` is needed.
+    ``trials`` and ``seed`` are kept for callers and are not read.
+    """
     n = algebra.dim
     if n % 2 == 0:
         return ContactResult(False, "even dimension")
     report = kernel(algebra, form_or_values)
     if report.dimension != 1:
         return ContactResult(False, f"kernel dimension {report.dimension} != 1", kernel=report)
-    if index(algebra, trials=trials, seed=seed) != 1:
-        return ContactResult(False, "index != 1", kernel=report)
     gen = algebra.element(report.vectors[0])
     values = _as_values(algebra, form_or_values)
     phi_b = sum((c * values[i] for i, c in enumerate(gen.vec)), Fraction(0))
@@ -356,7 +364,7 @@ def is_contact_form(algebra, form_or_values, trials=INDEX_TRIALS, seed=0):
 def is_contact_form_volume(algebra, form_or_values):
     """Independent oracle: the bordered skew determinant is nonzero.
 
-    Builds [[0, φ(b_j)], [-φ(b_i), dφ(b_i, b_j)]] and tests that it is
+    Builds [[dφ(b_i, b_j), -φ(b_i)], [φ(b_j), 0]] and tests that it is
     nonsingular; this realizes the top volume-form condition directly.
     Full rank over GF(p) already certifies full rank over Q, so only a
     rank deficit mod p falls back to exact elimination.
@@ -365,7 +373,8 @@ def is_contact_form_volume(algebra, form_or_values):
     if n % 2 == 0:
         raise ShapeError("volume-form test requires odd dimension")
     rows, phi = _dphi_rows(algebra, _as_values(algebra, form_or_values))
-    bordered = [[0] + phi] + [[-p] + row for p, row in zip(phi, rows)]
+    bordered = [row | {n: -p} if p else row for p, row in zip(phi, rows)]
+    bordered.append({j: x for j, x in enumerate(phi) if x})
     if linalg.rank_mod_p(bordered, n + 1) == n + 1:
         return True
     return linalg.int_rank(bordered, n + 1) == n + 1
@@ -375,8 +384,9 @@ def principal_element(algebra, form_or_values):
     """The unique x with φ([x, y]) = φ(y) for all y (Frobenius forms only)."""
     rows, phi = _dphi_rows(algebra, _as_values(algebra, form_or_values))
     # φ([x, b_j]) = Σ_i x_i φ([b_i, b_j]) = Σ_i (-M[i][j]) x_i = (M x)_j by skewness
-    sol, rank = linalg.int_solve([row + [p] for row, p in zip(rows, phi)], algebra.dim)
-    if rank < algebra.dim:
+    n = algebra.dim
+    sol, rank = linalg.int_solve([row | {n: p} if p else row for row, p in zip(rows, phi)], n)
+    if rank < n:
         raise NotFrobeniusError("dφ is singular; the form is not Frobenius")
     return algebra.element(sol)
 

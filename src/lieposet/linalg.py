@@ -1,14 +1,14 @@
 """Exact rational linear algebra, plus a sparse rank over GF(p).
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, always reduced,
-positive denominator). One fraction-free (Bareiss) elimination on dense
-integer rows bounds coefficient growth and serves rank, determinant,
-kernels and solves; the last two only back-substitute with rationals.
-Callers that already hold integer rows use the ``int_*`` entry points;
+positive denominator). An integer row is a dict ``{col: int}`` of its
+nonzeros. One fraction-free (Bareiss) elimination on such rows bounds
+coefficient growth and serves rank, determinant, kernels and solves; the
+last two only back-substitute with rationals. Callers that already hold
+integer rows use the ``int_*`` entry points, which take dense lists too;
 the ``RatMatrix`` functions clear denominators row by row and call the
-same core. ``rank_mod_p`` takes the same dense integer rows but
-eliminates sparsely over GF(2^61 - 1), for the sampled index and other
-mod-p certificates.
+same core. ``rank_mod_p`` takes the same rows and eliminates over
+GF(2^61 - 1), for the sampled index and other mod-p certificates.
 """
 
 from __future__ import annotations
@@ -105,17 +105,30 @@ def _int_rows(m):
     return [clear_denominators(row)[1] for row in m.rows]
 
 
+def _sparse(rows):
+    """Integer rows as dicts of their nonzeros; dict rows pass through."""
+    return [r if isinstance(r, dict) else {j: x for j, x in enumerate(r) if x} for r in rows]
+
+
 def _int_echelon(rows, ncols, augmented_from=None):
     """Fraction-free (Bareiss) forward elimination on integer rows.
 
-    Returns (rows, pivot_cols, sign), where sign is the parity of the row
-    swaps. When ``augmented_from`` is given, pivots are only selected
-    among columns < augmented_from (the tail columns ride along as an
-    augmented block). The k-th pivot is the k-th leading minor of the
-    row-permuted input, so a square nonsingular input's determinant is
-    sign times its last pivot.
+    Returns (rows, pivot_cols, sign): ``{col: int}`` rows, and sign the
+    parity of the row swaps. When ``augmented_from`` is given, pivots are
+    only selected among columns < augmented_from (the tail columns ride
+    along as an augmented block). The k-th pivot is the k-th leading
+    minor of the row-permuted input, so a square nonsingular input's
+    determinant is sign times its last pivot.
+
+    A Bareiss step scales every row below the pivot by pivot/prev. A
+    row with no entry in the pivot column skips that: ``scale`` keeps
+    the ``prev`` it was last exact at, and as the skipped factors
+    telescope its true entries are ``stored * prev // scale``, exactly.
+    They are materialised when the row enters a pivot column and at the
+    end, so pivots, values and sign are those of dense Bareiss.
     """
-    rows = [r[:] for r in rows]
+    rows = [dict(r) for r in _sparse(rows)]
+    scale = [1] * len(rows)
     pivot_limit = ncols if augmented_from is None else augmented_from
     pivots = []
     sign = 1
@@ -124,34 +137,43 @@ def _int_echelon(rows, ncols, augmented_from=None):
     for c in range(pivot_limit):
         if r == len(rows):
             break
-        piv = None
-        best = None
+        piv = best = None
+        hits = []
         for i in range(r, len(rows)):
-            v = rows[i][c]
+            v = rows[i].get(c)
             if v:
+                if scale[i] != prev:
+                    s, scale[i] = scale[i], prev
+                    rows[i] = {j: x * prev // s for j, x in rows[i].items()}
+                    v = rows[i][c]
+                hits.append(i)
+                # the least |value|, the first row on ties
                 if best is None or abs(v) < best:
                     piv, best = i, abs(v)
-                    if best == 1:
-                        break
         if piv is None:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            scale[r], scale[piv] = scale[piv], scale[r]
             sign = -sign
         prc = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            ric = rows[i][c]
-            ri, rr = rows[i], rows[r]
-            if ric:
-                for j in range(c + 1, ncols):
-                    ri[j] = (ri[j] * prc - ric * rr[j]) // prev
-                ri[c] = 0
-            elif prc != prev:
-                for j in range(c + 1, ncols):
-                    ri[j] = (ri[j] * prc) // prev
+        tail = [(j, x) for j, x in rows[r].items() if j != c]
+        # every other row with an entry in column c, after the swap
+        for i in (piv if i == r else i for i in hits if i != piv):
+            ri = rows[i]
+            ric = ri.pop(c)
+            new = {}
+            for j, x in tail:
+                if y := ri.pop(j, 0) * prc - ric * x:
+                    new[j] = y // prev
+            new.update({j: x * prc // prev for j, x in ri.items()})
+            rows[i], scale[i] = new, prc
         prev = prc
         pivots.append(c)
         r += 1
+    for i in range(r, len(rows)):
+        if scale[i] != prev:
+            rows[i] = {j: x * prev // scale[i] for j, x in rows[i].items()}
     return rows, pivots, sign
 
 
@@ -166,13 +188,13 @@ def _back_substitute(ech, pivots, x, ncols, rhs=False):
     for k in range(len(pivots) - 1, -1, -1):
         c = pivots[k]
         row = ech[k]
-        s = sum(row[j] * x[j] for j in range(c + 1, ncols) if row[j] and x[j])
-        x[c] = ((Fraction(row[ncols]) if rhs else 0) - s) / row[c]
+        s = sum(v * x[j] for j, v in row.items() if c < j < ncols and x[j])
+        x[c] = ((Fraction(row.get(ncols, 0)) if rhs else 0) - s) / row[c]
     return x
 
 
 def int_rank(rows, ncols):
-    """Exact rank of integer rows, by fraction-free elimination."""
+    """Exact rank of integer rows (dicts or lists), by fraction-free elimination."""
     return len(_int_echelon(rows, ncols)[1])
 
 
@@ -197,7 +219,7 @@ def int_solve(aug_rows, ncols):
     """
     ech, pivots, _ = _int_echelon(aug_rows, ncols + 1, augmented_from=ncols)
     # inconsistent iff some residual row is 0 ... 0 | nonzero
-    if any(row[ncols] for row in ech[len(pivots):]):
+    if any(row.get(ncols) for row in ech[len(pivots):]):
         return None, len(pivots)
     x = _back_substitute(ech, pivots, [Fraction(0)] * ncols, ncols, rhs=True)
     return x, len(pivots)
@@ -209,7 +231,7 @@ def rank(m):
 
 
 def rank_mod_p(int_rows, ncols, p=_MODP):
-    """Rank of an integer matrix over GF(p); a lower bound for the true rank.
+    """Rank of integer rows (dicts or lists) over GF(p); a lower bound for the true rank.
 
     Sparse elimination: each row is a dict of its nonzero residues, and
     one set per column holds the live rows with an entry there. Columns
@@ -220,8 +242,8 @@ def rank_mod_p(int_rows, ncols, p=_MODP):
     """
     rows = []
     cols = [set() for _ in range(ncols)]
-    for r in int_rows:
-        row = {j: v for j, x in enumerate(r) if x and (v := x % p)}
+    for r in _sparse(int_rows):
+        row = {j: v for j, x in r.items() if (v := x % p)}
         if row:
             for j in row:
                 cols[j].add(len(rows))

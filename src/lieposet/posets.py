@@ -321,7 +321,7 @@ class Poset:
                 ranks[k] = 0
                 continue
             cols = len(faces[k])
-            rows = [[0] * cols for _ in faces[k - 1]]
+            rows = [{} for _ in faces[k - 1]]
             for j, face in enumerate(faces[k]):
                 for drop in range(k):
                     sub = face[:drop] + face[drop + 1 :]

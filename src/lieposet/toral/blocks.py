@@ -221,7 +221,7 @@ def _tree_form_corank_modp(relations_sorted, support_set):
     m = len(free)
     if m == 0:
         return 0
-    rows = [[0] * m for _ in range(m)]
+    rows = [{} for _ in range(m)]
     for a in range(m):
         p, q = free[a]
         for b in range(a + 1, m):

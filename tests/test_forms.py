@@ -353,7 +353,10 @@ def test_contact_volume_modp_certificate_matches_exact_rank():
             sparse = OneForm.from_support(poset, [pq for pq in pairs if rng.random() < 0.5])
             for form in (OneForm(poset, {}), sparse, _random_form(poset, rng)):
                 rows, phi = _dphi_rows(alg, phi_on_basis(alg, form))
-                bordered = [[0] + phi] + [[-p] + row for p, row in zip(phi, rows)]
+                bordered = [{j + 1: x for j, x in enumerate(phi) if x}] + [
+                    ({0: -p} if p else {}) | {j + 1: v for j, v in row.items()}
+                    for p, row in zip(phi, rows)
+                ]
                 exact = linalg.int_rank(bordered, n + 1) == n + 1
                 assert is_contact_form_volume(alg, form) == exact, (poset.covers, alg.kind)
                 verdicts.add(exact)

@@ -9,9 +9,12 @@ from lieposet.linalg import (
     _MODP,
     RatMatrix,
     ShapeError,
+    _int_echelon,
     char_poly,
     determinant,
+    int_kernel_basis,
     int_rank,
+    int_solve,
     integer_sqrt_exact,
     kernel_basis,
     poly_eval_matrix,
@@ -291,3 +294,119 @@ def test_rank_mod_p_multiples_of_p_are_zero():
     # a lower bound only: [[p]] has rank 1 over Q
     assert int_rank([[p]], 1) == 1 and rank_mod_p([[p]], 1) == 0
     assert rank_mod_p([[1, 0], [0, 7]], 2, p=7) == 1
+
+
+def dense_int_echelon(rows, ncols, augmented_from=None):
+    """Dense Bareiss with the same pivot rule; the oracle for the sparse one."""
+    rows = [r[:] for r in rows]
+    pivot_limit = ncols if augmented_from is None else augmented_from
+    pivots = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(pivot_limit):
+        if r == len(rows):
+            break
+        piv = None
+        best = None
+        for i in range(r, len(rows)):
+            v = rows[i][c]
+            if v:
+                if best is None or abs(v) < best:
+                    piv, best = i, abs(v)
+                    if best == 1:
+                        break
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        prc = rows[r][c]
+        for i in range(r + 1, len(rows)):
+            ric = rows[i][c]
+            ri, rr = rows[i], rows[r]
+            if ric:
+                for j in range(c + 1, ncols):
+                    ri[j] = (ri[j] * prc - ric * rr[j]) // prev
+                ri[c] = 0
+            elif prc != prev:
+                for j in range(c + 1, ncols):
+                    ri[j] = (ri[j] * prc) // prev
+        prev = prc
+        pivots.append(c)
+        r += 1
+    return rows, pivots, sign
+
+
+def dense_back_substitute(ech, pivots, x, ncols, rhs=False):
+    for k in range(len(pivots) - 1, -1, -1):
+        c = pivots[k]
+        row = ech[k]
+        s = sum(row[j] * x[j] for j in range(c + 1, ncols) if row[j] and x[j])
+        x[c] = ((Fraction(row[ncols]) if rhs else 0) - s) / row[c]
+    return x
+
+
+def dense_kernel_basis(rows, ncols):
+    ech, pivots, _ = dense_int_echelon(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            basis.append(dense_back_substitute(ech, pivots, v, ncols))
+    return basis
+
+
+def dense_solve(aug_rows, ncols):
+    ech, pivots, _ = dense_int_echelon(aug_rows, ncols + 1, augmented_from=ncols)
+    if any(row[ncols] for row in ech[len(pivots):]):
+        return None, len(pivots)
+    x = dense_back_substitute(ech, pivots, [Fraction(0)] * ncols, ncols, rhs=True)
+    return x, len(pivots)
+
+
+@st.composite
+def bareiss_cases(draw):
+    """Integer matrices up to 8 x 8: small or 16-bit entries, often sparse,
+    and for about half the draws a product of two thinner factors, so
+    rank deficits and zero rows are common."""
+    def matrix(nrows, ncols, entries):
+        row = st.lists(entries, min_size=ncols, max_size=ncols)
+        return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    big = 1 << 16
+    entries = draw(st.sampled_from([st.integers(-9, 9), st.integers(-big, big)])) | st.just(0)
+    if draw(st.booleans()):
+        return matrix(nrows, ncols, entries), ncols
+    k = draw(st.integers(0, 3))
+    base, mix = matrix(k, ncols, entries), matrix(nrows, k, st.integers(-3, 3))
+    return [[sum(a * b[j] for a, b in zip(m, base)) for j in range(ncols)] for m in mix], ncols
+
+
+def _dict_rows(rows):
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(bareiss_cases(), st.data())
+def test_sparse_bareiss_is_pivot_identical_to_dense(case, data):
+    rows, ncols = case
+    aug = data.draw(st.none() | st.integers(0, ncols))
+    ech, pivots, sign = _int_echelon(_dict_rows(rows), ncols, augmented_from=aug)
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in ech]
+    assert (dense, pivots, sign) == dense_int_echelon(rows, ncols, augmented_from=aug)
+    assert all(x for row in ech for x in row.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(bareiss_cases(), st.booleans())
+def test_sparse_kernel_and_solve_match_dense_bit_for_bit(case, as_dicts):
+    # repr tells Fraction(0) from the float 0.0 and -0.0 of empty sums
+    rows, ncols = case
+    given_rows = _dict_rows(rows) if as_dicts else rows
+    assert repr(int_kernel_basis(given_rows, ncols)) == repr(dense_kernel_basis(rows, ncols))
+    if ncols:
+        got = int_solve(given_rows, ncols - 1)
+        assert repr(got) == repr(dense_solve(rows, ncols - 1))
