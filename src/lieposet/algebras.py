@@ -23,19 +23,13 @@ class JacobiError(ValueError):
         super().__init__(f"Jacobi identity fails on basis triple {triple}")
 
 
-def _exact(c):
-    if isinstance(c, int):
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 class LieAlgebra:
     """Basis-indexed antisymmetric structure constants.
 
     ``table[(i, j)]`` for i < j maps output index -> coefficient; other
-    orderings follow by antisymmetry. Coefficients are exact: an int
-    when integral, else a Fraction, so integer work on the table (dφ
+    orderings follow by antisymmetry. The table is stored as given, and
+    its builders hand in nonzero coefficients only, each an int when
+    integral, else a Fraction, so integer work on the table (dφ
     assembly) stays in integers.
     """
 
@@ -43,11 +37,7 @@ class LieAlgebra:
         self.labels = tuple(labels)
         self.dim = len(self.labels)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self.table = {
-            key: {k: _exact(c) for k, c in entry.items() if c}
-            for key, entry in table.items()
-            if any(entry.values())
-        }
+        self.table = table
 
     def bracket_basis(self, i, j):
         """[b_i, b_j] as a sparse dict index -> coefficient."""
@@ -321,6 +311,11 @@ def build_custom(dim, brackets):
             if prev is not None and prev != c:
                 raise ShapeError(f"inconsistent duplicate bracket for ({i},{j})")
             tgt[k - 1] = c
+    table = {
+        key: {k: c.numerator if c.denominator == 1 else c for k, c in entry.items() if c}
+        for key, entry in table.items()
+        if any(entry.values())
+    }
     alg = LieAlgebra(labels, table)
     bad = alg.check_jacobi()
     if bad is not None:

@@ -133,9 +133,7 @@ def analyze(poset, form=None, seed=0, trials=5, search_forms=True):
         if frobenius:
             report["spectrum"] = [str(c) for c in spectrum(gA, form)]
         report["toral_pair_check"] = verify_toral_pair(poset, form).to_json()
-        report["contact_pair_check"] = verify_contact_toral_pair(
-            poset, form, seed=seed
-        ).to_json()
+        report["contact_pair_check"] = verify_contact_toral_pair(poset, form).to_json()
     elif search_forms and poset.n > SEARCH_SIZE_CAP:
         report["note"] = (
             f"form search skipped: poset has more than {SEARCH_SIZE_CAP} elements"
@@ -224,9 +222,7 @@ def cmd_verify_catalog(args):
 def cmd_build(args):
     script = ConstructionScript.from_json(_load_json(args.script, "script"))
     contact_seq = is_contact_sequence(script)
-    build_form = all(
-        step.block().kind != "contact" for step in script.steps[1:]
-    )
+    build_form = all(step.kind != "contact" for step in script.steps[1:])
     result = run_script(script, build_form=build_form)
     out = {
         "poset": result.poset.to_json(),

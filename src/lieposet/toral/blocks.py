@@ -1,11 +1,13 @@
 """Building-block catalog and block-pair verification.
 
-Blocks come in two kinds: Frobenius blocks carrying a small Frobenius
-one-form, and contact blocks carrying a distinguished contact one-form
-with a single diagonal summand at element 1. Blocks with explicitly known forms
-are encoded directly; the remaining Frobenius blocks derive their forms
-by an exhaustive lexicographic search over spanning-tree supports,
-validated by the same pair verifier as everything else.
+Blocks come in two kinds: Frobenius ("toral") blocks carrying a small
+Frobenius one-form, and contact blocks carrying a distinguished contact
+one-form with a single diagonal summand at element 1. The catalog is one
+table, ``_FAMILIES``: each family is one row holding its id, kind, size
+range (None for a fixed block) and a builder ``build(n) -> (poset,
+support)``. A support of None marks a searched block, whose form comes
+from the exhaustive lexicographic search over spanning-tree supports;
+every form is validated by the same pair verifier as everything else.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .. import linalg
 from ..algebras import build_g, build_gA
@@ -25,7 +28,7 @@ from ..forms import (
     kernel,
     udo_partition,
 )
-from ..posets import Poset
+from ..posets import Poset, is_forest
 
 
 class BlockError(ValueError):
@@ -53,9 +56,13 @@ class BuildingBlock:
 @dataclass(frozen=True)
 class CatalogFamily:
     id: str
-    kind: str
-    parametric: bool
-    n_range: tuple | None = None  # inclusive (lo, hi) of documented support
+    kind: str  # "toral" or "contact"
+    n_range: tuple | None  # inclusive (lo, hi) of documented support; None when fixed
+    build: Callable  # n -> (poset, support); support None means searched
+
+    @property
+    def parametric(self):
+        return self.n_range is not None
 
 
 def _roles_for(poset):
@@ -71,85 +78,7 @@ def _roles_for(poset):
     raise BlockError("block posets need a unique extremal element on one side")
 
 
-# ----- explicit six-element Frobenius blocks --------------------------------
-
-_SIX_BLOCKS = {
-    "six_a": (
-        [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (4, 6)],
-        [(1, 5), (1, 6), (2, 4), (2, 5), (3, 6)],
-    ),
-    "six_a_dual": (
-        [(1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)],
-        [(1, 6), (2, 6), (1, 4), (3, 4), (2, 5)],
-    ),
-    "six_b": (
-        [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (3, 6)],
-        [(1, 5), (1, 6), (2, 4), (3, 4), (3, 6)],
-    ),
-    "six_b_dual": (
-        [(1, 3), (3, 4), (3, 5), (4, 6), (5, 6), (2, 5)],
-        [(1, 6), (2, 6), (2, 5), (3, 4), (3, 5)],
-    ),
-    "six_c": (
-        [(1, 2), (2, 3), (2, 4), (3, 5), (4, 5), (2, 6)],
-        [(1, 5), (1, 6), (2, 3), (2, 4), (2, 5)],
-    ),
-    "six_c_dual": (
-        [(1, 3), (1, 4), (3, 5), (4, 5), (5, 6), (2, 5)],
-        [(1, 6), (2, 6), (1, 5), (3, 5), (4, 5)],
-    ),
-    "six_d": (
-        [(1, 2), (1, 3), (2, 4), (3, 4), (2, 5), (5, 6), (3, 6)],
-        [(1, 4), (1, 6), (2, 4), (2, 5), (3, 6)],
-    ),
-    "six_d_dual": (
-        [(1, 2), (1, 5), (2, 4), (3, 4), (3, 5), (4, 6), (5, 6)],
-        [(1, 5), (1, 6), (2, 4), (3, 4), (3, 6)],
-    ),
-}
-
-
-def _make_six(block_id):
-    covers, support = _SIX_BLOCKS[block_id]
-    poset = Poset.from_covers(6, covers)
-    form = OneForm.from_support(poset, support)
-    return BuildingBlock(block_id, "toral", poset, form, _roles_for(poset))
-
-
-# ----- searched Frobenius blocks --------------------------------------------
-
-
-def _pendant_chain_poset(n):
-    covers = [(i, i + 1) for i in range(1, n - 1)]
-    covers.append((n // 2, n))
-    return Poset.from_covers(n, covers)
-
-
-def _pendant_chain_dual_poset(n):
-    m = (n - 1) // 2
-    labels = list(range(1, m + 1)) + list(range(m + 2, n + 1))
-    covers = [(labels[i], labels[i + 1]) for i in range(len(labels) - 1)]
-    covers.append((m + 1, m + 2))
-    return Poset.from_covers(n, covers)
-
-
-def _diamond_stack_poset(n):
-    covers = [(1, 2), (1, 3)]
-    for level in range(1, n):
-        lo = (2 * level, 2 * level + 1)
-        hi = (2 * level + 2, 2 * level + 3)
-        covers.extend((a, b) for a in lo for b in hi)
-    return Poset.from_covers(2 * n + 1, covers)
-
-
-def _diamond_stack_dual_poset(n):
-    covers = []
-    for level in range(1, n):
-        lo = (2 * level - 1, 2 * level)
-        hi = (2 * level + 1, 2 * level + 2)
-        covers.extend((a, b) for a in lo for b in hi)
-    covers.extend(((2 * n - 1, 2 * n + 1), (2 * n, 2 * n + 1)))
-    return Poset.from_covers(2 * n + 1, covers)
+# ----- spanning-tree form search ---------------------------------------------
 
 
 def _least_tree_support(poset, accept):
@@ -179,7 +108,7 @@ def _least_tree_support(poset, accept):
         )
         if len(edges) < need:
             continue
-        found = _first_spanning_tree(n, edges, rel_e, need, accept, best)
+        found = _first_spanning_tree(poset.elements, edges, rel_e, need, accept, best)
         if found is not None and (best is None or found < best):
             best = found
     return best
@@ -237,72 +166,70 @@ def _tree_form_corank_modp(relations_sorted, support_set):
     return m - linalg.rank_mod_p(rows, m)
 
 
-def _first_spanning_tree(n, edges, required, need, accept, bound):
+def _first_spanning_tree(vertices, edges, required, need, accept, bound):
     """First (lex) spanning tree over ``edges`` containing ``required``
     and passing ``accept``; supports lex-bounded pruning via ``bound``."""
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     chosen = []
-    result = []
 
     def backtrack(idx):
-        if result:
-            return
         if len(chosen) == need:
-            if all(e in chosen for e in required) and accept(chosen):
-                result.append(tuple(chosen))
-            return
+            ok = all(e in chosen for e in required) and accept(chosen)
+            return tuple(chosen) if ok else None
         if idx == len(edges) or len(chosen) + (len(edges) - idx) < need:
-            return
+            return None
         if bound is not None and chosen and tuple(chosen) > bound[: len(chosen)]:
-            return
+            return None
         e = edges[idx]
-        rp, rq = find(e[0]), find(e[1])
-        if rp != rq:
-            saved = parent[:]
-            parent[rp] = rq
-            chosen.append(e)
-            backtrack(idx + 1)
-            chosen.pop()
-            parent[:] = saved
-        if e not in required and not result:
-            backtrack(idx + 1)
+        chosen.append(e)
+        found = backtrack(idx + 1) if is_forest(vertices, chosen) else None
+        chosen.pop()
+        if found is None and e not in required:
+            found = backtrack(idx + 1)
+        return found
 
-    backtrack(0)
-    return result[0] if result else None
+    return backtrack(0)
 
 
-@lru_cache(maxsize=None)
-def _searched_form(block_id, n):
-    poset = _SEARCHED_POSETS[block_id](n)
-    form = derive_small_frobenius_form(poset)
-    if form is None:
-        raise BlockError(f"no qualifying Frobenius form found for {block_id}(n={n})")
-    return form
+# ----- the catalog -------------------------------------------------------------
 
 
-def _pendant_chain_support(n):
+def _fixed(block_id, kind, size, covers, support=None):
+    """Row of a fixed block: ``covers`` on ``size`` elements, with ``support``."""
+    return CatalogFamily(
+        block_id, kind, None, lambda _n: (Poset.from_covers(size, covers), support)
+    )
+
+
+# The toral parametric supports are the ones the lexicographic search
+# finds at every size where it is tractable; the closed forms extend
+# them, and every instance is re-checked by the pair verifier.
+
+
+def _pendant_chain(n):
     h = n // 2
-    return [(1, j) for j in range(h + 1, n + 1)] + [
-        (i, n + 1 - i) for i in range(2, h + 1)
-    ]
+    covers = [(i, i + 1) for i in range(1, n - 1)] + [(h, n)]
+    support = [(1, j) for j in range(h + 1, n + 1)]
+    support += [(i, n + 1 - i) for i in range(2, h + 1)]
+    return Poset.from_covers(n, covers), support
 
 
-def _pendant_chain_dual_support(n):
+def _pendant_chain_dual(n):
     m = (n - 1) // 2
+    labels = list(range(1, m + 1)) + list(range(m + 2, n + 1))
+    covers = [(labels[i], labels[i + 1]) for i in range(len(labels) - 1)]
+    covers.append((m + 1, m + 2))
     support = [(1, j) for j in range(m + 2, n + 1)]
     support += [(i, n + 1 - i) for i in range(2, m + 1)]
     support.append((m + 1, n))
-    return support
+    return Poset.from_covers(n, covers), support
 
 
-def _diamond_stack_support(n):
+def _diamond_stack(n):
+    covers = [(1, 2), (1, 3)]
+    for level in range(1, n):
+        lo = (2 * level, 2 * level + 1)
+        hi = (2 * level + 2, 2 * level + 3)
+        covers.extend((a, b) for a in lo for b in hi)
     h = n // 2
     support = [(1, u) for u in range(2 * h + 2, 2 * n + 2)]
     for k in range(1, h + 1):
@@ -311,10 +238,16 @@ def _diamond_stack_support(n):
             support += [(2 * k, 2 * mirror), (2 * k + 1, 2 * mirror)]
         else:
             support += [(2 * k, 2 * mirror), (2 * k + 1, 2 * mirror + 1)]
-    return support
+    return Poset.from_covers(2 * n + 1, covers), support
 
 
-def _diamond_stack_dual_support(n):
+def _diamond_stack_dual(n):
+    covers = []
+    for level in range(1, n):
+        lo = (2 * level - 1, 2 * level)
+        hi = (2 * level + 1, 2 * level + 2)
+        covers.extend((a, b) for a in lo for b in hi)
+    covers.extend(((2 * n - 1, 2 * n + 1), (2 * n, 2 * n + 1)))
     g = (n + 1) // 2
     support = [(1, u) for u in range(2 * g + 1, 2 * n + 2)]
     support.append((2, 2 * n + 1))
@@ -324,125 +257,89 @@ def _diamond_stack_dual_support(n):
             support += [(2 * k - 1, 2 * mirror - 1), (2 * k, 2 * mirror - 1)]
         else:
             support += [(2 * k - 1, 2 * mirror - 1), (2 * k, 2 * mirror)]
-    return support
-
-
-# Supports found by the lexicographic search at every size where it is
-# tractable; the closed forms extend those results and every instance is
-# re-checked by the pair verifier.
-_PARAMETRIC_SUPPORTS = {
-    "pendant_chain": _pendant_chain_support,
-    "pendant_chain_dual": _pendant_chain_dual_support,
-    "diamond_stack": _diamond_stack_support,
-    "diamond_stack_dual": _diamond_stack_dual_support,
-}
-
-_SEARCHED_POSETS = {
-    "chain2": lambda n: Poset.chain(2),
-    "pendant_chain": _pendant_chain_poset,
-    "pendant_chain_dual": _pendant_chain_dual_poset,
-    "tree6": lambda n: Poset.from_covers(6, [(1, 2), (2, 3), (2, 4), (3, 5), (4, 6)]),
-    "tree6_dual": lambda n: Poset.from_covers(6, [(1, 3), (2, 4), (3, 5), (4, 5), (5, 6)]),
-    "diamond_stack": _diamond_stack_poset,
-    "diamond_stack_dual": _diamond_stack_dual_poset,
-}
-
-
-# ----- contact blocks --------------------------------------------------------
+    return Poset.from_covers(2 * n + 1, covers), support
 
 
 def _contact_pendant_high(n):
     covers = [(i, i + 1) for i in range(1, n - 1)] + [(n // 2 + 1, n)]
-    poset = Poset.from_covers(n, covers)
     support = [(1, 1)]
     support += [(i, n - i) for i in range(1, (n - 1) // 2 + 1)]
     support += [(i, n) for i in range(1, n // 2 + 1)]
-    return poset, support
+    return Poset.from_covers(n, covers), support
 
 
 def _contact_pendant_high_dual(n):
     h = (n + 1) // 2  # ceil(n/2)
     covers = [(i, i + 1) for i in range(2, n)] + [(1, h)]
-    poset = Poset.from_covers(n, covers)
     support = [(1, 1)]
     support += [(i, n - i + 2) for i in range(2, h + 1)]
     support += [(1, i) for i in range(h + 1, n + 1)]
-    return poset, support
+    return Poset.from_covers(n, covers), support
 
 
 def _contact_pendant_low(n):
     covers = [(i, i + 1) for i in range(1, n - 1)] + [(n // 2 - 1, n)]
-    poset = Poset.from_covers(n, covers)
     support = [(1, 1)]
     support += [(i, n - i) for i in range(1, (n - 1) // 2 + 1)]
     support += [(i, n) for i in range(1, n // 2)]
     support += [(n // 2, n - 1)]
-    return poset, support
+    return Poset.from_covers(n, covers), support
 
 
 def _contact_pendant_low_dual(n):
     h = (n + 1) // 2
     covers = [(i, i + 1) for i in range(2, n)] + [(1, h + 2)]
-    poset = Poset.from_covers(n, covers)
     support = [(1, 1)]
     support += [(i, n - i + 2) for i in range(2, h + 1)]
     support += [(1, i) for i in range(h + 2, n + 1)]
     support += [(2, h + 1)]
-    return poset, support
+    return Poset.from_covers(n, covers), support
 
 
-_CONTACT_FIXED = {
-    "contact_chain3": (Poset.chain(3), [(1, 1), (1, 3), (2, 3)]),
-    "contact_chain4": (Poset.chain(4), [(1, 1), (1, 4), (2, 3), (2, 4)]),
-    "contact_fork": (
-        Poset.from_covers(5, [(1, 2), (2, 3), (3, 4), (3, 5)]),
-        [(1, 1), (1, 4), (1, 5), (2, 3), (2, 5)],
-    ),
-    "contact_fork_dual": (
-        Poset.from_covers(5, [(1, 3), (2, 3), (3, 4), (4, 5)]),
-        [(1, 1), (1, 4), (1, 5), (2, 5), (3, 4)],
-    ),
+_FAMILIES = {
+    fam.id: fam
+    for fam in (
+        _fixed("chain2", "toral", 2, [(1, 2)]),
+        CatalogFamily("pendant_chain", "toral", (4, 14), _pendant_chain),
+        CatalogFamily("pendant_chain_dual", "toral", (4, 14), _pendant_chain_dual),
+        _fixed("tree6", "toral", 6, [(1, 2), (2, 3), (2, 4), (3, 5), (4, 6)]),
+        _fixed("tree6_dual", "toral", 6, [(1, 3), (2, 4), (3, 5), (4, 5), (5, 6)]),
+        CatalogFamily("diamond_stack", "toral", (1, 7), _diamond_stack),
+        CatalogFamily("diamond_stack_dual", "toral", (1, 7), _diamond_stack_dual),
+        _fixed("six_a", "toral", 6, [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (4, 6)],
+               [(1, 5), (1, 6), (2, 4), (2, 5), (3, 6)]),
+        _fixed("six_a_dual", "toral", 6, [(1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)],
+               [(1, 6), (2, 6), (1, 4), (3, 4), (2, 5)]),
+        _fixed("six_b", "toral", 6, [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (3, 6)],
+               [(1, 5), (1, 6), (2, 4), (3, 4), (3, 6)]),
+        _fixed("six_b_dual", "toral", 6, [(1, 3), (3, 4), (3, 5), (4, 6), (5, 6), (2, 5)],
+               [(1, 6), (2, 6), (2, 5), (3, 4), (3, 5)]),
+        _fixed("six_c", "toral", 6, [(1, 2), (2, 3), (2, 4), (3, 5), (4, 5), (2, 6)],
+               [(1, 5), (1, 6), (2, 3), (2, 4), (2, 5)]),
+        _fixed("six_c_dual", "toral", 6, [(1, 3), (1, 4), (3, 5), (4, 5), (5, 6), (2, 5)],
+               [(1, 6), (2, 6), (1, 5), (3, 5), (4, 5)]),
+        _fixed("six_d", "toral", 6, [(1, 2), (1, 3), (2, 4), (3, 4), (2, 5), (5, 6), (3, 6)],
+               [(1, 4), (1, 6), (2, 4), (2, 5), (3, 6)]),
+        _fixed("six_d_dual", "toral", 6, [(1, 2), (1, 5), (2, 4), (3, 4), (3, 5), (4, 6), (5, 6)],
+               [(1, 5), (1, 6), (2, 4), (3, 4), (3, 6)]),
+        _fixed("contact_chain3", "contact", 3, [(1, 2), (2, 3)], [(1, 1), (1, 3), (2, 3)]),
+        _fixed("contact_chain4", "contact", 4, [(1, 2), (2, 3), (3, 4)],
+               [(1, 1), (1, 4), (2, 3), (2, 4)]),
+        _fixed("contact_fork", "contact", 5, [(1, 2), (2, 3), (3, 4), (3, 5)],
+               [(1, 1), (1, 4), (1, 5), (2, 3), (2, 5)]),
+        _fixed("contact_fork_dual", "contact", 5, [(1, 3), (2, 3), (3, 4), (4, 5)],
+               [(1, 1), (1, 4), (1, 5), (2, 5), (3, 4)]),
+        CatalogFamily("contact_pendant_high", "contact", (5, 14), _contact_pendant_high),
+        CatalogFamily("contact_pendant_high_dual", "contact", (5, 14), _contact_pendant_high_dual),
+        CatalogFamily("contact_pendant_low", "contact", (5, 14), _contact_pendant_low),
+        CatalogFamily("contact_pendant_low_dual", "contact", (5, 14), _contact_pendant_low_dual),
+    )
 }
-
-_CONTACT_PARAMETRIC = {
-    "contact_pendant_high": _contact_pendant_high,
-    "contact_pendant_high_dual": _contact_pendant_high_dual,
-    "contact_pendant_low": _contact_pendant_low,
-    "contact_pendant_low_dual": _contact_pendant_low_dual,
-}
-
-_FAMILIES = [
-    CatalogFamily("chain2", "toral", False),
-    CatalogFamily("pendant_chain", "toral", True, (4, 14)),
-    CatalogFamily("pendant_chain_dual", "toral", True, (4, 14)),
-    CatalogFamily("tree6", "toral", False),
-    CatalogFamily("tree6_dual", "toral", False),
-    CatalogFamily("diamond_stack", "toral", True, (1, 7)),
-    CatalogFamily("diamond_stack_dual", "toral", True, (1, 7)),
-    CatalogFamily("six_a", "toral", False),
-    CatalogFamily("six_a_dual", "toral", False),
-    CatalogFamily("six_b", "toral", False),
-    CatalogFamily("six_b_dual", "toral", False),
-    CatalogFamily("six_c", "toral", False),
-    CatalogFamily("six_c_dual", "toral", False),
-    CatalogFamily("six_d", "toral", False),
-    CatalogFamily("six_d_dual", "toral", False),
-    CatalogFamily("contact_chain3", "contact", False),
-    CatalogFamily("contact_chain4", "contact", False),
-    CatalogFamily("contact_fork", "contact", False),
-    CatalogFamily("contact_fork_dual", "contact", False),
-    CatalogFamily("contact_pendant_high", "contact", True, (5, 14)),
-    CatalogFamily("contact_pendant_high_dual", "contact", True, (5, 14)),
-    CatalogFamily("contact_pendant_low", "contact", True, (5, 14)),
-    CatalogFamily("contact_pendant_low_dual", "contact", True, (5, 14)),
-]
-
-_FAMILY_BY_ID = {f.id: f for f in _FAMILIES}
 
 
 def catalog():
     """All block families, fixed and parametric."""
-    return list(_FAMILIES)
+    return list(_FAMILIES.values())
 
 
 def catalog_blocks(n_range=None):
@@ -452,7 +349,7 @@ def catalog_blocks(n_range=None):
     block per size of its range, cut to ``n_range`` (inclusive
     ``(lo, hi)``) when that is given.
     """
-    for fam in _FAMILIES:
+    for fam in _FAMILIES.values():
         if not fam.parametric:
             yield block(fam.id)
             continue
@@ -463,9 +360,9 @@ def catalog_blocks(n_range=None):
             yield block(fam.id, n)
 
 
-def block(block_id, n=None):
-    """Instantiate a catalog block; parametric families require n."""
-    fam = _FAMILY_BY_ID.get(block_id)
+def family(block_id, n=None):
+    """The catalog row of a block; parametric families require n in range."""
+    fam = _FAMILIES.get(block_id)
     if fam is None:
         raise BlockError(f"unknown block id {block_id!r}")
     if fam.parametric:
@@ -474,24 +371,28 @@ def block(block_id, n=None):
         lo, hi = fam.n_range
         if not lo <= n <= hi:
             raise BlockError(f"block {block_id!r} supports n in [{lo},{hi}], got {n}")
+    return fam
+
+
+@lru_cache(maxsize=None)
+def _searched_form(block_id):
+    poset, _ = _FAMILIES[block_id].build(None)
+    form = derive_small_frobenius_form(poset)
+    if form is None:
+        raise BlockError(f"no qualifying Frobenius form found for {block_id}")
+    return form
+
+
+def block(block_id, n=None):
+    """Instantiate a catalog block; parametric families require n."""
+    fam = family(block_id, n)
+    n = n if fam.parametric else None
+    poset, support = fam.build(n)
+    if support is None:
+        form = _searched_form(block_id)
     else:
-        n = None
-    if block_id in _SIX_BLOCKS:
-        return _make_six(block_id)
-    if block_id in _SEARCHED_POSETS:
-        poset = _SEARCHED_POSETS[block_id](n)
-        if block_id in _PARAMETRIC_SUPPORTS:
-            form = OneForm.from_support(poset, _PARAMETRIC_SUPPORTS[block_id](n))
-        else:
-            form = _searched_form(block_id, 0)
-        return BuildingBlock(block_id, "toral", poset, form, _roles_for(poset), n)
-    if block_id in _CONTACT_FIXED:
-        poset, support = _CONTACT_FIXED[block_id]
         form = OneForm.from_support(poset, support)
-        return BuildingBlock(block_id, "contact", poset, form, _roles_for(poset))
-    poset, support = _CONTACT_PARAMETRIC[block_id](n)
-    form = OneForm.from_support(poset, support)
-    return BuildingBlock(block_id, "contact", poset, form, _roles_for(poset), n)
+    return BuildingBlock(block_id, fam.kind, poset, form, _roles_for(poset), n)
 
 
 # ----- pair verification ------------------------------------------------------
@@ -561,7 +462,7 @@ def verify_toral_pair(poset, form):
     return PairReport("toral", conditions, details)
 
 
-def verify_contact_toral_pair(poset, form, trials=5, seed=0):
+def verify_contact_toral_pair(poset, form):
     """Itemized check of the contact building-block conditions."""
     conditions = {}
     details = {}
@@ -580,7 +481,7 @@ def verify_contact_toral_pair(poset, form, trials=5, seed=0):
     details["partition"] = {"up": sorted(u), "down": sorted(d), "other": sorted(o)}
     conditions["cf4_extremal_edges"] = ext.rel_e <= stripped.strict_support
     gA = build_gA(poset)
-    res = is_contact_form(gA, form, trials=trials, seed=seed)
+    res = is_contact_form(gA, form)
     conditions["contact"] = res.is_contact
     details["contact"] = res.reason
     if res.kernel is not None:
@@ -590,10 +491,12 @@ def verify_contact_toral_pair(poset, form, trials=5, seed=0):
     return PairReport("contact", conditions, details)
 
 
-def verify_block(blk, trials=5, seed=0):
+def verify_block(blk, seed=0):
+    """Pair verification by the block's kind; both verifiers are exact,
+    so ``seed`` is accepted for callers and not read."""
     if blk.kind == "toral":
         return verify_toral_pair(blk.poset, blk.form)
-    return verify_contact_toral_pair(blk.poset, blk.form, trials=trials, seed=seed)
+    return verify_contact_toral_pair(blk.poset, blk.form)
 
 
 def search_contact_form(poset, trials=5, seed=0):
@@ -602,8 +505,9 @@ def search_contact_form(poset, trials=5, seed=0):
     The same spanning-tree search as the Frobenius one, over
     every support S oriented from an ideal to its complementary filter
     and covering all extremal relations; S is accepted when the exact
-    trace-zero kernel of dφ is one-dimensional and the form does not
-    vanish on its generator. The search is exhaustive, with no cap on
+    ``is_contact_form`` accepts E*_{1,1} + φ_S (a one-dimensional
+    trace-zero kernel of dφ on whose generator the form does not
+    vanish). The search is exhaustive, with no cap on
     the number of supports tried; callers bound the poset size instead
     (the CLI's ``SEARCH_SIZE_CAP``).
     """
@@ -615,8 +519,7 @@ def search_contact_form(poset, trials=5, seed=0):
 
     def contact(support):
         phi = OneForm.from_support(poset, list(support) + [(1, 1)])
-        rep = kernel(gA, phi)
-        return rep.dimension == 1 and phi.evaluate(gA.element(rep.vectors[0])) != 0
+        return is_contact_form(gA, phi).is_contact
 
     best = _least_tree_support(poset, contact)
     return None if best is None else OneForm.from_support(poset, list(best) + [(1, 1)])

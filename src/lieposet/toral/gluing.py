@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from ..algebras import build_gA
 from ..forms import ContactResult, OneForm, index
 from ..posets import Poset, is_forest
-from .blocks import block
+from .blocks import block, family
 
 
 class GlueError(ValueError):
@@ -144,6 +144,11 @@ class ScriptStep:
     def block(self):
         return block(self.block_id, self.n)
 
+    @property
+    def kind(self):
+        """The block's kind, read from its catalog row without building it."""
+        return family(self.block_id, self.n).kind
+
     def to_json(self):
         data = {"block": {"id": self.block_id}}
         if self.n is not None:
@@ -196,7 +201,7 @@ class ConstructionScript:
         return cls(steps)
 
     def contact_block_count(self):
-        return sum(1 for s in self.steps if s.block().kind == "contact")
+        return sum(1 for s in self.steps if s.kind == "contact")
 
     def rules_used(self):
         return [s.rule for s in self.steps[1:]]
@@ -272,13 +277,11 @@ def run_script(script, build_form=True):
     """
     steps = script.steps
     first_blk = steps[0].block()
-    if build_form:
-        for step in steps[1:]:
-            if step.block().kind == "contact":
-                raise ScriptError(
-                    "form building places the contact block first; later steps "
-                    "must glue Frobenius blocks"
-                )
+    if build_form and any(step.kind == "contact" for step in steps[1:]):
+        raise ScriptError(
+            "form building places the contact block first; later steps "
+            "must glue Frobenius blocks"
+        )
     poset = first_blk.poset
     form = first_blk.form if build_form else None
     audits = [

@@ -7,9 +7,13 @@ from lieposet.forms import OneForm, in_kernel, kernel
 from lieposet.posets import Poset
 from lieposet.toral import (
     BlockError,
+    ConstructionScript,
+    ScriptStep,
     block,
     catalog,
     derive_small_frobenius_form,
+    family,
+    is_contact_sequence,
     verify_contact_toral_pair,
     verify_toral_pair,
 )
@@ -27,14 +31,34 @@ def test_catalog_listing():
 
 
 def test_block_parameter_validation():
-    with pytest.raises(BlockError):
-        block("nope")
-    with pytest.raises(BlockError):
-        block("contact_pendant_high")  # missing n
-    with pytest.raises(BlockError):
-        block("contact_pendant_high", 4)  # below range
-    with pytest.raises(BlockError):
-        block("pendant_chain", 99)
+    bad = [
+        ("nope", None),  # unknown id
+        ("contact_pendant_high", None),  # missing n
+        ("contact_pendant_high", 4),  # below range
+        ("pendant_chain", 99),  # above range
+    ]
+    for block_id, n in bad:
+        with pytest.raises(BlockError) as from_family:
+            family(block_id, n)
+        with pytest.raises(BlockError) as from_block:
+            block(block_id, n)
+        assert str(from_block.value) == str(from_family.value)
+        script = ConstructionScript([
+            ScriptStep(block_id="contact_chain3"),
+            ScriptStep(block_id=block_id, n=n, rule="A1", identify=(("a1", 3),)),
+        ])
+        with pytest.raises(BlockError):
+            is_contact_sequence(script)
+
+
+def test_family_rows_give_the_block_kind():
+    # one table: the kind read off a row is the kind of the built block
+    for fam in catalog():
+        assert fam.parametric == (fam.n_range is not None)
+        sizes = range(fam.n_range[0], fam.n_range[1] + 1) if fam.parametric else [None]
+        for n in sizes:
+            assert family(fam.id, n) is fam
+            assert family(fam.id, n).kind == block(fam.id, n).kind, (fam.id, n)
 
 
 def test_contact_chain3_block():
@@ -121,10 +145,8 @@ def test_toral_parametric_families_verify(fam_id, ns):
     ],
 )
 def test_catalog_forms_match_search(fam_id, ns):
-    from lieposet.toral.blocks import _SEARCHED_POSETS
-
     for n in ns:
-        poset = _SEARCHED_POSETS[fam_id](n)
+        poset = block(fam_id, n).poset
         derived = derive_small_frobenius_form(poset)
         assert derived is not None
         assert block(fam_id, n).form.support == derived.support, (fam_id, n)

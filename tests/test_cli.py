@@ -331,12 +331,15 @@ def test_classify_contact_larger_first_kernel_defers_to_sampled_index(monkeypatc
 
 def test_verify_catalog_flags_corrupted_entry(tmp_path, monkeypatch):
     # tamper with one block's form and expect a named condition failure
+    import dataclasses
+
     import lieposet.toral.blocks as blocks_mod
 
-    good = dict(blocks_mod._SIX_BLOCKS)
-    covers, support = good["six_a"]
-    good["six_a"] = (covers, support[:-1] + [(4, 6)])  # break the split
-    monkeypatch.setattr(blocks_mod, "_SIX_BLOCKS", good)
+    row = blocks_mod._FAMILIES["six_a"]
+    poset, support = row.build(None)
+    broken = support[:-1] + [(4, 6)]  # break the split
+    tampered = dataclasses.replace(row, build=lambda n: (poset, broken))
+    monkeypatch.setitem(blocks_mod._FAMILIES, "six_a", tampered)
     out = tmp_path / "catalog.json"
     assert main(["verify-catalog", "--n-range", "5", "5", "--json-out", str(out)]) == 1
     report = json.loads(out.read_text())

@@ -148,6 +148,30 @@ def test_script_json_roundtrip():
     assert back == script
 
 
+def test_script_builds_each_block_once(monkeypatch):
+    import lieposet.toral.gluing as gluing_mod
+
+    scripts = [
+        random_toral_script(seed=s, length=4, allow_contact=True, rule_pool=CONTACT_RULES)
+        for s in range(4)
+    ]
+    scripts += [random_toral_script(seed=s, length=4) for s in range(4)]
+    real_block = gluing_mod.block
+    calls = []
+
+    def counted(block_id, n=None):
+        calls.append((block_id, n))
+        return real_block(block_id, n)
+
+    monkeypatch.setattr(gluing_mod, "block", counted)
+    for script in scripts:
+        calls.clear()
+        contact = is_contact_sequence(script)
+        result = run_script(script, build_form=contact)
+        index_formula(result.poset, script)
+        assert calls == [(s.block_id, s.n) for s in script.steps]
+
+
 def test_is_contact_sequence():
     good = script_of(
         ("contact_fork", None),
