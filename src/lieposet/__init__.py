@@ -20,12 +20,10 @@ from .forms import (
     NotFrobeniusError,
     OneForm,
     dphi_matrix,
-    form_graph,
     index,
     is_binary_spectrum,
     is_contact_form,
     is_contact_form_volume,
-    is_regular,
     is_small,
     kernel,
     principal_element,

@@ -75,7 +75,7 @@ def _load_poset(path):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def analyze(poset, form=None, seed=0, trials=5, search_forms=True):
+def analyze(poset, form=None, seed=0, trials=5):
     """Full analysis report as a JSON-ready dict; no bare verdicts."""
     ext = poset.extremal_data()
     g = build_g(poset)
@@ -134,26 +134,25 @@ def analyze(poset, form=None, seed=0, trials=5, search_forms=True):
             report["spectrum"] = [str(c) for c in spectrum(gA, form)]
         report["toral_pair_check"] = verify_toral_pair(poset, form).to_json()
         report["contact_pair_check"] = verify_contact_toral_pair(poset, form).to_json()
-    elif search_forms and poset.n > SEARCH_SIZE_CAP:
+    elif poset.n > SEARCH_SIZE_CAP:
         report["note"] = (
             f"form search skipped: poset has more than {SEARCH_SIZE_CAP} elements"
         )
-    elif search_forms:
-        if gA.dim % 2 == 0 and ind == 0:
-            found = derive_small_frobenius_form(poset)
-            report["frobenius_search"] = {
-                "verdict": found is not None,
-                "certificate": None if found is None else found.to_json(),
-            }
-        elif gA.dim % 2 == 1 and ind == 1 and "contact" not in report:
-            found = search_contact_form(poset, seed=seed)
-            report["contact"] = {
-                "verdict": found is not None,
-                "certificate": {
-                    "criterion": "spanning-tree contact form search",
-                    "form": None if found is None else found.to_json(),
-                },
-            }
+    elif gA.dim % 2 == 0 and ind == 0:
+        found = derive_small_frobenius_form(poset)
+        report["frobenius_search"] = {
+            "verdict": found is not None,
+            "certificate": None if found is None else found.to_json(),
+        }
+    elif gA.dim % 2 == 1 and ind == 1 and "contact" not in report:
+        found = search_contact_form(poset, seed=seed)
+        report["contact"] = {
+            "verdict": found is not None,
+            "certificate": {
+                "criterion": "spanning-tree contact form search",
+                "form": None if found is None else found.to_json(),
+            },
+        }
     return report
 
 

@@ -1,9 +1,9 @@
 """One-forms on (type-A) Lie poset algebras and their dφ analysis.
 
 The skew form dφ(x, y) = -φ([x, y]) drives everything here: kernels in
-the full and trace-zero algebras, the sampled index, regularity,
-Frobenius and contact decisions, principal elements and spectra, and
-the support-graph combinatorics (small forms, sink/source partition).
+the full and trace-zero algebras, the sampled index, Frobenius and
+contact decisions, principal elements and spectra, and the
+support-graph combinatorics (small forms, sink/source partition).
 """
 
 from __future__ import annotations
@@ -78,13 +78,6 @@ class OneForm:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, Fraction(0)) + c
-        return OneForm(self.poset, out)
-
-    def __sub__(self, other):
-        self._compatible(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) - c
         return OneForm(self.poset, out)
 
     def subtract_pair(self, p, q, amount=1):
@@ -286,11 +279,11 @@ def in_kernel(algebra, form_or_values, elem):
     return True
 
 
-def index(algebra, trials=INDEX_TRIALS, seed=0, coeff_bound=INDEX_COEFF_BOUND):
+def index(algebra, trials=INDEX_TRIALS, seed=0):
     """Sampled index: the least corank of dφ over random integer forms.
 
     Each trial is a Schwartz-Zippel trial: φ takes coefficients uniform
-    in [1, coeff_bound] on the basis, and dφ's rank is computed over
+    in [1, INDEX_COEFF_BOUND] on the basis, and dφ's rank is computed over
     GF(2^61 - 1) by the sparse elimination of ``linalg.rank_mod_p``,
     which suits dφ's few nonzeros. Over Q the rank mod p is at most the
     exact rank, so a trial's corank is at least the exact corank of its
@@ -312,17 +305,12 @@ def index(algebra, trials=INDEX_TRIALS, seed=0, coeff_bound=INDEX_COEFF_BOUND):
     parity_floor = n % 2
     best = n
     for _ in range(trials):
-        values = [rng.randint(1, coeff_bound) for _ in range(n)]
+        values = [rng.randint(1, INDEX_COEFF_BOUND) for _ in range(n)]
         rows, _ = _dphi_rows(algebra, values)
         best = min(best, n - linalg.rank_mod_p(rows, n))
         if best == parity_floor:
             break
     return best
-
-
-def is_regular(algebra, form_or_values, trials=INDEX_TRIALS, seed=0):
-    report = kernel(algebra, form_or_values)
-    return report.dimension == index(algebra, trials=trials, seed=seed)
 
 
 @dataclass
@@ -430,30 +418,17 @@ def spectrum(algebra, form_or_values):
     return coeffs
 
 
-@dataclass(frozen=True)
-class FormGraph:
-    edges: frozenset  # directed (p, q) strict support pairs
-    sinks: frozenset
-    sources: frozenset
-    interior: frozenset  # neither pure sink nor pure source
-
-
-def form_graph(poset, form):
-    edges = form.strict_support
-    has_in = {p: False for p in poset.elements}
-    has_out = {p: False for p in poset.elements}
-    for p, q in edges:
-        has_out[p] = True
-        has_in[q] = True
-    sinks = frozenset(p for p in poset.elements if has_in[p] and not has_out[p])
-    sources = frozenset(p for p in poset.elements if has_out[p] and not has_in[p])
-    interior = frozenset(p for p in poset.elements if p not in sinks and p not in sources)
-    return FormGraph(frozenset(edges), sinks, sources, interior)
-
-
 def udo_partition(poset, form):
-    g = form_graph(poset, form)
-    return g.sinks, g.sources, g.interior
+    """(sinks, sources, interior) of the directed strict-support graph.
+
+    Interior elements are neither pure sinks nor pure sources.
+    """
+    heads = {q for _, q in form.strict_support}
+    tails = {p for p, _ in form.strict_support}
+    sinks = frozenset(p for p in poset.elements if p in heads and p not in tails)
+    sources = frozenset(p for p in poset.elements if p in tails and p not in heads)
+    interior = frozenset(p for p in poset.elements if p not in sinks and p not in sources)
+    return sinks, sources, interior
 
 
 def is_small(poset, form):

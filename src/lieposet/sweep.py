@@ -25,6 +25,7 @@ from .toral.gluing import (
 )
 
 SWEEP_MAX_N = 8
+WITNESS_ATTEMPTS = 60
 
 
 def enumerate_posets(max_n, connected_only=True):
@@ -50,7 +51,7 @@ def enumerate_posets(max_n, connected_only=True):
     return out
 
 
-def classify_contact(poset, seed=0, trials=5, witness_attempts=60):
+def classify_contact(poset, seed=0, trials=5):
     """(verdict, reason, witness-or-None); empirical, never a proof.
 
     The index check comes after the first witness kernel: in odd
@@ -73,7 +74,7 @@ def classify_contact(poset, seed=0, trials=5, witness_attempts=60):
     rng = random.Random(seed)
     strict_idx = [i for i, lab in enumerate(gA.labels) if lab[0] == "e"]
     diag_idx = [i for i, lab in enumerate(gA.labels) if lab[0] == "h"]
-    for attempt in range(witness_attempts):
+    for attempt in range(WITNESS_ATTEMPTS):
         values = [Fraction(0)] * d
         for i in strict_idx:
             values[i] = Fraction(rng.randint(1, 1 << 16))

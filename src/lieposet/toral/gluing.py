@@ -2,15 +2,22 @@
 
 A glue step merges extremal vertices of a block into extremal vertices
 of the accumulated poset (minimal with minimal, maximal with maximal),
-validated against the twelve-rule table. Scripts replay ordered steps,
-build the inductive one-form (add the block form, subtract each merged
-extremal edge once), and keep a full audit in final labels.
+validated against the twelve-rule table. Listing a step's candidates
+draws distinct targets from the minimal or maximal elements on each
+role's side, so a candidate is valid by construction except for the
+rule's relatedness condition, the only check the listing makes. Scripts
+replay ordered steps, build the inductive one-form (add the block form,
+subtract each merged extremal edge once), and keep a full audit in final
+labels: each step's spec and poset, its relabeling and its map to the
+final labels.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import product
 
 from ..algebras import build_gA
 from ..forms import ContactResult, OneForm, index
@@ -75,7 +82,6 @@ def _validate_glue(q_poset, blk, rule_name, identify):
     targets = list(identify.values())
     if len(set(targets)) != len(targets):
         raise GlueError("identification targets must be distinct")
-    ext_q = q_poset.extremal_data()
     for role, target in identify.items():
         if role not in blk.roles:
             raise GlueError(f"block {blk.id} has no role {role}")
@@ -88,21 +94,14 @@ def _validate_glue(q_poset, blk, rule_name, identify):
                 f"rule {rule_name}: role {role} is {side}imal in the block but "
                 f"target {target} is not {side}imal in the accumulated poset"
             )
-        if target not in ext_q.ext:
-            raise GlueError(f"target {target} is not extremal in the accumulated poset")
-    if rule.related:
-        x = identify.get("c")
-        if x is None:
-            raise GlueError(f"rule {rule_name} requires the c role to be identified")
-        for role, wanted in rule.related.items():
-            y = identify[role]
-            actual = q_poset.related(x, y)
-            if actual != wanted:
-                kind = "related" if wanted else "unrelated"
-                raise GlueError(
-                    f"rule {rule_name}: target of {role} must be {kind} to the "
-                    f"target of c in the accumulated poset"
-                )
+    # every rule with a relatedness condition identifies c
+    for role, wanted in rule.related.items():
+        if q_poset.related(identify["c"], identify[role]) != wanted:
+            kind = "related" if wanted else "unrelated"
+            raise GlueError(
+                f"rule {rule_name}: target of {role} must be {kind} to the "
+                f"target of c in the accumulated poset"
+            )
     return rule, identify
 
 
@@ -217,29 +216,26 @@ def is_contact_sequence(script):
 @dataclass
 class StepAudit:
     step: int
-    block_id: str
-    block_n: int | None
-    rule: str | None
-    identify: dict
+    spec: ScriptStep
+    poset: Poset  # accumulated poset after this step, own labels
     added: list = field(default_factory=list)  # summand pairs, final labels
     subtracted: list = field(default_factory=list)
     block_map: dict = field(default_factory=dict)  # intrinsic -> final labels
-    poset_size: int = 0
-    poset: dict | None = None  # accumulated poset after this step, own labels
     relabel: dict = field(default_factory=dict)  # previous step labels -> this step
     to_final: dict = field(default_factory=dict)  # this step's labels -> final labels
 
     def to_json(self):
+        spec = self.spec
         return {
             "step": self.step,
-            "block": {"id": self.block_id, **({"n": self.block_n} if self.block_n else {})},
-            "rule": self.rule,
-            "identify": dict(self.identify),
+            "block": {"id": spec.block_id, **({"n": spec.n} if spec.n else {})},
+            "rule": spec.rule,
+            "identify": dict(spec.identify),
             "added_summands": [list(p) for p in sorted(self.added)],
             "subtracted_summands": [list(p) for p in sorted(self.subtracted)],
             "block_to_final": {str(k): v for k, v in sorted(self.block_map.items())},
-            "poset_size": self.poset_size,
-            "poset": self.poset,
+            "poset_size": self.poset.n,
+            "poset": self.poset.to_json(),
             "relabel": {str(k): v for k, v in sorted(self.relabel.items())},
             "to_final": {str(k): v for k, v in sorted(self.to_final.items())},
         }
@@ -250,9 +246,7 @@ class ScriptResult:
     poset: Poset
     form: OneForm | None
     audits: list
-    prefix_posets: list  # accumulated poset after each step, in step labels
     prefix_forms: list  # built form after each step (step labels), or None
-    q_maps: list  # per step i>=1: labels of step i-1 -> labels of step i
 
     def audit_json(self):
         return {
@@ -287,23 +281,16 @@ def run_script(script, build_form=True):
     audits = [
         StepAudit(
             step=1,
-            block_id=steps[0].block_id,
-            block_n=steps[0].n,
-            rule=None,
-            identify={},
+            spec=steps[0],
+            poset=poset,
             added=sorted(first_blk.form.support),
             block_map={p: p for p in poset.elements},
-            poset_size=poset.n,
-            poset=poset.to_json(),
         )
     ]
-    prefix_posets = [poset]
     prefix_forms = [form]
-    q_maps = []
     for idx, step in enumerate(steps[1:], start=2):
         blk = step.block()
-        identify = dict(step.identify)
-        result = glue(poset, blk, step.rule, identify)
+        result = glue(poset, blk, step.rule, dict(step.identify))
         added = []
         subtracted = []
         if build_form:
@@ -324,45 +311,37 @@ def run_script(script, build_form=True):
                 bad = {k: str(v) for k, v in new_form.coeffs.items() if v not in (0, 1)}
                 raise ScriptError(f"built form left coefficients other than one: {bad}")
             form = new_form
+        poset = result.poset
         audits.append(
             StepAudit(
                 step=idx,
-                block_id=step.block_id,
-                block_n=step.n,
-                rule=step.rule,
-                identify=identify,
+                spec=step,
+                poset=poset,
                 added=added,
                 subtracted=subtracted,
-                block_map=dict(result.s_map),
-                poset_size=result.poset.n,
-                poset=result.poset.to_json(),
-                relabel=dict(result.q_map),
+                block_map=result.s_map,
+                relabel=result.q_map,
             )
         )
-        poset = result.poset
-        prefix_posets.append(poset)
         prefix_forms.append(form)
-        q_maps.append(dict(result.q_map))
-    result = ScriptResult(poset, form, audits, prefix_posets, prefix_forms, q_maps)
-    _finalize_audit_labels(result)
-    return result
+    _finalize_audit_labels(audits)
+    return ScriptResult(poset, form, audits, prefix_forms)
 
 
-def _finalize_audit_labels(result):
-    """Rewrite audit summands and block maps into final poset labels."""
-    n_steps = len(result.audits)
-    forward = [dict() for _ in range(n_steps)]
-    for i in range(n_steps):
-        acc = {p: p for p in result.prefix_posets[i].elements}
-        for qmap in result.q_maps[i:]:
-            acc = {k: qmap[v] for k, v in acc.items()}
-        forward[i] = acc
-    for i, audit in enumerate(result.audits):
-        fwd = forward[i]
-        audit.added = [(fwd[p], fwd[q]) for p, q in audit.added]
-        audit.subtracted = [(fwd[p], fwd[q]) for p, q in audit.subtracted]
-        audit.block_map = {k: fwd[v] for k, v in audit.block_map.items()}
-        audit.to_final = dict(fwd)
+def _finalize_audit_labels(audits):
+    """Rewrite audit summands and block maps into final poset labels.
+
+    One backward pass: the last step's labels are final, and each earlier
+    step's map to them is its successor's ``relabel`` followed by the
+    successor's map.
+    """
+    to_final = {p: p for p in audits[-1].poset.elements}
+    for audit in reversed(audits):
+        audit.added = [(to_final[p], to_final[q]) for p, q in audit.added]
+        audit.subtracted = [(to_final[p], to_final[q]) for p, q in audit.subtracted]
+        audit.block_map = {k: to_final[v] for k, v in audit.block_map.items()}
+        audit.to_final = to_final
+        to_final = {p: to_final[q] for p, q in audit.relabel.items()}
 
 
 def index_formula(poset, script):
@@ -438,33 +417,28 @@ _RANDOM_CONTACT_POOL = (
 
 
 def _valid_identifications(q_poset, blk, rule_name):
+    """Every identification ``glue`` accepts under a rule, in lexicographic order.
+
+    Each role draws its target from the accumulated poset's minimal or
+    maximal elements on that role's side, and no target repeats, so a
+    candidate is valid by construction except for the rule's relatedness
+    condition, which is the one check made here.
+    """
     rule = RULES[rule_name]
     if "a2" in rule.identified and "a2" not in blk.roles:
         return []
-    out = []
     roles = sorted(rule.identified)
-    pools = []
-    for role in roles:
-        side = blk.role_side(role)
-        pool = q_poset.minimal_elements if side == "min" else q_poset.maximal_elements
-        pools.append(sorted(pool))
-
-    def assign(i, current):
-        if i == len(roles):
-            try:
-                _validate_glue(q_poset, blk, rule_name, dict(current))
-            except GlueError:
-                return
-            out.append(dict(current))
-            return
-        for target in pools[i]:
-            if target in current.values():
-                continue
-            current[roles[i]] = target
-            assign(i + 1, current)
-            del current[roles[i]]
-
-    assign(0, {})
+    sides = {"min": sorted(q_poset.minimal_elements), "max": sorted(q_poset.maximal_elements)}
+    out = []
+    for targets in product(*(sides[blk.role_side(role)] for role in roles)):
+        if len(set(targets)) < len(targets):
+            continue
+        identify = dict(zip(roles, targets))
+        if all(
+            q_poset.related(identify["c"], identify[role]) == wanted
+            for role, wanted in rule.related.items()
+        ):
+            out.append(identify)
     return out
 
 
@@ -481,14 +455,15 @@ def random_toral_script(
     rng = random.Random(seed)
     rules = sorted(rule_pool) if rule_pool else sorted(RULES)
     first_pool = _RANDOM_CONTACT_POOL if allow_contact else _RANDOM_TORAL_POOL
+    pool_block = cache(block)  # one build per (id, n) in this draw
     bid, bn = first_pool[rng.randrange(len(first_pool))]
     steps = [ScriptStep(block_id=bid, n=bn)]
-    poset = block(bid, bn).poset
+    poset = pool_block(bid, bn).poset
     for _ in range(length - 1):
         placed = False
         for _attempt in range(60):
             bid, bn = _RANDOM_TORAL_POOL[rng.randrange(len(_RANDOM_TORAL_POOL))]
-            blk = block(bid, bn)
+            blk = pool_block(bid, bn)
             rule_name = rules[rng.randrange(len(rules))]
             options = _valid_identifications(poset, blk, rule_name)
             if not options:

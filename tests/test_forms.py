@@ -11,14 +11,12 @@ from lieposet.forms import (
     OneForm,
     ad_weights,
     dphi_matrix,
-    form_graph,
     functional_on_basis,
     in_kernel,
     index,
     is_binary_spectrum,
     is_contact_form,
     is_contact_form_volume,
-    is_regular,
     is_small,
     kernel,
     phi_on_basis,
@@ -251,14 +249,6 @@ def test_dphi_rows_scaling_keeps_exact_answers():
     values = functional_on_basis(alg, [1, Fraction(2, 3), 5])
     assert kernel(alg, values).vectors == linalg.kernel_basis(dphi_matrix(alg, values))
     assert index(alg) == 1
-
-
-def test_is_regular():
-    gA = build_gA(SIX_A)
-    assert is_regular(gA, PHI_SIX_A)
-    zero = OneForm(SIX_A, {})
-    assert not is_regular(gA, zero)
-    assert is_regular(build_gA(CHAIN4), PHI_CHAIN4)
 
 
 def test_contact_chain4():
@@ -498,5 +488,4 @@ def test_empty_support_not_small():
 
 def test_form_graph_interior_detected():
     phi = OneForm.from_support(CHAIN3, [(1, 2), (2, 3)])
-    g = form_graph(CHAIN3, phi)
-    assert g.interior == {2}
+    assert udo_partition(CHAIN3, phi)[2] == {2}

@@ -475,7 +475,8 @@ def test_prefix_forms_satisfy_contact_conditions():
         ("chain2", None, "C", {"c": 1}),
     )
     result = run_script(script)
-    for poset, form in zip(result.prefix_posets, result.prefix_forms):
+    for audit, form in zip(result.audits, result.prefix_forms):
+        poset = audit.poset
         rep = verify_contact_toral_pair(poset, form)
         for name in (
             "cf1_diagonal_at_one",
@@ -539,3 +540,58 @@ def test_reach_size_prune_matches_gluing_everything():
 def test_reach_counts():
     counts = [len(reachable_contact_posets(n)) for n in range(1, 8)]
     assert counts == [0, 0, 1, 4, 15, 60, 253]
+
+
+def test_valid_identifications_match_the_validator():
+    # the listing checks only relatedness; every other condition holds by
+    # construction, so it must list exactly the assignments glue accepts
+    from itertools import product
+
+    from lieposet.toral.gluing import _RANDOM_TORAL_POOL, RULES, _validate_glue
+
+    cases = nonempty = 0
+    for poset in reachable_contact_posets(5).values():
+        for bid, n in _RANDOM_TORAL_POOL:
+            blk = block(bid, n)
+            for rule in sorted(RULES):
+                roles = sorted(RULES[rule].identified)
+                accepted = []
+                for targets in product(poset.elements, repeat=len(roles)):
+                    identify = dict(zip(roles, targets))
+                    try:
+                        _validate_glue(poset, blk, rule, identify)
+                    except GlueError:
+                        continue
+                    accepted.append(identify)
+                listed = _valid_identifications(poset, blk, rule)
+                assert listed == accepted, (poset, bid, n, rule)
+                cases += 1
+                nonempty += bool(listed)
+    assert (cases, nonempty) == (2520, 1387)
+
+
+def _forward_to_final(audits, i):
+    """Step i's labels pushed through every later relabel, one at a time."""
+    acc = {p: p for p in audits[i].poset.elements}
+    for later in audits[i + 1:]:
+        acc = {k: later.relabel[v] for k, v in acc.items()}
+    return acc
+
+
+def test_to_final_is_the_composed_relabeling():
+    for seed in range(240):
+        contact = seed % 2 == 0
+        script = random_toral_script(
+            seed=seed,
+            length=1 + seed % 6,
+            allow_contact=contact,
+            rule_pool=CONTACT_RULES if contact else None,
+            max_dim=60,
+        )
+        result = run_script(script, build_form=contact)
+        audits = result.audits
+        assert audits[-1].to_final == {p: p for p in result.poset.elements}, seed
+        for i, audit in enumerate(audits):
+            assert audit.to_final == _forward_to_final(audits, i), (seed, i)
+            mapped = {(audit.to_final[p], audit.to_final[q]) for p, q in audit.poset.relations}
+            assert mapped <= result.poset.relations, (seed, i)
