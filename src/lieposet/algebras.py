@@ -14,6 +14,10 @@ from fractions import Fraction
 
 from .linalg import RatMatrix, ShapeError
 
+JACOBI_EXHAUSTIVE_LIMIT = 40
+JACOBI_SAMPLES = 400
+JACOBI_SEED = 0
+
 
 class JacobiError(ValueError):
     """A custom bracket table fails the Jacobi identity."""
@@ -71,9 +75,6 @@ class LieAlgebra:
         vec[i] = Fraction(1)
         return self.element(vec)
 
-    def zero(self):
-        return self.element([Fraction(0)] * self.dim)
-
     def ad_matrix(self, elem):
         """Matrix of [a, -]; column j holds the coordinates of [a, b_j]."""
         vec = elem.vec if isinstance(elem, AlgebraElement) else elem
@@ -103,10 +104,11 @@ class LieAlgebra:
                     total[out] = total.get(out, Fraction(0)) + cm * co
         return {k2: v for k2, v in total.items() if v}
 
-    def check_jacobi(self, exhaustive_limit=40, samples=400, seed=0):
-        """Exhaustive over basis triples up to the limit, randomized above."""
+    def check_jacobi(self):
+        """First basis triple failing Jacobi, or None; exhaustive up to the
+        limit, seeded random samples above it."""
         n = self.dim
-        if n <= exhaustive_limit:
+        if n <= JACOBI_EXHAUSTIVE_LIMIT:
             triples = (
                 (i, j, k)
                 for i in range(n)
@@ -114,9 +116,9 @@ class LieAlgebra:
                 for k in range(j + 1, n)
             )
         else:
-            rng = random.Random(seed)
+            rng = random.Random(JACOBI_SEED)
             triples = (
-                tuple(sorted(rng.sample(range(n), 3))) for _ in range(samples)
+                tuple(sorted(rng.sample(range(n), 3))) for _ in range(JACOBI_SAMPLES)
             )
         for t in triples:
             if self.jacobi_defect(*t):
@@ -133,16 +135,9 @@ class AlgebraElement:
         self._same(other)
         return AlgebraElement(self.algebra, tuple(a + b for a, b in zip(self.vec, other.vec)))
 
-    def __sub__(self, other):
-        self._same(other)
-        return AlgebraElement(self.algebra, tuple(a - b for a, b in zip(self.vec, other.vec)))
-
     def __rmul__(self, scalar):
         c = Fraction(scalar)
         return AlgebraElement(self.algebra, tuple(c * a for a in self.vec))
-
-    def __neg__(self):
-        return Fraction(-1) * self
 
     def is_zero(self):
         return all(x == 0 for x in self.vec)

@@ -122,7 +122,7 @@ def analyze(poset, form=None, seed=0, trials=5):
             "verdict": frobenius,
             "certificate": rep.to_json(),
         }
-        contact_res = is_contact_form(gA, form, trials=trials, seed=seed)
+        contact_res = is_contact_form(gA, form)
         report["contact_form"] = {
             "verdict": contact_res.is_contact,
             "certificate": {
@@ -145,7 +145,7 @@ def analyze(poset, form=None, seed=0, trials=5):
             "certificate": None if found is None else found.to_json(),
         }
     elif gA.dim % 2 == 1 and ind == 1 and "contact" not in report:
-        found = search_contact_form(poset, seed=seed)
+        found = search_contact_form(poset)
         report["contact"] = {
             "verdict": found is not None,
             "certificate": {
@@ -194,7 +194,7 @@ def cmd_verify_catalog(args):
     results = []
     failed = []
     for blk in catalog_blocks((lo, hi)):
-        rep = verify_block(blk, seed=args.seed)
+        rep = verify_block(blk)
         entry = {
             "block": blk.id,
             "n": blk.n,
@@ -241,7 +241,7 @@ def cmd_build(args):
             out["index"] = ind
             print(f"index: {ind}")
         else:
-            res = is_contact_form(gA, result.form, seed=args.seed, trials=args.trials)
+            res = is_contact_form(gA, result.form)
             out["contact"] = {
                 "verdict": res.is_contact,
                 "reason": res.reason,
@@ -267,8 +267,11 @@ def cmd_glue(args):
     if args.identify:
         for item in args.identify.split(","):
             role, _, label = item.partition("=")
+            role = role.strip()
+            if role in identify:
+                raise InputError(f"role {role!r} appears twice in --identify")
             try:
-                identify[role.strip()] = int(label)
+                identify[role] = int(label)
             except ValueError:
                 raise InputError(f"bad identify entry {item!r}; use role=label") from None
     blk = block(args.block, args.n)
@@ -318,9 +321,13 @@ def _emit_json(args, payload):
 
 
 def _add_common(parser):
+    parser.add_argument("--json-out", metavar="PATH", help="write the JSON mirror here")
+
+
+def _add_sampling(parser):
+    """Flags of the commands that call the sampled ``index``."""
     parser.add_argument("--seed", type=int, default=0, help="index sampling seed")
     parser.add_argument("--trials", type=int, default=5, help="index sampling trials")
-    parser.add_argument("--json-out", metavar="PATH", help="write the JSON mirror here")
 
 
 def build_parser():
@@ -333,6 +340,7 @@ def build_parser():
     p = sub.add_parser("analyze", help="analyze a poset (and optional one-form)")
     p.add_argument("poset", help="poset JSON file")
     p.add_argument("--form", help="one-form JSON file")
+    _add_sampling(p)
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -353,6 +361,7 @@ def build_parser():
     p.add_argument("--check-contact", action="store_true")
     p.add_argument("--audit", action="store_true", help="include the step audit")
     p.add_argument("--dot-out", metavar="PATH", help="write the Hasse diagram DOT here")
+    _add_sampling(p)
     _add_common(p)
     p.set_defaults(func=cmd_build)
 
@@ -367,6 +376,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="empirical conjecture sweep over small posets")
     p.add_argument("--max-n", type=int, required=True)
+    _add_sampling(p)
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -383,7 +393,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.trials < 1:
+        if "trials" in args and args.trials < 1:
             raise InputError(f"--trials must be at least 1, got {args.trials}")
         return args.func(args)
     except (InputError, PosetError, FormError, BlockError, GlueError, ScriptError) as exc:

@@ -250,17 +250,11 @@ class KernelReport:
         }
 
 
-def kernel(algebra, form_or_values, restrict_to_gA=False):
-    """Exact kernel of dφ; optionally intersected with the trace-zero part."""
+def kernel(algebra, form_or_values):
+    """Exact kernel of dφ."""
     rows, _ = _dphi_rows(algebra, _as_values(algebra, form_or_values))
-    if restrict_to_gA:
-        if not isinstance(algebra, PosetLieAlgebra) or algebra.kind != "g":
-            raise ShapeError("trace restriction applies to full poset algebras")
-        rows.append({i: 1 for i, lab in enumerate(algebra.labels) if lab[0] == "d"})
     basis = linalg.int_kernel_basis(rows, algebra.dim)
-    space = "custom"
-    if isinstance(algebra, PosetLieAlgebra):
-        space = "gA" if (algebra.kind == "gA" or restrict_to_gA) else "g"
+    space = algebra.kind if isinstance(algebra, PosetLieAlgebra) else "custom"
     return KernelReport(space, len(basis), basis, algebra)
 
 
@@ -332,7 +326,8 @@ def is_contact_form(algebra, form_or_values, trials=INDEX_TRIALS, seed=0):
 
     Exact: in odd dimension a one-dimensional kernel bounds the index by
     1 and parity bounds it below by 1, so no sampled ``index`` is needed.
-    ``trials`` and ``seed`` are kept for callers and are not read.
+    ``trials`` and ``seed`` are not read; they stay only because
+    ``bench/run.py`` and the acceptance suite pass ``seed=``.
     """
     n = algebra.dim
     if n % 2 == 0:

@@ -368,8 +368,8 @@ class Poset:
             )
         return cls.from_covers(n, covers)
 
-    def to_dot(self, name="poset"):
-        lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    def to_dot(self):
+        lines = ["digraph poset {", "  rankdir=BT;"]
         by_rank = {}
         for p, d in self.depth.items():
             by_rank.setdefault(d, []).append(p)

@@ -98,7 +98,7 @@ def classify_contact(poset, seed=0, trials=5):
     return False, "no contact witness found (empirical)", None
 
 
-def reachable_contact_posets(max_n, rule_pool=CONTACT_RULES):
+def reachable_contact_posets(max_n):
     """Canonical keys of contact-sequence outputs with at most max_n elements.
 
     A gluing step's size is known from the rule alone, so steps that
@@ -116,7 +116,7 @@ def reachable_contact_posets(max_n, rule_pool=CONTACT_RULES):
         if key not in seen:
             seen[key] = blk.poset
             frontier.append(blk.poset)
-    rules = sorted(rule_pool)
+    rules = sorted(CONTACT_RULES)
     while frontier:
         poset = frontier.pop()
         for blk in toral_blocks:

@@ -21,7 +21,6 @@ from .. import linalg
 from ..algebras import build_g, build_gA
 from ..forms import (
     OneForm,
-    index,
     is_binary_spectrum,
     is_contact_form,
     is_small,
@@ -361,16 +360,20 @@ def catalog_blocks(n_range=None):
 
 
 def family(block_id, n=None):
-    """The catalog row of a block; parametric families require n in range."""
+    """The catalog row of a block; parametric families require n in range,
+    fixed ones refuse any n."""
     fam = _FAMILIES.get(block_id)
     if fam is None:
         raise BlockError(f"unknown block id {block_id!r}")
-    if fam.parametric:
-        if n is None:
-            raise BlockError(f"block {block_id!r} requires a size parameter n")
-        lo, hi = fam.n_range
-        if not lo <= n <= hi:
-            raise BlockError(f"block {block_id!r} supports n in [{lo},{hi}], got {n}")
+    if not fam.parametric:
+        if n is not None:
+            raise BlockError(f"block {block_id!r} is fixed and takes no size, got n={n}")
+        return fam
+    if n is None:
+        raise BlockError(f"block {block_id!r} requires a size parameter n")
+    lo, hi = fam.n_range
+    if not lo <= n <= hi:
+        raise BlockError(f"block {block_id!r} supports n in [{lo},{hi}], got {n}")
     return fam
 
 
@@ -386,7 +389,6 @@ def _searched_form(block_id):
 def block(block_id, n=None):
     """Instantiate a catalog block; parametric families require n."""
     fam = family(block_id, n)
-    n = n if fam.parametric else None
     poset, support = fam.build(n)
     if support is None:
         form = _searched_form(block_id)
@@ -492,14 +494,14 @@ def verify_contact_toral_pair(poset, form):
 
 
 def verify_block(blk, seed=0):
-    """Pair verification by the block's kind; both verifiers are exact,
-    so ``seed`` is accepted for callers and not read."""
+    """Pair verification by the block's kind; both verifiers are exact, so
+    ``seed`` is not read. It stays only because ``bench/run.py`` passes it."""
     if blk.kind == "toral":
         return verify_toral_pair(blk.poset, blk.form)
     return verify_contact_toral_pair(blk.poset, blk.form)
 
 
-def search_contact_form(poset, trials=5, seed=0):
+def search_contact_form(poset):
     """Lexicographically smallest contact form E*_{1,1} + φ_S, or None.
 
     The same spanning-tree search as the Frobenius one, over
@@ -507,14 +509,12 @@ def search_contact_form(poset, trials=5, seed=0):
     and covering all extremal relations; S is accepted when the exact
     ``is_contact_form`` accepts E*_{1,1} + φ_S (a one-dimensional
     trace-zero kernel of dφ on whose generator the form does not
-    vanish). The search is exhaustive, with no cap on
-    the number of supports tried; callers bound the poset size instead
-    (the CLI's ``SEARCH_SIZE_CAP``).
+    vanish). Nothing is sampled, so the result is exact. The search is
+    exhaustive, with no cap on the number of supports tried; callers
+    bound the poset size instead (the CLI's ``SEARCH_SIZE_CAP``).
     """
     gA = build_gA(poset)
     if gA.dim % 2 == 0 or not poset.is_connected():
-        return None
-    if index(gA, trials=trials, seed=seed) != 1:
         return None
 
     def contact(support):

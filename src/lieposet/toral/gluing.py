@@ -350,13 +350,13 @@ def index_formula(poset, script):
     return len(ext.rel_e) - len(ext.ext) + script.contact_block_count() + 1
 
 
-def index_delta_check(q_poset, blk, rule_name, identify, trials=5, seed=0):
+def index_delta_check(q_poset, blk, rule_name, identify, seed=0):
     """(expected, computed) index change for one glue step."""
     result = glue(q_poset, blk, rule_name, identify)
-    ind_s = index(build_gA(blk.poset), trials=trials, seed=seed)
+    ind_s = index(build_gA(blk.poset), seed=seed)
     expected = ind_s + RULES[rule_name].index_delta
-    before = index(build_gA(q_poset), trials=trials, seed=seed)
-    after = index(build_gA(result.poset), trials=trials, seed=seed)
+    before = index(build_gA(q_poset), seed=seed)
+    after = index(build_gA(result.poset), seed=seed)
     return expected, after - before
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieposet import forms
 from lieposet.algebras import build_g, build_gA
 from lieposet.forms import OneForm, in_kernel, kernel
 from lieposet.posets import Poset
@@ -11,6 +12,7 @@ from lieposet.toral import (
     ScriptStep,
     block,
     catalog,
+    catalog_blocks,
     derive_small_frobenius_form,
     family,
     is_contact_sequence,
@@ -18,6 +20,7 @@ from lieposet.toral import (
     verify_toral_pair,
 )
 from lieposet.sweep import enumerate_posets
+from lieposet.toral import blocks
 from lieposet.toral.blocks import search_contact_form, verify_block
 
 
@@ -36,6 +39,7 @@ def test_block_parameter_validation():
         ("contact_pendant_high", None),  # missing n
         ("contact_pendant_high", 4),  # below range
         ("pendant_chain", 99),  # above range
+        ("chain2", 9),  # size given for a fixed block
     ]
     for block_id, n in bad:
         with pytest.raises(BlockError) as from_family:
@@ -294,7 +298,7 @@ def test_jacobi_randomized_above_exhaustive_limit():
     blk = block("pendant_chain", 14)
     gA = build_gA(blk.poset)
     assert gA.dim == 98
-    assert gA.check_jacobi(exhaustive_limit=40, samples=400, seed=5) is None
+    assert gA.check_jacobi() is None
 
 
 def test_block_order_complexes_are_contractible():
@@ -324,3 +328,18 @@ def test_searched_contact_forms_pass_the_pair_verifier():
                 failed.discard("cp2_extremal_count")
             assert not failed, (poset, form, report.failed())
     assert found > 0
+
+
+def test_contact_form_search_samples_nothing(monkeypatch):
+    # the acceptor is exact, so the search needs no sampled index gate
+    def sampled(*args, **kwargs):
+        raise AssertionError("search_contact_form called the sampled index")
+
+    monkeypatch.setattr(blocks, "index", sampled, raising=False)
+    monkeypatch.setattr(forms, "index", sampled)
+    checked = 0
+    for blk in catalog_blocks((1, 8)):
+        if blk.kind == "contact" and blk.poset.n <= 8:
+            assert search_contact_form(blk.poset) is not None, (blk.id, blk.n)
+            checked += 1
+    assert checked == 20

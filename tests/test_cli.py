@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -190,6 +191,28 @@ def test_glue_invalid_rule_exit_code(tmp_path, capsys):
     )
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error:") for line in err)
+
+
+def test_glue_repeated_role_exit_code(tmp_path, capsys):
+    # a repeated role used to glue silently at its last target
+    ppath = write(tmp_path, "chain4.json", {"n": 4, "covers": [[1, 2], [2, 3], [3, 4]]})
+    argv = ["glue", ppath, "--block", "pendant_chain", "--n", "4", "--rule", "A1"]
+    assert main(argv + ["--identify", "a1=1,a1=4"]) == 2
+    assert _single_error_line(capsys)
+
+
+def test_size_for_fixed_block_exit_code(tmp_path, capsys):
+    # a size given for a fixed block used to be dropped silently
+    ppath = write(tmp_path, "chain3.json", {"n": 3, "covers": [[1, 2], [2, 3]]})
+    glue_argv = ["glue", ppath, "--block", "chain2", "--n", "9", "--rule", "A1"]
+    assert main(glue_argv + ["--identify", "a1=3"]) == 2
+    assert _single_error_line(capsys)
+    steps = [
+        {"block": {"id": "contact_chain3"}},
+        {"block": {"id": "chain2", "n": 9}, "rule": "C", "identify": {"c": 1}},
+    ]
+    assert main(["build", write(tmp_path, "script.json", {"steps": steps})]) == 2
+    assert _single_error_line(capsys)
 
 
 def test_export_dot(tmp_path, capsys):
@@ -423,8 +446,10 @@ def test_trials_below_one_exit_code(tmp_path, capsys):
     for trials in ("0", "-2"):
         assert main(["analyze", path, "--trials", trials]) == 2
         assert _single_error_line(capsys)
-    assert main(["verify-catalog", "--trials", "0"]) == 2
-    assert _single_error_line(capsys)
+    # verify-catalog samples nothing, so it has no --trials flag to set
+    with pytest.raises(SystemExit) as refused:
+        main(["verify-catalog", "--trials", "0"])
+    assert refused.value.code == 2
 
 
 def test_verify_catalog_empty_n_range_exit_code(capsys):
@@ -576,7 +601,7 @@ def _argv(data, tmp):
         argv = [command, path_of(_POSETS, "poset.json")]
     else:
         return data.draw(st.sampled_from(_BAD_ARGV))
-    if data.draw(st.booleans()):
+    if command in ("analyze", "build", "sweep") and data.draw(st.booleans()):
         argv += ["--seed", data.draw(_SMALL), "--trials", data.draw(st.integers(-1, 3).map(str))]
     if data.draw(st.booleans()):
         out = data.draw(st.sampled_from(["out.json", "missing/out.json"]))
