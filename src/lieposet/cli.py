@@ -3,13 +3,15 @@ catalog, build scripts, glue single steps, sweep small posets, export
 Hasse diagrams.
 
 Exit codes: 0 all verdicts as expected, 1 verification failure, 2 input
-error. Every human-readable line has a machine-readable JSON mirror.
+error, 141 standard output closed early (128 + SIGPIPE). Every
+human-readable line has a machine-readable JSON mirror.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebras import build_g, build_gA
@@ -395,13 +397,20 @@ def main(argv=None):
     try:
         if "trials" in args and args.trials < 1:
             raise InputError(f"--trials must be at least 1, got {args.trials}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except (InputError, PosetError, FormError, BlockError, GlueError, ScriptError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotFrobeniusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to the null device,
+        # so that the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -169,10 +169,14 @@ def phi_on_basis(algebra, form):
 
 
 def functional_on_basis(algebra, values):
-    """A plain dual vector for custom algebras: values per basis index."""
+    """A plain dual vector for custom algebras: values per basis index.
+
+    Ints and Fractions are kept as they are; anything else becomes a
+    Fraction.
+    """
     if len(values) != algebra.dim:
         raise ShapeError("functional length mismatch")
-    return [Fraction(v) for v in values]
+    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
 
 
 def dphi_matrix(algebra, form_or_values):

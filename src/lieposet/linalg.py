@@ -4,7 +4,8 @@ Scalars are ``fractions.Fraction`` (arbitrary precision, always reduced,
 positive denominator). An integer row is a dict ``{col: int}`` of its
 nonzeros. One fraction-free (Bareiss) elimination on such rows bounds
 coefficient growth and serves rank, determinant, kernels and solves; the
-last two only back-substitute with rationals. Callers that already hold
+last two back-substitute in integers as well and build each output
+entry once, as a Fraction over the last pivot. Callers that already hold
 integer rows use the ``int_*`` entry points, which take dense lists too;
 the ``RatMatrix`` functions clear denominators row by row and call the
 same core. ``rank_mod_p`` takes the same rows and eliminates over
@@ -177,20 +178,34 @@ def _int_echelon(rows, ncols, augmented_from=None):
     return rows, pivots, sign
 
 
-def _back_substitute(ech, pivots, x, ncols, rhs=False):
-    """Fill the pivot entries of ``x`` from echelon rows, last pivot first.
+def _back_substitute(ech, pivots, ncols, free=None):
+    """One solution of the echelon system, last pivot first, in integers.
 
-    With ``rhs`` the rows carry the right-hand side in column ``ncols``.
-    Known defect, kept so that results stay as they were: for a kernel
-    vector an empty sum leaves ``s`` the int 0, so that entry becomes
-    the float 0.0, and sums taken over such a vector turn into floats.
+    With ``free`` it is the kernel vector that is 1 at that free column;
+    without, the rows carry a right-hand side in column ``ncols`` and the
+    free unknowns are 0. The unknowns are scaled by the last Bareiss
+    pivot D, the r x r minor on the pivot rows and columns: by Cramer's
+    rule each scaled unknown is an integer, so every division by a pivot
+    is exact, and each entry is built once, as ``Fraction(X, D)``.
+
+    Known defect, kept so that results stay as they were: a kernel entry
+    whose sum is empty (no later nonzero unknown in its row) is the float
+    ``0 / pivot``, 0.0 or -0.0, and sums taken over such a vector turn
+    into floats.
     """
+    d = ech[len(pivots) - 1][pivots[-1]] if pivots else 1
+    scaled = [0] * ncols
+    floats = {}
+    if free is not None:
+        scaled[free] = d
     for k in range(len(pivots) - 1, -1, -1):
         c = pivots[k]
         row = ech[k]
-        s = sum(v * x[j] for j, v in row.items() if c < j < ncols and x[j])
-        x[c] = ((Fraction(row.get(ncols, 0)) if rhs else 0) - s) / row[c]
-    return x
+        terms = [v * scaled[j] for j, v in row.items() if c < j < ncols and scaled[j]]
+        scaled[c] = (row.get(ncols, 0) * d - sum(terms)) // row[c]
+        if free is not None and not terms:
+            floats[c] = 0 / row[c]  # the known defect; ROADMAP item 1 deletes this branch
+    return [floats[j] if j in floats else Fraction(x, d) for j, x in enumerate(scaled)]
 
 
 def int_rank(rows, ncols):
@@ -202,13 +217,7 @@ def int_kernel_basis(rows, ncols):
     """Right null space of integer rows: one Fraction vector per free column."""
     ech, pivots, _ = _int_echelon(rows, ncols)
     pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f not in pivot_set:
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            basis.append(_back_substitute(ech, pivots, v, ncols))
-    return basis
+    return [_back_substitute(ech, pivots, ncols, f) for f in range(ncols) if f not in pivot_set]
 
 
 def int_solve(aug_rows, ncols):
@@ -221,8 +230,7 @@ def int_solve(aug_rows, ncols):
     # inconsistent iff some residual row is 0 ... 0 | nonzero
     if any(row.get(ncols) for row in ech[len(pivots):]):
         return None, len(pivots)
-    x = _back_substitute(ech, pivots, [Fraction(0)] * ncols, ncols, rhs=True)
-    return x, len(pivots)
+    return _back_substitute(ech, pivots, ncols), len(pivots)
 
 
 def rank(m):

@@ -9,10 +9,9 @@ ones against everything reachable by contact-sequence gluing.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .algebras import build_gA
-from .forms import functional_on_basis, index, kernel
+from .forms import index, kernel
 from .posets import Poset, canonical_key
 from .toral.blocks import catalog_blocks
 from .toral.gluing import (
@@ -54,6 +53,8 @@ def enumerate_posets(max_n, connected_only=True):
 def classify_contact(poset, seed=0, trials=5):
     """(verdict, reason, witness-or-None); empirical, never a proof.
 
+    A witness is φ on g_A's basis as a list of ints.
+
     The index check comes after the first witness kernel: in odd
     dimension a one-dimensional exact kernel of dφ bounds the index by 1
     and parity bounds it below by 1, so it certifies index 1. The sampled
@@ -75,10 +76,10 @@ def classify_contact(poset, seed=0, trials=5):
     strict_idx = [i for i, lab in enumerate(gA.labels) if lab[0] == "e"]
     diag_idx = [i for i, lab in enumerate(gA.labels) if lab[0] == "h"]
     for attempt in range(WITNESS_ATTEMPTS):
-        values = [Fraction(0)] * d
+        values = [0] * d
         for i in strict_idx:
-            values[i] = Fraction(rng.randint(1, 1 << 16))
-        rep = kernel(gA, functional_on_basis(gA, values))
+            values[i] = rng.randint(1, 1 << 16)
+        rep = kernel(gA, values)
         if attempt == 0 and rep.dimension != 1 and index(gA, trials=trials, seed=seed) != 1:
             return False, "index is not one", None
         if rep.dimension != 1:
@@ -90,10 +91,10 @@ def classify_contact(poset, seed=0, trials=5):
         # the kernel generator's diagonal freedom can fix a vanishing pairing
         for i in diag_idx:
             if gen[i]:
-                values[i] = Fraction(1)
+                values[i] = 1
                 check = sum(values[k] * gen[k] for k in range(d))
                 if check == 0:
-                    values[i] = Fraction(2)
+                    values[i] = 2
                 return True, "regular form completed on the diagonal", values
     return False, "no contact witness found (empirical)", None
 
@@ -111,11 +112,20 @@ def reachable_contact_posets(max_n):
             (contact_start if blk.kind == "contact" else toral_blocks).append(blk)
     frontier = []
     seen = {}
+    # labelled posets already canonicalised: distinct glue steps often
+    # build the same one
+    canonicalised = set()
+
+    def visit(poset):
+        if poset not in canonicalised:
+            canonicalised.add(poset)
+            key = canonical_key(poset)
+            if key not in seen:
+                seen[key] = poset
+                frontier.append(poset)
+
     for blk in contact_start:
-        key = canonical_key(blk.poset)
-        if key not in seen:
-            seen[key] = blk.poset
-            frontier.append(blk.poset)
+        visit(blk.poset)
     rules = sorted(CONTACT_RULES)
     while frontier:
         poset = frontier.pop()
@@ -124,11 +134,7 @@ def reachable_contact_posets(max_n):
                 if poset.n + blk.poset.n - len(RULES[rule].identified) > max_n:
                     continue
                 for identify in _valid_identifications(poset, blk, rule):
-                    result = glue(poset, blk, rule, identify)
-                    key = canonical_key(result.poset)
-                    if key not in seen:
-                        seen[key] = result.poset
-                        frontier.append(result.poset)
+                    visit(glue(poset, blk, rule, identify).poset)
     return seen
 
 

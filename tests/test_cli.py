@@ -2,15 +2,19 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lieposet
 from lieposet import sweep
 from lieposet.algebras import build_gA
 from lieposet.cli import main
@@ -423,6 +427,39 @@ def test_sweep_n4_all_reachable():
     report = conjecture_sweep(4)
     assert report["contact_found"] == 4
     assert report["unreachable_by_scripts"] == []
+
+
+def test_sweep_n6_seed0_totals():
+    # pins every seed-0 verdict through n = 6, so a kernel change that flips
+    # one fails here; the totals include the round-off false positives of
+    # the float zeros in kernel vectors, and fixing that defect (ROADMAP
+    # item 1) moves them to 73 contact and 13 unreachable
+    report = conjecture_sweep(6, seed=0)
+    totals = (
+        report["connected_posets_checked"],
+        report["contact_found"],
+        len(report["unreachable_by_scripts"]),
+    )
+    assert totals == (297, 82, 22)
+
+
+def test_closed_stdout_pipe_exit_code():
+    # `lieposet sweep --max-n 6 | head -1` used to end in a BrokenPipeError
+    # traceback and exit 1, the code of a verification failure
+    src = str(Path(lieposet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lieposet.cli", "sweep", "--max-n", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # long before the sweep prints its first line
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
 
 
 def test_sweep_cli(tmp_path, capsys):

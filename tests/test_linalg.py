@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieposet.algebras import build_gA
+from lieposet.forms import _dphi_rows
 from lieposet.linalg import (
     _MODP,
     RatMatrix,
@@ -22,6 +25,7 @@ from lieposet.linalg import (
     rank_mod_p,
     solve,
 )
+from lieposet.sweep import enumerate_posets
 
 
 def naive_rref(rows):
@@ -410,3 +414,67 @@ def test_sparse_kernel_and_solve_match_dense_bit_for_bit(case, as_dicts):
     if ncols:
         got = int_solve(given_rows, ncols - 1)
         assert repr(got) == repr(dense_solve(rows, ncols - 1))
+
+
+@functools.cache
+def _sweep_posets():
+    """Connected posets with n <= 6, and those whose g_A is Frobenius.
+
+    A poset counts as Frobenius when dφ is exactly nonsingular for one
+    fixed integer φ, which certifies index 0.
+    """
+    posets = enumerate_posets(6)
+    frobenius = []
+    for poset in posets:
+        gA = build_gA(poset)
+        rows, _ = _dphi_rows(gA, list(range(1, gA.dim + 1)))
+        if gA.dim % 2 == 0 and int_rank(rows, gA.dim) == gA.dim:
+            frobenius.append(poset)
+    return posets, frobenius
+
+
+def _dense(rows, ncols):
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def _exact_dot(row, v):
+    # a float entry is a zero from the known defect; read it as exactly 0
+    return sum(x * Fraction(v[j]) for j, x in row.items())
+
+
+def _draw_dphi(data, posets, diagonal):
+    """dφ rows and φ(b) for a 16-bit φ, drawn as ``classify_contact`` draws
+    it: every strict coefficient in [1, 2^16]; the diagonal only if asked."""
+    gA = build_gA(data.draw(st.sampled_from(posets)))
+    coeff = st.integers(1, 1 << 16)
+    values = [
+        data.draw(coeff if lab[0] == "e" or diagonal else st.just(0)) for lab in gA.labels
+    ]
+    rows, phi = _dphi_rows(gA, values)
+    return rows, phi, gA.dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_int_kernel_basis_matches_dense_at_sweep_size(data):
+    # dφ of connected posets with n <= 6: g_A of dimension up to 20
+    rows, _, d = _draw_dphi(data, _sweep_posets()[0], diagonal=False)
+    basis = int_kernel_basis(rows, d)
+    assert repr(basis) == repr(dense_kernel_basis(_dense(rows, d), d))
+    assert len(basis) == d - int_rank(rows, d)
+    for v in basis:
+        assert all(x == 0 for x in v if isinstance(x, float))
+        assert all(_exact_dot(row, v) == 0 for row in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_int_solve_matches_dense_on_frobenius_forms(data):
+    # the principal-element system dφ x = φ(b) of a Frobenius poset
+    rows, phi, d = _draw_dphi(data, _sweep_posets()[1], diagonal=data.draw(st.booleans()))
+    aug = [row | {d: p} if p else row for row, p in zip(rows, phi)]
+    got = int_solve(aug, d)
+    assert repr(got) == repr(dense_solve(_dense(aug, d + 1), d))
+    x, rank = got
+    if rank == d:
+        assert all(_exact_dot(row, x) == p for row, p in zip(rows, phi))
