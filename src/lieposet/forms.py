@@ -282,15 +282,15 @@ def index(algebra, trials=INDEX_TRIALS, seed=0):
 
     Each trial is a Schwartz-Zippel trial: φ takes coefficients uniform
     in [1, INDEX_COEFF_BOUND] on the basis, and dφ's rank is computed over
-    GF(2^61 - 1) by the sparse elimination of ``linalg.rank_mod_p``,
-    which suits dφ's few nonzeros. Over Q the rank mod p is at most the
-    exact rank, so a trial's corank is at least the exact corank of its
-    φ, which is at least the true index: the result is never below the
-    true index, and it equals it unless every trial fails, which for the
-    default five trials has probability far below 1e-4. Coranks have the
-    parity of dim, so a trial reaching that floor ends the search early.
-    Kernels, solves, determinants and characteristic polynomials stay
-    exact.
+    GF(2^61 - 1) by ``linalg.rank_mod_p``, a sparse skew-symmetric
+    elimination with 2 x 2 pivots that reads only dφ's upper triangle.
+    Over Q the rank mod p is at most the exact rank, so a trial's
+    corank is at least the exact corank of its φ, which is at least the
+    true index: the result is never below the true index, and it equals
+    it unless every trial fails, which for the default five trials has
+    probability far below 1e-4. Coranks have the parity of dim, so a
+    trial reaching that floor ends the search early. Kernels, solves,
+    determinants and characteristic polynomials stay exact.
     """
     if trials < 1:
         raise ValueError(f"index needs at least one trial, got {trials}")

@@ -8,8 +8,8 @@ last two back-substitute in integers as well and build each output
 entry once, as a Fraction over the last pivot. Callers that already hold
 integer rows use the ``int_*`` entry points, which take dense lists too;
 the ``RatMatrix`` functions clear denominators row by row and call the
-same core. ``rank_mod_p`` takes the same rows and eliminates over
-GF(2^61 - 1), for the sampled index and other mod-p certificates.
+same core. ``rank_mod_p`` ranks skew-symmetric rows over GF(2^61 - 1),
+two indices at a time, for the sampled index and mod-p certificates.
 """
 
 from __future__ import annotations
@@ -239,52 +239,63 @@ def rank(m):
 
 
 def rank_mod_p(int_rows, ncols, p=_MODP):
-    """Rank of integer rows (dicts or lists) over GF(p); a lower bound for the true rank.
+    """Rank over GF(p) of a square skew-symmetric integer matrix (dict or list rows).
 
-    Sparse elimination: each row is a dict of its nonzero residues, and
-    one set per column holds the live rows with an entry there. Columns
-    are eliminated in increasing order of their initial count, each
-    pivoting on its shortest live row (a Markowitz-style choice that
-    keeps fill-in low); entries that cancel are deleted. The rank over
-    GF(p) does not depend on the pivot order.
+    Reads only the entries above the diagonal. A live index i of least
+    degree and its neighbour j of least degree form a 2 x 2 pivot (Bunch
+    1982): the rank-2 Schur update a_kl += (a_jk a_il - a_ik a_jl) / a_ij
+    keeps the rest skew, touches only the neighbours of i and j and adds
+    2 to the rank; indices left isolated drop out. The rank over GF(p) is
+    a lower bound for the rank over Q and does not depend on the pivots.
     """
-    rows = []
-    cols = [set() for _ in range(ncols)]
-    for r in _sparse(int_rows):
-        row = {j: v for j, x in r.items() if (v := x % p)}
-        if row:
-            for j in row:
-                cols[j].add(len(rows))
-            rows.append(row)
+    if len(int_rows) != ncols:
+        raise ShapeError(f"skew rank needs a square matrix, got {len(int_rows)} x {ncols}")
+    adj = [{} for _ in range(ncols)]
+    for i, r in enumerate(int_rows):
+        for j, x in r.items() if isinstance(r, dict) else enumerate(r):
+            if j > i and (v := x % p):
+                adj[i][j] = v
+                adj[j][i] = p - v
+    live = {i for i in range(ncols) if adj[i]}
     rk = 0
-    for c in sorted(range(ncols), key=lambda c: len(cols[c])):
-        holders = cols[c]
-        if not holders:
-            continue
-        rk += 1
-        piv = min(holders, key=lambda i: len(rows[i]))
-        prow = rows[piv]
-        for j in prow:
-            cols[j].discard(piv)
-        if not holders:
-            continue
-        inv = pow(prow.pop(c), -1, p)
-        tail = [(j, v * inv % p) for j, v in prow.items()]
-        for i in holders:
-            ri = rows[i]
-            f = ri.pop(c)
-            for j, v in tail:
-                x = ri.get(j)
-                if x is None:
-                    ri[j] = -f * v % p
-                    cols[j].add(i)
-                elif x := (x - f * v) % p:
-                    ri[j] = x
-                else:
-                    del ri[j]
-                    cols[j].discard(i)
-        holders.clear()
+    while live:
+        i = min(live, key=lambda k: len(adj[k]))
+        ai = adj[i]
+        j = min(ai, key=lambda k: len(adj[k]))
+        aj = adj[j]
+        aij = ai.pop(j)
+        del aj[i]
+        for k in ai:
+            del adj[k][i]
+        for k in aj:
+            del adj[k][j]
+        if ai and aj:
+            inv = pow(aij, -1, p)
+            u = [(l, x * inv % p) for l, x in ai.items()]
+            for k, wk in aj.items():
+                ak = adj[k]
+                for l, ul in u:
+                    if l != k:
+                        if x := (ak.get(l, 0) + wk * ul) % p:
+                            ak[l] = x
+                            adj[l][k] = p - x
+                        else:
+                            del ak[l]
+                            del adj[l][k]
+        live -= {i, j}
+        live -= {k for k in ai.keys() | aj.keys() if not adj[k]}
+        rk += 2
     return rk
+
+
+def rank_mod_p_is_exact(int_rows):
+    """True when ``rank_mod_p`` of these dict rows is their rank over Q: the
+    product of sum(x^2) over the nonzero rows is below p^2, so by Hadamard's
+    inequality every minor is below p in absolute value."""
+    bound = 1
+    for r in int_rows:
+        bound *= sum(x * x for x in r.values()) or 1
+    return bound < _MODP * _MODP
 
 
 def kernel_basis(m):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .. import linalg
+from .. import forms, linalg
 from ..algebras import build_g, build_gA
 from ..forms import (
     OneForm,
@@ -509,16 +509,22 @@ def search_contact_form(poset):
     and covering all extremal relations; S is accepted when the exact
     ``is_contact_form`` accepts E*_{1,1} + φ_S (a one-dimensional
     trace-zero kernel of dφ on whose generator the form does not
-    vanish). Nothing is sampled, so the result is exact. The search is
-    exhaustive, with no cap on the number of supports tried; callers
-    bound the poset size instead (the CLI's ``SEARCH_SIZE_CAP``).
+    vanish); where Hadamard's bound makes dφ's corank mod p exact, a
+    corank other than 1 rejects S first. Nothing is sampled, so the
+    result is exact. The search is exhaustive, with no cap on the number
+    of supports tried; callers bound the poset size instead (the CLI's
+    ``SEARCH_SIZE_CAP``).
     """
     gA = build_gA(poset)
-    if gA.dim % 2 == 0 or not poset.is_connected():
+    n = gA.dim
+    if n % 2 == 0 or not poset.is_connected():
         return None
 
     def contact(support):
         phi = OneForm.from_support(poset, list(support) + [(1, 1)])
+        rows, _ = forms._dphi_rows(gA, forms.phi_on_basis(gA, phi))
+        if linalg.rank_mod_p_is_exact(rows) and n - linalg.rank_mod_p(rows, n) != 1:
+            return False
         return is_contact_form(gA, phi).is_contact
 
     best = _least_tree_support(poset, contact)

@@ -351,6 +351,41 @@ def test_contact_volume_modp_certificate_matches_exact_rank():
     assert verdicts == {True, False}
 
 
+def test_every_rank_mod_p_input_is_square_and_skew(monkeypatch):
+    # rank_mod_p reads only the upper triangle, so each of its callers must
+    # hand it a square skew-symmetric matrix
+    from lieposet.toral.blocks import derive_small_frobenius_form, search_contact_form
+
+    real = linalg.rank_mod_p
+    calls = []
+
+    def checked(rows, ncols, p=linalg._MODP):
+        assert len(rows) == ncols
+        sparse = [r if isinstance(r, dict) else dict(enumerate(r)) for r in rows]
+        for i, row in enumerate(sparse):
+            for j, x in row.items():
+                assert x == -sparse[j].get(i, 0), (i, j)
+        calls.append(ncols)
+        return real(rows, ncols, p)
+
+    monkeypatch.setattr(linalg, "rank_mod_p", checked)
+    rng = random.Random(13)
+    counts = dict.fromkeys(("index", "volume", "frobenius", "search"), 0)
+    for poset in enumerate_posets(5):
+        form = _random_form(poset, rng)
+        runs = [("frobenius", lambda: derive_small_frobenius_form(poset))]
+        runs.append(("search", lambda: search_contact_form(poset)))
+        for alg in (build_g(poset), build_gA(poset)):
+            runs.append(("index", lambda alg=alg: index(alg)))
+            if alg.dim % 2:
+                runs.append(("volume", lambda alg=alg: is_contact_form_volume(alg, form)))
+        for name, run in runs:
+            before = len(calls)
+            run()
+            counts[name] += len(calls) - before
+    assert all(counts.values()), counts
+
+
 def test_principal_element_chain2():
     gA = build_gA(CHAIN2)
     phi = OneForm.from_support(CHAIN2, [(1, 2)])

@@ -23,6 +23,7 @@ from lieposet.linalg import (
     poly_eval_matrix,
     rank,
     rank_mod_p,
+    rank_mod_p_is_exact,
     solve,
 )
 from lieposet.sweep import enumerate_posets
@@ -247,23 +248,57 @@ def test_solve_consistency_property(rows):
     assert m.mul_vector(got) == b
 
 
-def int_matrices(max_rows, max_cols, entries):
-    """Integer row lists of one random width, empty lists included."""
-    return st.integers(0, max_cols).flatmap(
-        lambda ncols: st.tuples(
-            st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=max_rows),
-            st.just(ncols),
+def skew_matrices(max_n, entries):
+    """Square skew-symmetric integer row lists, drawn two ways.
+
+    A - A^T, A strictly upper triangular, gives generic skew matrices,
+    and B J B^T (J the standard symplectic form on 2m <= n coordinates)
+    gives skew matrices of rank at most 2m, so rank deficits are common.
+    """
+
+    def difference(n):
+        def skew(upper):
+            a = [[0] * n for _ in range(n)]
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            for (i, j), x in zip(pairs, upper):
+                a[i][j], a[j][i] = x, -x
+            return a
+
+        size = n * (n - 1) // 2
+        return st.lists(entries, min_size=size, max_size=size).map(skew)
+
+    def symplectic(n):
+        def product(b):
+            m = len(b[0]) // 2 if b else 0
+            return [
+                [sum(b[k][2 * t] * b[l][2 * t + 1] - b[k][2 * t + 1] * b[l][2 * t] for t in range(m))
+                 for l in range(n)]
+                for k in range(n)
+            ]
+
+        return st.integers(0, n // 2).flatmap(
+            lambda m: st.lists(
+                st.lists(entries, min_size=2 * m, max_size=2 * m), min_size=n, max_size=n
+            ).map(product)
         )
-    )
+
+    return st.integers(0, max_n).flatmap(lambda n: difference(n) | symplectic(n))
+
+
+def as_rows(matrix, sparse):
+    """The same matrix as dense lists or as dicts of its nonzeros."""
+    return [{j: x for j, x in enumerate(r) if x} for r in matrix] if sparse else matrix
 
 
 @settings(max_examples=200, deadline=None)
-@given(int_matrices(6, 6, st.integers(-9, 9) | st.just(0)))
-def test_rank_mod_p_matches_exact_rank_on_small_matrices(case):
-    # every minor of a 6 x 6 matrix with |entries| <= 9 is below 9^6 * 6^3 < p,
-    # so no nonzero minor vanishes mod p and the two ranks agree
-    rows, ncols = case
-    assert rank_mod_p(rows, ncols) == int_rank(rows, ncols)
+@given(skew_matrices(6, st.integers(-3, 3) | st.just(0)), st.booleans())
+def test_rank_mod_p_matches_exact_rank_on_small_matrices(matrix, sparse):
+    # every minor of these 6 x 6 matrices is below p (Hadamard's bound,
+    # which rank_mod_p_is_exact checks), so no nonzero minor vanishes mod
+    # p and the two ranks agree
+    n = len(matrix)
+    assert rank_mod_p_is_exact(as_rows(matrix, True))
+    assert rank_mod_p(as_rows(matrix, sparse), n) == int_rank(matrix, n)
 
 
 # zero is drawn by two of the four branches, so about half the entries are zero
@@ -271,33 +306,48 @@ _SPARSE_ENTRY = st.integers(-3, 3) | st.integers(-(1 << 70), 1 << 70) | st.just(
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    int_matrices(24, 24, _SPARSE_ENTRY),
-    st.sampled_from([2, 3, 7, _MODP]),
-)
-def test_rank_mod_p_matches_dense_elimination(case, p):
+@given(skew_matrices(24, _SPARSE_ENTRY), st.sampled_from([2, 3, 7, _MODP]), st.booleans())
+def test_rank_mod_p_matches_dense_elimination(matrix, p, sparse):
     # small primes make entries cancel, which exercises the deletions
-    rows, ncols = case
-    assert rank_mod_p(rows, ncols, p) == dense_rank_mod_p(rows, ncols, p)
+    n = len(matrix)
+    assert rank_mod_p(as_rows(matrix, sparse), n, p) == dense_rank_mod_p(matrix, n, p)
 
 
 def test_rank_mod_p_edge_shapes():
     assert rank_mod_p([], 0) == 0
-    assert rank_mod_p([], 4) == 0
-    assert rank_mod_p([[], []], 0) == 0
-    assert rank_mod_p([[0, 0, 0], [0, 0, 0]], 3) == 0
-    assert rank_mod_p([[0, 0, 0], [1, 2, 3], [0, 0, 0], [2, 4, 7]], 3) == 2
-    assert rank_mod_p([[1, 0], [0, 1], [1, 1]], 2) == 2
-    assert rank_mod_p([[1, 2, 3, 4]], 4) == 1
+    assert rank_mod_p([[0, 0, 0]] * 3, 3) == 0
+    assert rank_mod_p([{}, {}, {}], 3) == 0
+    assert rank_mod_p([[0, 1], [-1, 0]], 2) == 2
+    assert rank_mod_p([{1: 1}, {0: -1}], 2) == 2
+    # odd size: a skew matrix is never of full rank
+    assert rank_mod_p([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]], 3) == 2
+    # indices 0 and 3 stay isolated
+    assert rank_mod_p([{}, {2: 5}, {1: -5}, {}], 4) == 2
+    # only the entries above the diagonal are read
+    assert rank_mod_p([[7, 0], [1, 7]], 2) == 0
+    # a non-square matrix cannot be skew
+    for rows, ncols in (([], 4), ([[], []], 0), ([[1, 2, 3, 4]], 4), ([[0, 1], [-1, 0], [1, 1]], 2)):
+        with pytest.raises(ShapeError):
+            rank_mod_p(rows, ncols)
 
 
-def test_rank_mod_p_multiples_of_p_are_zero():
+@settings(max_examples=100, deadline=None)
+@given(skew_matrices(6, st.integers(-3, 3)), skew_matrices(6, st.integers(-3, 3)))
+def test_rank_mod_p_multiples_of_p_are_zero(small, multiples):
     p = _MODP
-    assert rank_mod_p([[p, -p, 2 * p]], 3) == 0
-    assert rank_mod_p([[p, 1], [-p, 1], [2 * p, 3]], 2) == 1
-    # a lower bound only: [[p]] has rank 1 over Q
-    assert int_rank([[p]], 1) == 1 and rank_mod_p([[p]], 1) == 0
-    assert rank_mod_p([[1, 0], [0, 7]], 2, p=7) == 1
+    # a lower bound only: [[0, p], [-p, 0]] has rank 2 over Q, and the
+    # Hadamard check sees that its minors reach p
+    assert int_rank([[0, p], [-p, 0]], 2) == 2 and rank_mod_p([[0, p], [-p, 0]], 2) == 0
+    assert not rank_mod_p_is_exact([{1: p}, {0: -p}])
+    assert rank_mod_p([[0, p, 1], [-p, 0, 2 * p], [-1, -2 * p, 0]], 3) == 2
+    assert rank_mod_p([[0, 7], [-7, 0]], 2, p=7) == 0
+    # adding q times a skew matrix changes nothing mod q
+    n = min(len(small), len(multiples))
+    square = [r[:n] for r in small[:n]]
+    for q in (7, p):
+        shifted = [[square[i][j] + q * multiples[i][j] for j in range(n)] for i in range(n)]
+        assert rank_mod_p(shifted, n, q) == dense_rank_mod_p(square, n, q)
+    assert rank_mod_p(shifted, n) == int_rank(square, n)
 
 
 def dense_int_echelon(rows, ncols, augmented_from=None):
