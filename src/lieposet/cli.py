@@ -21,7 +21,6 @@ from .forms import (
     OneForm,
     index,
     is_contact_form,
-    kernel,
     spectrum,
 )
 from .posets import Poset, PosetError
@@ -116,26 +115,23 @@ def analyze(poset, form=None, seed=0, trials=5):
             "certificate": {"reason": "extremal Hasse diagram contains a cycle"},
         }
     if form is not None:
-        rep = kernel(gA, form)
-        frobenius = rep.dimension == 0
+        toral = verify_toral_pair(poset, form)
+        contact = verify_contact_toral_pair(poset, form)
+        rep = toral.details["kernel_trace_zero"].to_json()
         report["form"] = form.to_json()
-        report["kernel"] = rep.to_json()
-        report["frobenius_form"] = {
-            "verdict": frobenius,
-            "certificate": rep.to_json(),
-        }
-        contact_res = is_contact_form(gA, form)
+        report["kernel"] = rep
+        report["frobenius_form"] = {"verdict": toral.conditions["frobenius"], "certificate": rep}
         report["contact_form"] = {
-            "verdict": contact_res.is_contact,
+            "verdict": contact.conditions["contact"],
             "certificate": {
-                "reason": contact_res.reason,
-                "reeb": contact_res.reeb_json(),
+                "reason": contact.details["contact"],
+                "reeb": contact.details.get("reeb"),
             },
         }
-        if frobenius:
+        if toral.conditions["frobenius"]:
             report["spectrum"] = [str(c) for c in spectrum(gA, form)]
-        report["toral_pair_check"] = verify_toral_pair(poset, form).to_json()
-        report["contact_pair_check"] = verify_contact_toral_pair(poset, form).to_json()
+        report["toral_pair_check"] = toral.to_json()
+        report["contact_pair_check"] = contact.to_json()
     elif poset.n > SEARCH_SIZE_CAP:
         report["note"] = (
             f"form search skipped: poset has more than {SEARCH_SIZE_CAP} elements"

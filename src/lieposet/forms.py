@@ -16,7 +16,7 @@ from functools import cached_property
 from . import linalg
 from .algebras import AlgebraElement, LieAlgebra, PosetLieAlgebra
 from .linalg import RatMatrix, ShapeError
-from .posets import is_forest
+from .posets import is_forest, json_int
 
 INDEX_TRIALS = 5
 INDEX_COEFF_BOUND = 1 << 20
@@ -133,8 +133,8 @@ class OneForm:
     @classmethod
     def from_json(cls, poset, data):
         try:
-            pairs = [(int(p), int(q)) for p, q in data["support"]]
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            pairs = [(json_int(p), json_int(q)) for p, q in data["support"]]
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormError(f"malformed one-form JSON: {exc}") from exc
         coeffs = None
         if "coeffs" in data:
@@ -142,8 +142,8 @@ class OneForm:
             try:
                 for key, val in data["coeffs"].items():
                     p, q = (int(x) for x in key.split(","))
-                    coeffs[(p, q)] = Fraction(val)
-            except (AttributeError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+                    coeffs[(p, q)] = Fraction(val if isinstance(val, str) else json_int(val))
+            except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise FormError(f"malformed one-form coefficient: {exc}") from exc
         return cls.from_support(poset, pairs, coeffs)
 
@@ -352,9 +352,9 @@ def is_contact_form_volume(algebra, form_or_values):
     """Independent oracle: the bordered skew determinant is nonzero.
 
     Builds [[dφ(b_i, b_j), -φ(b_i)], [φ(b_j), 0]] and tests that it is
-    nonsingular; this realizes the top volume-form condition directly.
-    Full rank over GF(p) already certifies full rank over Q, so only a
-    rank deficit mod p falls back to exact elimination.
+    nonsingular; this realizes the top volume-form condition
+    φ ∧ (dφ)^k ≠ 0 directly. The rank is ``linalg.skew_rank``'s, exact
+    over Q.
     """
     n = algebra.dim
     if n % 2 == 0:
@@ -362,9 +362,7 @@ def is_contact_form_volume(algebra, form_or_values):
     rows, phi = _dphi_rows(algebra, _as_values(algebra, form_or_values))
     bordered = [row | {n: -p} if p else row for p, row in zip(phi, rows)]
     bordered.append({j: x for j, x in enumerate(phi) if x})
-    if linalg.rank_mod_p(bordered, n + 1) == n + 1:
-        return True
-    return linalg.int_rank(bordered, n + 1) == n + 1
+    return linalg.skew_rank(bordered, n + 1) == n + 1
 
 
 def principal_element(algebra, form_or_values):

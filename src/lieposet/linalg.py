@@ -9,7 +9,9 @@ entry once, as a Fraction over the last pivot. Callers that already hold
 integer rows use the ``int_*`` entry points, which take dense lists too;
 the ``RatMatrix`` functions clear denominators row by row and call the
 same core. ``rank_mod_p`` ranks skew-symmetric rows over GF(2^61 - 1),
-two indices at a time, for the sampled index and mod-p certificates.
+two indices at a time; the sampled index reads it as it is, and
+``skew_rank`` turns it into the exact rank over Q that the Frobenius and
+contact verdicts need, by Hadamard's bound or else by Bareiss.
 """
 
 from __future__ import annotations
@@ -288,14 +290,24 @@ def rank_mod_p(int_rows, ncols, p=_MODP):
     return rk
 
 
-def rank_mod_p_is_exact(int_rows):
-    """True when ``rank_mod_p`` of these dict rows is their rank over Q: the
-    product of sum(x^2) over the nonzero rows is below p^2, so by Hadamard's
-    inequality every minor is below p in absolute value."""
+def skew_rank(int_rows, ncols):
+    """Exact rank over Q of a square skew-symmetric integer matrix (dict or list rows).
+
+    ``rank_mod_p`` never exceeds the rank over Q, so it is exact when it
+    is full, or when the product of sum(x^2) over the rows is below p^2:
+    by Hadamard's inequality every minor is then below p in absolute
+    value and cannot vanish mod p unless it vanishes. Only a deficit
+    without that bound falls back to fraction-free elimination.
+    """
+    rk = rank_mod_p(int_rows, ncols)
+    if rk == ncols:
+        return rk
     bound = 1
     for r in int_rows:
-        bound *= sum(x * x for x in r.values()) or 1
-    return bound < _MODP * _MODP
+        bound *= sum(x * x for x in (r.values() if isinstance(r, dict) else r)) or 1
+        if bound >= _MODP * _MODP:
+            return int_rank(int_rows, ncols)
+    return rk
 
 
 def kernel_basis(m):

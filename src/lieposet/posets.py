@@ -21,6 +21,14 @@ ISO_SIZE_LIMIT = 12
 JSON_SIZE_LIMIT = 32
 
 
+def json_int(x):
+    """``x`` if it is a JSON integer; TypeError for a float, a bool, a string or
+    anything else, so that no JSON reader truncates or coerces a value."""
+    if type(x) is not int:  # bool is a subclass of int
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 class PosetError(ValueError):
     """Invalid poset input."""
 
@@ -358,9 +366,9 @@ class Poset:
     @classmethod
     def from_json(cls, data):
         try:
-            n = int(data["n"])
-            covers = [(int(p), int(q)) for p, q in data["covers"]]
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            n = json_int(data["n"])
+            covers = [(json_int(p), json_int(q)) for p, q in data["covers"]]
+        except (KeyError, TypeError, ValueError) as exc:
             raise PosetError(f"malformed poset JSON: {exc}") from exc
         if n > JSON_SIZE_LIMIT:
             raise UnsupportedSizeError(

@@ -5,8 +5,8 @@ Frobenius one-form, and contact blocks carrying a distinguished contact
 one-form with a single diagonal summand at element 1. The catalog is one
 table, ``_FAMILIES``: each family is one row holding its id, kind, size
 range (None for a fixed block) and a builder ``build(n) -> (poset,
-support)``. A support of None marks a searched block, whose form comes
-from the exhaustive lexicographic search over spanning-tree supports;
+support)``. Every support is data; the exhaustive lexicographic search
+over spanning-tree supports is the test oracle for the toral ones, and
 every form is validated by the same pair verifier as everything else.
 """
 
@@ -14,15 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
-from .. import forms, linalg
+from .. import linalg
 from ..algebras import build_g, build_gA
 from ..forms import (
     OneForm,
     is_binary_spectrum,
     is_contact_form,
+    is_contact_form_volume,
     is_small,
     kernel,
     udo_partition,
@@ -57,7 +57,7 @@ class CatalogFamily:
     id: str
     kind: str  # "toral" or "contact"
     n_range: tuple | None  # inclusive (lo, hi) of documented support; None when fixed
-    build: Callable  # n -> (poset, support); support None means searched
+    build: Callable  # n -> (poset, support)
 
     @property
     def parametric(self):
@@ -117,24 +117,24 @@ def derive_small_frobenius_form(poset):
     """Lexicographically smallest spanning-tree support that makes a
     Frobenius toral one-form.
 
-    Frobenius candidates are certified by a full mod-p rank of dφ (a
-    mod-p rank never exceeds the true rank); with a trivial trace-zero
-    kernel the full incidence kernel is spanned by the identity matrix,
-    which settles the kernel-shape condition for free. Returns None if
-    no support qualifies.
+    A candidate is accepted when the exact corank of its reduced dφ
+    (``_tree_form_corank``) is 0, so both acceptance and rejection are
+    exact; with a trivial trace-zero kernel the full incidence kernel is
+    spanned by the identity matrix, which settles the kernel-shape
+    condition for free. Returns None if no support qualifies.
     """
     if (poset.n - 1 + len(poset.relations)) % 2 == 1:
         return None
     rels = sorted(poset.relations)
 
-    def frobenius_modp(support):
-        return _tree_form_corank_modp(rels, set(support)) == 0
+    def frobenius(support):
+        return _tree_form_corank(rels, set(support)) == 0
 
-    best = _least_tree_support(poset, frobenius_modp)
+    best = _least_tree_support(poset, frobenius)
     return None if best is None else OneForm.from_support(poset, best)
 
 
-def _tree_form_corank_modp(relations_sorted, support_set):
+def _tree_form_corank(relations_sorted, support_set):
     """Trace-zero kernel dimension of dφ for a 0/1 spanning-tree form.
 
     For such forms, dφ in the split basis (diagonal differences, strict
@@ -143,7 +143,7 @@ def _tree_form_corank_modp(relations_sorted, support_set):
     matrix, so the kernel reduces exactly to the kernel of C restricted
     to the non-support relation pairs:
     C[(p,q),(r,s)] = -[q=r][(p,s) in S] + [s=p][(r,q) in S].
-    Computed over GF(p); full rank certifies ker = 0 exactly.
+    Its rank is ``linalg.skew_rank``'s, exact over Q.
     """
     free = [pq for pq in relations_sorted if pq not in support_set]
     m = len(free)
@@ -162,7 +162,7 @@ def _tree_form_corank_modp(relations_sorted, support_set):
             if v:
                 rows[a][b] = v
                 rows[b][a] = -v
-    return m - linalg.rank_mod_p(rows, m)
+    return m - linalg.skew_rank(rows, m)
 
 
 def _first_spanning_tree(vertices, edges, required, need, accept, bound):
@@ -192,7 +192,7 @@ def _first_spanning_tree(vertices, edges, required, need, accept, bound):
 # ----- the catalog -------------------------------------------------------------
 
 
-def _fixed(block_id, kind, size, covers, support=None):
+def _fixed(block_id, kind, size, covers, support):
     """Row of a fixed block: ``covers`` on ``size`` elements, with ``support``."""
     return CatalogFamily(
         block_id, kind, None, lambda _n: (Poset.from_covers(size, covers), support)
@@ -298,11 +298,13 @@ def _contact_pendant_low_dual(n):
 _FAMILIES = {
     fam.id: fam
     for fam in (
-        _fixed("chain2", "toral", 2, [(1, 2)]),
+        _fixed("chain2", "toral", 2, [(1, 2)], [(1, 2)]),
         CatalogFamily("pendant_chain", "toral", (4, 14), _pendant_chain),
         CatalogFamily("pendant_chain_dual", "toral", (4, 14), _pendant_chain_dual),
-        _fixed("tree6", "toral", 6, [(1, 2), (2, 3), (2, 4), (3, 5), (4, 6)]),
-        _fixed("tree6_dual", "toral", 6, [(1, 3), (2, 4), (3, 5), (4, 5), (5, 6)]),
+        _fixed("tree6", "toral", 6, [(1, 2), (2, 3), (2, 4), (3, 5), (4, 6)],
+               [(1, 3), (1, 5), (1, 6), (2, 4), (2, 5)]),
+        _fixed("tree6_dual", "toral", 6, [(1, 3), (2, 4), (3, 5), (4, 5), (5, 6)],
+               [(1, 5), (1, 6), (2, 6), (3, 5), (4, 5)]),
         CatalogFamily("diamond_stack", "toral", (1, 7), _diamond_stack),
         CatalogFamily("diamond_stack_dual", "toral", (1, 7), _diamond_stack_dual),
         _fixed("six_a", "toral", 6, [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (4, 6)],
@@ -377,23 +379,11 @@ def family(block_id, n=None):
     return fam
 
 
-@lru_cache(maxsize=None)
-def _searched_form(block_id):
-    poset, _ = _FAMILIES[block_id].build(None)
-    form = derive_small_frobenius_form(poset)
-    if form is None:
-        raise BlockError(f"no qualifying Frobenius form found for {block_id}")
-    return form
-
-
 def block(block_id, n=None):
     """Instantiate a catalog block; parametric families require n."""
     fam = family(block_id, n)
     poset, support = fam.build(n)
-    if support is None:
-        form = _searched_form(block_id)
-    else:
-        form = OneForm.from_support(poset, support)
+    form = OneForm.from_support(poset, support)
     return BuildingBlock(block_id, fam.kind, poset, form, _roles_for(poset), n)
 
 
@@ -506,26 +496,19 @@ def search_contact_form(poset):
 
     The same spanning-tree search as the Frobenius one, over
     every support S oriented from an ideal to its complementary filter
-    and covering all extremal relations; S is accepted when the exact
-    ``is_contact_form`` accepts E*_{1,1} + φ_S (a one-dimensional
-    trace-zero kernel of dφ on whose generator the form does not
-    vanish); where Hadamard's bound makes dφ's corank mod p exact, a
-    corank other than 1 rejects S first. Nothing is sampled, so the
+    and covering all extremal relations; S is accepted when
+    ``is_contact_form_volume`` accepts E*_{1,1} + φ_S, one exact rank of
+    the bordered skew matrix per candidate. Nothing is sampled, so the
     result is exact. The search is exhaustive, with no cap on the number
     of supports tried; callers bound the poset size instead (the CLI's
     ``SEARCH_SIZE_CAP``).
     """
     gA = build_gA(poset)
-    n = gA.dim
-    if n % 2 == 0 or not poset.is_connected():
+    if gA.dim % 2 == 0 or not poset.is_connected():
         return None
 
     def contact(support):
-        phi = OneForm.from_support(poset, list(support) + [(1, 1)])
-        rows, _ = forms._dphi_rows(gA, forms.phi_on_basis(gA, phi))
-        if linalg.rank_mod_p_is_exact(rows) and n - linalg.rank_mod_p(rows, n) != 1:
-            return False
-        return is_contact_form(gA, phi).is_contact
+        return is_contact_form_volume(gA, OneForm.from_support(poset, list(support) + [(1, 1)]))
 
     best = _least_tree_support(poset, contact)
     return None if best is None else OneForm.from_support(poset, list(best) + [(1, 1)])

@@ -21,7 +21,7 @@ from itertools import product
 
 from ..algebras import build_gA
 from ..forms import ContactResult, OneForm, index
-from ..posets import Poset, is_forest
+from ..posets import Poset, is_forest, json_int
 from .blocks import block, family
 
 
@@ -184,18 +184,17 @@ class ConstructionScript:
                 block_id, n, rule = blk["id"], blk.get("n"), raw.get("rule")
                 if not isinstance(block_id, str) or not (rule is None or isinstance(rule, str)):
                     raise TypeError("block ids and rule names must be strings")
-                identify = tuple(
-                    sorted((role, int(label)) for role, label in raw.get("identify", {}).items())
-                )
+                labels = raw.get("identify", {}).items()
+                identify = tuple(sorted((role, json_int(label)) for role, label in labels))
                 steps.append(
                     ScriptStep(
                         block_id=block_id,
-                        n=None if n is None else int(n),
+                        n=None if n is None else json_int(n),
                         rule=rule,
                         identify=identify,
                     )
                 )
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ScriptError(f"malformed script JSON: {exc}") from exc
         return cls(steps)
 

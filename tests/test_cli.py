@@ -510,7 +510,8 @@ def test_poset_json_above_size_cap_exit_code(tmp_path, capsys):
 
 
 def test_malformed_inputs_exit_code(tmp_path, capsys):
-    # each of these used to end in a traceback
+    # each of these used to end in a traceback, or, for a float or a bool
+    # where an integer belongs, to be truncated without a word
     chain3 = write(tmp_path, "chain3.json", {"n": 3, "covers": [[1, 2], [2, 3]]})
     contact = {"block": {"id": "contact_chain3"}}
     scripts = [
@@ -518,11 +519,27 @@ def test_malformed_inputs_exit_code(tmp_path, capsys):
         [{"block": {"id": []}}],
         [contact, {"block": {"id": "chain2"}, "rule": ["C"]}],
         [contact, {"block": {"id": "pendant_chain", "n": "x"}, "rule": "A1"}],
+        # this one used to build pendant_chain(4)
+        [contact, {"block": {"id": "pendant_chain", "n": 4.5}, "rule": "A1"}],
+        [contact, {"block": {"id": "chain2"}, "rule": "A1", "identify": {"a1": 2.0}}],
     ]
     inf_form = {"support": [[1, 2]], "coeffs": {"1,2": float("inf")}}
-    cases = [
-        ["analyze", write(tmp_path, "inf.json", {"n": float("inf"), "covers": []})],
-        ["analyze", chain3, "--form", write(tmp_path, "form.json", inf_form)],
+    posets = [
+        {"n": float("inf"), "covers": []},
+        {"n": 4.9, "covers": [[1, 2.7], [2, 3], [2, 4]]},
+        {"n": 4, "covers": [[1, 2.7], [2, 3], [2, 4]]},
+        {"n": True, "covers": []},
+    ]
+    forms = [
+        inf_form,
+        {"support": [[1, 2.9]]},
+        {"support": [[1, 2]], "coeffs": {"1,2": 0.1}},
+        {"support": [[1, 2]], "coeffs": {"1,2": True}},
+    ]
+    cases = [["analyze", write(tmp_path, f"poset{i}.json", p)] for i, p in enumerate(posets)]
+    for i, form in enumerate(forms):
+        cases.append(["analyze", chain3, "--form", write(tmp_path, f"form{i}.json", form)])
+    cases += [
         ["export-dot", chain3, "--dot-out", str(tmp_path / "missing" / "out.dot")],
         ["analyze", chain3, "--json-out", str(tmp_path / "missing" / "out.json")],
     ]

@@ -23,7 +23,7 @@ from lieposet.linalg import (
     poly_eval_matrix,
     rank,
     rank_mod_p,
-    rank_mod_p_is_exact,
+    skew_rank,
     solve,
 )
 from lieposet.sweep import enumerate_posets
@@ -291,14 +291,19 @@ def as_rows(matrix, sparse):
 
 
 @settings(max_examples=200, deadline=None)
-@given(skew_matrices(6, st.integers(-3, 3) | st.just(0)), st.booleans())
-def test_rank_mod_p_matches_exact_rank_on_small_matrices(matrix, sparse):
-    # every minor of these 6 x 6 matrices is below p (Hadamard's bound,
-    # which rank_mod_p_is_exact checks), so no nonzero minor vanishes mod
-    # p and the two ranks agree
+@given(skew_matrices(6, st.integers(-3, 3) | st.just(0) | st.sampled_from([_MODP, 2 * _MODP])))
+def test_rank_mod_p_matches_exact_rank_on_small_matrices(matrix):
+    # skew_rank is the exact rank whatever the entries. With entries in
+    # [-3, 3] every minor of these 6 x 6 matrices is below p (Hadamard's
+    # bound), so no nonzero minor vanishes mod p and the mod-p rank is
+    # already exact; an entry that is a multiple of p breaks the bound,
+    # and a deficit mod p then takes the exact fallback.
     n = len(matrix)
-    assert rank_mod_p_is_exact(as_rows(matrix, True))
-    assert rank_mod_p(as_rows(matrix, sparse), n) == int_rank(matrix, n)
+    exact = int_rank(matrix, n)
+    for sparse in (False, True):
+        assert skew_rank(as_rows(matrix, sparse), n) == exact
+    if all(abs(x) <= 3 for row in matrix for x in row):
+        assert rank_mod_p(as_rows(matrix, True), n) == exact
 
 
 # zero is drawn by two of the four branches, so about half the entries are zero
@@ -335,10 +340,10 @@ def test_rank_mod_p_edge_shapes():
 @given(skew_matrices(6, st.integers(-3, 3)), skew_matrices(6, st.integers(-3, 3)))
 def test_rank_mod_p_multiples_of_p_are_zero(small, multiples):
     p = _MODP
-    # a lower bound only: [[0, p], [-p, 0]] has rank 2 over Q, and the
-    # Hadamard check sees that its minors reach p
+    # a lower bound only: [[0, p], [-p, 0]] has rank 2 over Q; its minors
+    # reach p, so skew_rank takes the exact fallback
     assert int_rank([[0, p], [-p, 0]], 2) == 2 and rank_mod_p([[0, p], [-p, 0]], 2) == 0
-    assert not rank_mod_p_is_exact([{1: p}, {0: -p}])
+    assert skew_rank([{1: p}, {0: -p}], 2) == skew_rank([[0, p], [-p, 0]], 2) == 2
     assert rank_mod_p([[0, p, 1], [-p, 0, 2 * p], [-1, -2 * p, 0]], 3) == 2
     assert rank_mod_p([[0, 7], [-7, 0]], 2, p=7) == 0
     # adding q times a skew matrix changes nothing mod q
