@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .linalg import RatMatrix, ShapeError
 
@@ -42,6 +44,17 @@ class LieAlgebra:
         self.dim = len(self.labels)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.table = table
+
+    @cached_property
+    def dphi_terms(self):
+        """``(t, terms)``: the table compiled once for dφ assembly, one int
+        term (i, j, k, c) per coefficient of [b_i, b_j] at b_k, in table
+        order, with c = -t times it and t > 0 the table's least common
+        denominator (1 for poset algebras): t·dφ[i][j] = Σ c·φ(b_k)."""
+        t = lcm(1, *{c.denominator for entry in self.table.values() for c in entry.values()})
+        terms = [(i, j, k, (-t * c).numerator)
+                 for (i, j), entry in self.table.items() for k, c in entry.items()]
+        return t, tuple(terms)
 
     def bracket_basis(self, i, j):
         """[b_i, b_j] as a sparse dict index -> coefficient."""

@@ -19,9 +19,9 @@ from .forms import (
     FormError,
     NotFrobeniusError,
     OneForm,
+    ad_char_poly,
     index,
     is_contact_form,
-    spectrum,
 )
 from .posets import Poset, PosetError
 from .sweep import SWEEP_MAX_N, conjecture_sweep
@@ -129,7 +129,7 @@ def analyze(poset, form=None, seed=0, trials=5):
             },
         }
         if toral.conditions["frobenius"]:
-            report["spectrum"] = [str(c) for c in spectrum(gA, form)]
+            report["spectrum"] = [str(c) for c in ad_char_poly(gA, toral.principal)]
         report["toral_pair_check"] = toral.to_json()
         report["contact_pair_check"] = contact.to_json()
     elif poset.n > SEARCH_SIZE_CAP:

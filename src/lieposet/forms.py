@@ -1,9 +1,10 @@
 """One-forms on (type-A) Lie poset algebras and their dφ analysis.
 
 The skew form dφ(x, y) = -φ([x, y]) drives everything here: kernels in
-the full and trace-zero algebras, the sampled index, Frobenius and
-contact decisions, principal elements and spectra, and the
-support-graph combinatorics (small forms, sink/source partition).
+the full and trace-zero algebras, the sampled index, Frobenius and contact
+decisions, principal elements and spectra, and the support-graph
+combinatorics (small forms, sink/source partition). Every elimination reads
+dφ from ``_dphi_rows``, one integer loop over ``LieAlgebra.dphi_terms``.
 """
 
 from __future__ import annotations
@@ -132,10 +133,14 @@ class OneForm:
 
     @classmethod
     def from_json(cls, poset, data):
+        """Read ``to_json`` output; unlike ``from_support``, a repeated pair
+        or a coefficient off the support is an error."""
         try:
             pairs = [(json_int(p), json_int(q)) for p, q in data["support"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise FormError(f"malformed one-form JSON: {exc}") from exc
+        if len(set(pairs)) < len(pairs):
+            raise FormError("a support pair is listed twice")
         coeffs = None
         if "coeffs" in data:
             coeffs = {}
@@ -145,6 +150,8 @@ class OneForm:
                     coeffs[(p, q)] = Fraction(val if isinstance(val, str) else json_int(val))
             except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise FormError(f"malformed one-form coefficient: {exc}") from exc
+            if len(coeffs) < len(data["coeffs"]) or not coeffs.keys() <= set(pairs):
+                raise FormError("each coefficient key must name a support pair, and only once")
         return cls.from_support(poset, pairs, coeffs)
 
 
@@ -201,25 +208,24 @@ def _as_values(algebra, form_or_values):
 def _dphi_rows(algebra, values):
     """Rows ``{col: int}`` of s·dφ and the vector s·φ(b), for one scale s > 0.
 
-    ``values`` are φ on the basis (ints or Fractions). Entries come from
-    the sparse structure table: dφ[i][j] = -φ([b_i, b_j]). Scaling by s
-    changes neither rank nor kernel nor the solution of dφ x = φ(b).
-    """
+    ``values`` (φ on the basis, ints or Fractions) lose their denominators,
+    and s is that lcm times the table scale t. One loop over the compiled
+    ``algebra.dphi_terms`` adds c·φ(b_k) into rows[i][j] and mirrors it; an
+    entry whose terms cancel is not stored. s changes no rank, kernel or solve."""
+    t, terms = algebra.dphi_terms
     _, phi = linalg.clear_denominators(values)
-    keys = []
-    entries = []
-    for key, entry in algebra.table.items():
-        v = sum(c * phi[k] for k, c in entry.items())
+    rows = [{} for _ in range(algebra.dim)]
+    for i, j, k, c in terms:
+        v = c * phi[k]
         if v:
-            keys.append(key)
-            entries.append(v)
-    s, entries = linalg.clear_denominators(entries)
-    n = algebra.dim
-    rows = [{} for _ in range(n)]
-    for (i, j), v in zip(keys, entries):
-        rows[i][j] = -v
-        rows[j][i] = v
-    return rows, [s * x for x in phi]
+            row = rows[i]
+            v += row.get(j, 0)
+            if v:
+                row[j] = v
+                rows[j][i] = -v
+            else:
+                del row[j], rows[j][i]
+    return rows, [t * x for x in phi]
 
 
 def coords_json(coords):
@@ -263,18 +269,10 @@ def kernel(algebra, form_or_values):
 
 
 def in_kernel(algebra, form_or_values, elem):
-    """Membership test: φ([b_j, x]) = 0 for every basis vector b_j."""
-    values = _as_values(algebra, form_or_values)
+    """Membership test: φ([b_j, x]) = -(dφ x)_j is 0 for every basis vector b_j."""
+    rows, _ = _dphi_rows(algebra, _as_values(algebra, form_or_values))
     vec = elem.vec if isinstance(elem, AlgebraElement) else elem
-    for j in range(algebra.dim):
-        total = Fraction(0)
-        for i, c in enumerate(vec):
-            if c:
-                for k, ck in algebra.bracket_basis(j, i).items():
-                    total += c * ck * values[k]
-        if total:
-            return False
-    return True
+    return not any(sum(c * vec[i] for i, c in row.items()) for row in rows)
 
 
 def index(algebra, trials=INDEX_TRIALS, seed=0):
@@ -403,16 +401,18 @@ def is_binary_spectrum(algebra, form_or_values):
     return weights.count(0) == weights.count(1) == d // 2
 
 
-def spectrum(algebra, form_or_values):
-    """Characteristic polynomial of ad(x̂), as descending coefficients.
-
-    The product of (λ - w) over ``ad_weights``; ``linalg.char_poly`` of
-    ``ad_matrix`` is the reference it is tested against.
-    """
+def ad_char_poly(algebra, elem):
+    """Characteristic polynomial of ad(x), as descending coefficients: the
+    product of (λ - w) over ``ad_weights``, tested against ``char_poly``."""
     coeffs = [Fraction(1)]
-    for w in ad_weights(algebra, principal_element(algebra, form_or_values)):
+    for w in ad_weights(algebra, elem):
         coeffs = [a - w * b for a, b in zip(coeffs + [0], [0] + coeffs)]
     return coeffs
+
+
+def spectrum(algebra, form_or_values):
+    """Characteristic polynomial of ad(x̂), as descending coefficients."""
+    return ad_char_poly(algebra, principal_element(algebra, form_or_values))
 
 
 def udo_partition(poset, form):

@@ -19,12 +19,15 @@ from typing import Callable
 from .. import linalg
 from ..algebras import build_g, build_gA
 from ..forms import (
+    KernelReport,
+    NotFrobeniusError,
     OneForm,
-    is_binary_spectrum,
+    ad_weights,
     is_contact_form,
     is_contact_form_volume,
     is_small,
     kernel,
+    principal_element,
     udo_partition,
 )
 from ..posets import Poset, is_forest
@@ -395,6 +398,8 @@ class PairReport:
     kind: str
     conditions: dict
     details: dict = field(default_factory=dict)
+    # x̂ of a Frobenius toral pair, for its spectrum; not written to JSON
+    principal: object = field(default=None, repr=False, compare=False)
 
     @property
     def all_pass(self):
@@ -426,7 +431,9 @@ def _f4_holds(poset, full_kernel):
 
 
 def verify_toral_pair(poset, form):
-    """Itemized check of the Frobenius building-block conditions."""
+    """Itemized check of the Frobenius building-block conditions. One solve
+    for x̂ on g_A (kept as ``principal``) gives the verdict, the empty kernel
+    and the spectrum; only a singular dφ goes on to ``kernel``."""
     conditions = {}
     details = {}
     ext = poset.extremal_data()
@@ -444,14 +451,15 @@ def verify_toral_pair(poset, form):
     conditions["f4_kernel_shape"] = _f4_holds(poset, full_kernel)
     details["kernel_full"] = full_kernel
     gA = build_gA(poset)
-    ker_a = kernel(gA, form)
-    conditions["frobenius"] = ker_a.dimension == 0
-    details["kernel_trace_zero"] = ker_a
-    if conditions["frobenius"]:
-        conditions["p2_binary_spectrum"] = is_binary_spectrum(gA, form)
-    else:
-        conditions["p2_binary_spectrum"] = False
-    return PairReport("toral", conditions, details)
+    try:
+        x_hat = principal_element(gA, form)
+    except NotFrobeniusError:
+        x_hat = None
+    frobenius = conditions["frobenius"] = x_hat is not None
+    details["kernel_trace_zero"] = KernelReport("gA", 0, [], gA) if frobenius else kernel(gA, form)
+    w = ad_weights(gA, x_hat) if frobenius else []
+    conditions["p2_binary_spectrum"] = frobenius and w.count(0) == w.count(1) == gA.dim // 2
+    return PairReport("toral", conditions, details, x_hat)
 
 
 def verify_contact_toral_pair(poset, form):

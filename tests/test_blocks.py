@@ -1,10 +1,12 @@
 import functools
+import random
 from fractions import Fraction
 
 import pytest
 
 from lieposet import forms
 from lieposet.algebras import build_g, build_gA
+from lieposet.cli import analyze
 from lieposet.forms import OneForm, in_kernel, is_contact_form_volume, kernel
 from lieposet.posets import Poset
 from lieposet.toral import (
@@ -379,3 +381,34 @@ def test_contact_form_search_samples_nothing(monkeypatch):
             assert search_contact_form(blk.poset) is not None, (blk.id, blk.n)
             checked += 1
     assert checked == 20
+
+
+def _pair_report_matches_separate_calls(poset, form):
+    """The folded toral pair report against the three separate calls."""
+    gA = build_gA(poset)
+    rep = verify_toral_pair(poset, form)
+    assert repr(rep.details["kernel_trace_zero"]) == repr(kernel(gA, form))
+    try:
+        binary = forms.is_binary_spectrum(gA, form)
+        expected = [str(c) for c in forms.spectrum(gA, form)]
+    except forms.NotFrobeniusError:
+        binary, expected = False, None
+    assert rep.conditions["p2_binary_spectrum"] == binary
+    assert analyze(poset, form).get("spectrum") == expected
+    return rep.conditions["frobenius"]
+
+
+def test_folded_pair_report_matches_kernel_and_spectrum():
+    # one principal_element stands in for kernel, is_binary_spectrum and
+    # spectrum on every toral catalog block and on seeded random forms
+    for blk in catalog_blocks():
+        if blk.kind == "toral":
+            assert _pair_report_matches_separate_calls(blk.poset, blk.form), (blk.id, blk.n)
+    rng = random.Random(3)
+    singular = 0
+    for poset in enumerate_posets(5):
+        pairs = sorted(poset.relations) + [(p, p) for p in poset.elements]
+        support = [pq for pq in pairs if rng.random() < 0.4]
+        form = OneForm(poset, {pq: rng.randint(-3, 3) for pq in support})
+        singular += not _pair_report_matches_separate_calls(poset, form)
+    assert singular == 57  # and 2 Frobenius forms

@@ -536,9 +536,18 @@ def test_malformed_inputs_exit_code(tmp_path, capsys):
         {"support": [[1, 2]], "coeffs": {"1,2": 0.1}},
         {"support": [[1, 2]], "coeffs": {"1,2": True}},
     ]
+    # on 1<2<{3,4} these were read as a form without the (1,3) coefficient
+    # and as coefficient 2 at (1,2)
+    fork4 = write(tmp_path, "fork4.json", {"n": 4, "covers": [[1, 2], [2, 3], [2, 4]]})
+    fork4_forms = [
+        {"support": [[1, 1], [1, 4], [2, 3], [2, 4]], "coeffs": {"1,3": "5"}},
+        {"support": [[1, 2], [1, 2]]},
+    ]
     cases = [["analyze", write(tmp_path, f"poset{i}.json", p)] for i, p in enumerate(posets)]
     for i, form in enumerate(forms):
         cases.append(["analyze", chain3, "--form", write(tmp_path, f"form{i}.json", form)])
+    for i, form in enumerate(fork4_forms):
+        cases.append(["analyze", fork4, "--form", write(tmp_path, f"fork4_form{i}.json", form)])
     cases += [
         ["export-dot", chain3, "--dot-out", str(tmp_path / "missing" / "out.dot")],
         ["analyze", chain3, "--json-out", str(tmp_path / "missing" / "out.json")],

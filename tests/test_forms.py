@@ -224,6 +224,54 @@ def test_dphi_rows_modp_corank_matches_exact_rank():
             assert n - linalg.rank_mod_p(rows, n) == exact, (poset.covers, alg.kind)
 
 
+def test_dphi_rows_are_the_integer_entries_on_poset_algebras():
+    # a poset algebra's table compiles with scale t = 1, so the rows are
+    # the nonzero entries of dφ for φ cleared of its denominators, as ints
+    rng = random.Random(8)
+    for poset in _oracle_posets():
+        form = _random_form(poset, rng, denominators=(1, 2, 3))
+        for alg in (build_g(poset), build_gA(poset)):
+            _, phi = linalg.clear_denominators(phi_on_basis(alg, form))
+            rows, phi_out = _dphi_rows(alg, phi_on_basis(alg, form))
+            m = dphi_matrix(alg, phi)
+            expected = [{j: int(v) for j, v in enumerate(r) if v} for r in m.rows]
+            assert alg.dphi_terms[0] == 1 and phi_out == phi
+            assert rows == expected and all(type(v) is int for r in rows for v in r.values())
+
+
+# sl2 in the basis b1 = h/2 + e, b2 = e + f/3, b3 = f - h: every bracket has three terms
+SL2_RATIONAL = {
+    (1, 2): {1: -2, 2: 3, 3: Fraction(-4, 3)},
+    (1, 3): {1: -4, 2: 6, 3: -3},
+    (2, 3): {1: -2, 2: 4, 3: -2},
+}
+
+
+def _assert_scaled_dphi(alg, values):
+    """_dphi_rows gives λ·dφ and λ·φ(b) for one λ > 0, with no stored zero."""
+    rows, phi = _dphi_rows(alg, values)
+    k = next(k for k, v in enumerate(values) if v)
+    lam = Fraction(phi[k]) / values[k]
+    assert lam > 0 and phi == [lam * v for v in values]
+    assert all(type(v) is int and v for r in rows for v in r.values())
+    m = dphi_matrix(alg, values)
+    assert rows == [{j: lam * v for j, v in enumerate(r) if v} for r in m.rows]
+    return rows
+
+
+def test_dphi_rows_sum_multi_term_rational_brackets():
+    alg = build_custom(3, SL2_RATIONAL)
+    assert alg.dphi_terms[0] == 3 and len(alg.dphi_terms[1]) == 9
+    # φ(b) = (1, 1, 3/4) kills [b1, b2]: its three terms cancel, the others stay
+    rows = _assert_scaled_dphi(alg, functional_on_basis(alg, [1, 1, Fraction(3, 4)]))
+    assert [sorted(r) for r in rows] == [[2], [2], [0, 1]]
+    rng = random.Random(4)
+    for _ in range(20):
+        nums = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(3)]
+        draw = [Fraction(a, rng.randint(1, 4)) for a in nums]
+        _assert_scaled_dphi(alg, functional_on_basis(alg, draw))
+
+
 def test_dphi_rows_scaling_keeps_exact_answers():
     # rational coefficients: kernel, principal element and volume test must
     # match the Fraction dφ matrix through the RatMatrix entry points
