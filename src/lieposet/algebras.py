@@ -47,14 +47,11 @@ class LieAlgebra:
 
     @cached_property
     def dphi_terms(self):
-        """``(t, terms)``: the table compiled once for dφ assembly, one int
-        term (i, j, k, c) per coefficient of [b_i, b_j] at b_k, in table
-        order, with c = -t times it and t > 0 the table's least common
-        denominator (1 for poset algebras): t·dφ[i][j] = Σ c·φ(b_k)."""
+        """``(t, terms)``: t > 0 the lcm denominator of the table (1 for poset algebras),
+        an int term (i, j, k, c = -t·[b_i, b_j]_k) per coefficient: t·dφ_ij = Σ c·φ(b_k)."""
         t = lcm(1, *{c.denominator for entry in self.table.values() for c in entry.values()})
-        terms = [(i, j, k, (-t * c).numerator)
-                 for (i, j), entry in self.table.items() for k, c in entry.items()]
-        return t, tuple(terms)
+        return t, tuple((i, j, k, (-t * c).numerator)
+                        for (i, j), entry in self.table.items() for k, c in entry.items())
 
     def bracket_basis(self, i, j):
         """[b_i, b_j] as a sparse dict index -> coefficient."""

@@ -1,10 +1,10 @@
 """One-forms on (type-A) Lie poset algebras and their dφ analysis.
 
 The skew form dφ(x, y) = -φ([x, y]) drives everything here: kernels in
-the full and trace-zero algebras, the sampled index, Frobenius and contact
-decisions, principal elements and spectra, and the support-graph
-combinatorics (small forms, sink/source partition). Every elimination reads
-dφ from ``_dphi_rows``, one integer loop over ``LieAlgebra.dphi_terms``.
+the full and trace-zero algebras, the sampled index, Frobenius and contact decisions,
+principal elements and spectra, and the support-graph combinatorics (small forms,
+sink/source partition). Eliminations read dφ from ``_dphi_rows``, one integer loop
+over ``LieAlgebra.dphi_terms``.
 """
 
 from __future__ import annotations
@@ -269,10 +269,11 @@ def kernel(algebra, form_or_values):
 
 
 def in_kernel(algebra, form_or_values, elem):
-    """Membership test: φ([b_j, x]) = -(dφ x)_j is 0 for every basis vector b_j."""
-    rows, _ = _dphi_rows(algebra, _as_values(algebra, form_or_values))
+    """Membership test: dφ x = 0, read off the Fraction reference ``dphi_matrix``
+    rather than ``_dphi_rows``, so tests check kernels against another assembly."""
     vec = elem.vec if isinstance(elem, AlgebraElement) else elem
-    return not any(sum(c * vec[i] for i, c in row.items()) for row in rows)
+    rows = dphi_matrix(algebra, form_or_values).rows
+    return not any(sum(c * x for c, x in zip(row, vec) if x) for row in rows)
 
 
 def index(algebra, trials=INDEX_TRIALS, seed=0):
@@ -374,6 +375,17 @@ def principal_element(algebra, form_or_values):
     return algebra.element(sol)
 
 
+def principal_or_kernel(algebra, form_or_values):
+    """``(x̂, None)`` for a Frobenius form, else ``(None, kernel report)``, in one exact
+    elimination: full rank mod p (nonsingular over Q) goes to the solve, odd dimension
+    or a drop mod p to ``kernel``, and an empty kernel (p | det dφ) on to the solve."""
+    values, n = _as_values(algebra, form_or_values), algebra.dim
+    if n % 2 == 0 and linalg.rank_mod_p(_dphi_rows(algebra, values)[0], n) == n:
+        return principal_element(algebra, values), None
+    report = kernel(algebra, values)
+    return (None, report) if report.dimension else (principal_element(algebra, values), report)
+
+
 def ad_weights(algebra, elem):
     """Eigenvalues of ad(x) with multiplicity, read off the poset.
 
@@ -392,13 +404,16 @@ def ad_weights(algebra, elem):
     return weights
 
 
+def is_binary_weights(algebra, elem):
+    """ad(x) has eigenvalues 0 and 1, each d/2 times; false for odd d."""
+    w, d = ad_weights(algebra, elem), algebra.dim
+    return d % 2 == 0 and w.count(0) == w.count(1) == d // 2
+
+
 def is_binary_spectrum(algebra, form_or_values):
-    """ad(x̂) has eigenvalues 0 and 1, each d/2 times; false for odd d."""
+    """``is_binary_weights`` of x̂; false for odd d, where x̂ does not exist."""
     d = algebra.dim
-    if d % 2 == 1:
-        return False
-    weights = ad_weights(algebra, principal_element(algebra, form_or_values))
-    return weights.count(0) == weights.count(1) == d // 2
+    return d % 2 == 0 and is_binary_weights(algebra, principal_element(algebra, form_or_values))
 
 
 def ad_char_poly(algebra, elem):

@@ -20,14 +20,13 @@ from .. import linalg
 from ..algebras import build_g, build_gA
 from ..forms import (
     KernelReport,
-    NotFrobeniusError,
     OneForm,
-    ad_weights,
+    is_binary_weights,
     is_contact_form,
     is_contact_form_volume,
     is_small,
     kernel,
-    principal_element,
+    principal_or_kernel,
     udo_partition,
 )
 from ..posets import Poset, is_forest
@@ -398,8 +397,7 @@ class PairReport:
     kind: str
     conditions: dict
     details: dict = field(default_factory=dict)
-    # x̂ of a Frobenius toral pair, for its spectrum; not written to JSON
-    principal: object = field(default=None, repr=False, compare=False)
+    principal: object = field(default=None, repr=False, compare=False)  # x̂; not in JSON
 
     @property
     def all_pass(self):
@@ -431,9 +429,8 @@ def _f4_holds(poset, full_kernel):
 
 
 def verify_toral_pair(poset, form):
-    """Itemized check of the Frobenius building-block conditions. One solve
-    for x̂ on g_A (kept as ``principal``) gives the verdict, the empty kernel
-    and the spectrum; only a singular dφ goes on to ``kernel``."""
+    """Itemized check of the Frobenius building-block conditions; one g_A elimination
+    gives x̂ (kept as ``principal``, for the spectra) or the trace-zero kernel."""
     conditions = {}
     details = {}
     ext = poset.extremal_data()
@@ -451,14 +448,10 @@ def verify_toral_pair(poset, form):
     conditions["f4_kernel_shape"] = _f4_holds(poset, full_kernel)
     details["kernel_full"] = full_kernel
     gA = build_gA(poset)
-    try:
-        x_hat = principal_element(gA, form)
-    except NotFrobeniusError:
-        x_hat = None
-    frobenius = conditions["frobenius"] = x_hat is not None
-    details["kernel_trace_zero"] = KernelReport("gA", 0, [], gA) if frobenius else kernel(gA, form)
-    w = ad_weights(gA, x_hat) if frobenius else []
-    conditions["p2_binary_spectrum"] = frobenius and w.count(0) == w.count(1) == gA.dim // 2
+    x_hat, ker_a = principal_or_kernel(gA, form)
+    conditions["frobenius"] = x_hat is not None
+    details["kernel_trace_zero"] = ker_a or KernelReport("gA", 0, [], gA)
+    conditions["p2_binary_spectrum"] = x_hat is not None and is_binary_weights(gA, x_hat)
     return PairReport("toral", conditions, details, x_hat)
 
 

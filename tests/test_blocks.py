@@ -399,7 +399,7 @@ def _pair_report_matches_separate_calls(poset, form):
 
 
 def test_folded_pair_report_matches_kernel_and_spectrum():
-    # one principal_element stands in for kernel, is_binary_spectrum and
+    # one principal_or_kernel stands in for kernel, is_binary_spectrum and
     # spectrum on every toral catalog block and on seeded random forms
     for blk in catalog_blocks():
         if blk.kind == "toral":

@@ -21,6 +21,7 @@ from lieposet.forms import (
     kernel,
     phi_on_basis,
     principal_element,
+    principal_or_kernel,
     spectrum,
     udo_partition,
     _dphi_rows,
@@ -545,6 +546,21 @@ def test_spectrum_of_custom_algebra_is_shape_error():
         is_binary_spectrum(alg, [0, 1])
     with pytest.raises(ShapeError):
         spectrum(alg, [0, 1])
+
+
+def test_principal_or_kernel_routes_each_form():
+    alg = build_custom(2, {(1, 2): {2: 1}})  # [e1, e2] = e2
+    p = linalg._MODP
+    # φ(e2) = p: det dφ = p² vanishes mod p, but dφ is nonsingular over Q
+    assert linalg.rank_mod_p(_dphi_rows(alg, [0, p])[0], 2) == 0
+    x_hat, report = principal_or_kernel(alg, [0, p])
+    assert x_hat.vec == principal_element(alg, [0, p]).vec and report.dimension == 0
+    x_hat, report = principal_or_kernel(alg, [0, 1])
+    assert x_hat.vec == (1, 0) and report is None
+    x_hat, report = principal_or_kernel(alg, [1, 0])  # dφ = 0
+    assert x_hat is None and report.dimension == 2
+    x_hat, report = principal_or_kernel(build_gA(CHAIN4), PHI_CHAIN4)  # odd dim
+    assert x_hat is None and report.dimension == 1
 
 
 def test_form_graph_contact_chain3():
