@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .algebras import build_g, build_gA
+from .algebras import build_gA
 from .forms import (
     FormError,
     NotFrobeniusError,
@@ -53,11 +53,19 @@ class InputError(ValueError):
     pass
 
 
+def _unique_keys(pairs):
+    """``object_pairs_hook`` that refuses a key repeated in one JSON object."""
+    keys = [k for k, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"key {max(keys, key=keys.count)!r} appears twice in one object")
+    return dict(pairs)
+
+
 def _load_json(path, what):
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:  # ValueError covers json.JSONDecodeError
         raise InputError(f"cannot read {what} from {path}: {exc}") from exc
 
 
@@ -79,7 +87,6 @@ def _load_poset(path):
 def analyze(poset, form=None, seed=0, trials=5):
     """Full analysis report as a JSON-ready dict; no bare verdicts."""
     ext = poset.extremal_data()
-    g = build_g(poset)
     gA = build_gA(poset)
     report = {
         "poset": {
@@ -92,7 +99,7 @@ def analyze(poset, form=None, seed=0, trials=5):
             "connected": poset.is_connected(),
             "components": len(poset.connected_components()),
         },
-        "algebra": {"dim_g": g.dim, "dim_gA": gA.dim},
+        "algebra": {"dim_g": gA.dim + 1, "dim_gA": gA.dim},
         "index": {
             "value": index(gA, trials=trials, seed=seed),
             "trials": trials,

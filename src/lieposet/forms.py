@@ -260,12 +260,15 @@ class KernelReport:
         }
 
 
+def _kernel_report(algebra, basis):
+    space = algebra.kind if isinstance(algebra, PosetLieAlgebra) else "custom"
+    return KernelReport(space, len(basis), basis, algebra)
+
+
 def kernel(algebra, form_or_values):
     """Exact kernel of dφ."""
     rows, _ = _dphi_rows(algebra, _as_values(algebra, form_or_values))
-    basis = linalg.int_kernel_basis(rows, algebra.dim)
-    space = algebra.kind if isinstance(algebra, PosetLieAlgebra) else "custom"
-    return KernelReport(space, len(basis), basis, algebra)
+    return _kernel_report(algebra, linalg.int_kernel_basis(rows, algebra.dim))
 
 
 def in_kernel(algebra, form_or_values, elem):
@@ -366,24 +369,25 @@ def is_contact_form_volume(algebra, form_or_values):
 
 def principal_element(algebra, form_or_values):
     """The unique x with φ([x, y]) = φ(y) for all y (Frobenius forms only)."""
-    rows, phi = _dphi_rows(algebra, _as_values(algebra, form_or_values))
-    # φ([x, b_j]) = Σ_i x_i φ([b_i, b_j]) = Σ_i (-M[i][j]) x_i = (M x)_j by skewness
-    n = algebra.dim
-    sol, rank = linalg.int_solve([row | {n: p} if p else row for row, p in zip(rows, phi)], n)
-    if rank < n:
+    x_hat, report = principal_or_kernel(algebra, form_or_values)
+    if report is not None:
         raise NotFrobeniusError("dφ is singular; the form is not Frobenius")
-    return algebra.element(sol)
+    return x_hat
 
 
 def principal_or_kernel(algebra, form_or_values):
-    """``(x̂, None)`` for a Frobenius form, else ``(None, kernel report)``, in one exact
-    elimination: full rank mod p (nonsingular over Q) goes to the solve, odd dimension
-    or a drop mod p to ``kernel``, and an empty kernel (p | det dφ) on to the solve."""
-    values, n = _as_values(algebra, form_or_values), algebra.dim
-    if n % 2 == 0 and linalg.rank_mod_p(_dphi_rows(algebra, values)[0], n) == n:
-        return principal_element(algebra, values), None
-    report = kernel(algebra, values)
-    return (None, report) if report.dimension else (principal_element(algebra, values), report)
+    """``(x̂, None)`` for a Frobenius form, else ``(None, kernel report)``.
+
+    One exact elimination of [dφ | φ(b)] gives both: the kernel of dφ,
+    and when it is empty, x̂ as the solution of the system.
+    """
+    rows, phi = _dphi_rows(algebra, _as_values(algebra, form_or_values))
+    # φ([x, b_j]) = Σ_i x_i φ([b_i, b_j]) = Σ_i (-M[i][j]) x_i = (M x)_j by skewness
+    n = algebra.dim
+    x, basis = linalg.int_solve([row | {n: p} if p else row for row, p in zip(rows, phi)], n)
+    if basis:
+        return None, _kernel_report(algebra, basis)
+    return algebra.element(x), None
 
 
 def ad_weights(algebra, elem):

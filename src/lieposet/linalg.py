@@ -5,13 +5,14 @@ positive denominator). An integer row is a dict ``{col: int}`` of its
 nonzeros. One fraction-free (Bareiss) elimination on such rows bounds
 coefficient growth and serves rank, determinant, kernels and solves; the
 last two back-substitute in integers as well and build each output
-entry once, as a Fraction over the last pivot. Callers that already hold
-integer rows use the ``int_*`` entry points, which take dense lists too;
-the ``RatMatrix`` functions clear denominators row by row and call the
-same core. ``rank_mod_p`` ranks skew-symmetric rows over GF(2^61 - 1),
-two indices at a time; the sampled index reads it as it is, and
-``skew_rank`` turns it into the exact rank over Q that the Frobenius and
-contact verdicts need, by Hadamard's bound or else by Bareiss.
+entry once, as a Fraction over the last pivot; a solve reads the kernel
+off the same echelon. Callers that already hold integer rows use the
+``int_*`` entry points, which take dense lists too; the ``RatMatrix``
+functions clear denominators row by row and call the same core.
+``rank_mod_p`` ranks skew-symmetric rows over GF(2^61 - 1), two indices
+at a time; the sampled index reads it as it is, and ``skew_rank`` turns
+it into the exact rank over Q that the Frobenius and contact verdicts
+need, by Hadamard's bound or else by Bareiss.
 """
 
 from __future__ import annotations
@@ -183,7 +184,8 @@ def _int_echelon(rows, ncols, augmented_from=None):
 def _back_substitute(ech, pivots, ncols, free=None):
     """One solution of the echelon system, last pivot first, in integers.
 
-    With ``free`` it is the kernel vector that is 1 at that free column;
+    With ``free`` it is the kernel vector that is 1 at that free column,
+    and column ``ncols`` is not read even when the rows carry one;
     without, the rows carry a right-hand side in column ``ncols`` and the
     free unknowns are 0. The unknowns are scaled by the last Bareiss
     pivot D, the r x r minor on the pivot rows and columns: by Cramer's
@@ -204,7 +206,8 @@ def _back_substitute(ech, pivots, ncols, free=None):
         c = pivots[k]
         row = ech[k]
         terms = [v * scaled[j] for j, v in row.items() if c < j < ncols and scaled[j]]
-        scaled[c] = (row.get(ncols, 0) * d - sum(terms)) // row[c]
+        rhs = 0 if free is not None else row.get(ncols, 0) * d
+        scaled[c] = (rhs - sum(terms)) // row[c]
         if free is not None and not terms:
             floats[c] = 0 / row[c]  # the known defect; ROADMAP item 1 deletes this branch
     return [floats[j] if j in floats else Fraction(x, d) for j, x in enumerate(scaled)]
@@ -215,24 +218,33 @@ def int_rank(rows, ncols):
     return len(_int_echelon(rows, ncols)[1])
 
 
-def int_kernel_basis(rows, ncols):
-    """Right null space of integer rows: one Fraction vector per free column."""
-    ech, pivots, _ = _int_echelon(rows, ncols)
+def _null_vectors(ech, pivots, ncols):
+    """The kernel vector of each free column < ``ncols``, in column order."""
     pivot_set = set(pivots)
     return [_back_substitute(ech, pivots, ncols, f) for f in range(ncols) if f not in pivot_set]
 
 
-def int_solve(aug_rows, ncols):
-    """Solve integer rows ``[A | b]`` with ``ncols`` unknowns.
+def int_kernel_basis(rows, ncols):
+    """Right null space of integer rows: one Fraction vector per free column."""
+    ech, pivots, _ = _int_echelon(rows, ncols)
+    return _null_vectors(ech, pivots, ncols)
 
-    Returns (x, rank of A): x is one exact solution (free unknowns 0) as
-    Fractions, or None when the system is inconsistent.
+
+def int_solve(aug_rows, ncols):
+    """Solve integer rows ``[A | b]`` with ``ncols`` unknowns, in one elimination.
+
+    Returns (x, kernel): x is one exact solution (free unknowns 0) as
+    Fractions, or None when the system is inconsistent; kernel is the
+    right null space of A, read off the same echelon. Pivots never enter
+    column ``ncols``, so the echelon of A and its pivots are those
+    ``int_kernel_basis`` computes, and the kernel vectors are the same.
     """
     ech, pivots, _ = _int_echelon(aug_rows, ncols + 1, augmented_from=ncols)
+    kernel = _null_vectors(ech, pivots, ncols)
     # inconsistent iff some residual row is 0 ... 0 | nonzero
     if any(row.get(ncols) for row in ech[len(pivots):]):
-        return None, len(pivots)
-    return _back_substitute(ech, pivots, ncols), len(pivots)
+        return None, kernel
+    return _back_substitute(ech, pivots, ncols), kernel
 
 
 def rank(m):

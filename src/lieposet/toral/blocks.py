@@ -25,7 +25,6 @@ from ..forms import (
     is_contact_form,
     is_contact_form_volume,
     is_small,
-    kernel,
     principal_or_kernel,
     udo_partition,
 )
@@ -418,19 +417,11 @@ class PairReport:
         }
 
 
-def _f4_holds(poset, full_kernel):
-    for coords in full_kernel.coords:
-        if any(p != q for (p, q) in coords):
-            return False
-        diag = [coords.get((p, p), Fraction(0)) for p in poset.elements]
-        if any(v != diag[0] for v in diag):
-            return False
-    return True
-
-
 def verify_toral_pair(poset, form):
-    """Itemized check of the Frobenius building-block conditions; one g_A elimination
-    gives x̂ (kept as ``principal``, for the spectra) or the trace-zero kernel."""
+    """Itemized check of the Frobenius building-block conditions, in one exact
+    elimination of [dφ | φ] on g_A. It gives x̂ (kept as ``principal``, for the
+    spectra) or the trace-zero kernel; the kernel on g is read off it as I
+    followed by each trace-zero generator lifted into g."""
     conditions = {}
     details = {}
     ext = poset.extremal_data()
@@ -443,14 +434,22 @@ def verify_toral_pair(poset, form):
     )
     details["partition"] = {"up": sorted(u), "down": sorted(d), "other": sorted(o)}
     conditions["f3_extremal_edges"] = ext.rel_e <= stripped.strict_support
-    g = build_g(poset)
-    full_kernel = kernel(g, form)
-    conditions["f4_kernel_shape"] = _f4_holds(poset, full_kernel)
-    details["kernel_full"] = full_kernel
     gA = build_gA(poset)
     x_hat, ker_a = principal_or_kernel(gA, form)
+    ker_a = ker_a or KernelReport("gA", 0, [], gA)
+    # g = g_A ⊕ C·I with I central: ker dφ on g is C·I iff φ is Frobenius on g_A
+    conditions["f4_kernel_shape"] = x_hat is not None
+    g, n = build_g(poset), poset.n
+    full = [g.identity_element().vec]
+    for v in ker_a.vectors:
+        # v lifted into g with d_n = 0: its h-coordinates c, with c_0 = c_n = 0,
+        # give d_p = c_p - c_{p-1} + c_{n-1}; the e-coordinates are copied over.
+        # Fraction makes a float 0.0 of linalg's known defect an exact 0 here.
+        c = [0, *map(Fraction, v[: n - 1]), 0]
+        full.append([c[p] - c[p - 1] + c[n - 1] for p in range(1, n + 1)] + v[n - 1 :])
+    details["kernel_full"] = KernelReport("g", len(full), full, g)
     conditions["frobenius"] = x_hat is not None
-    details["kernel_trace_zero"] = ker_a or KernelReport("gA", 0, [], gA)
+    details["kernel_trace_zero"] = ker_a
     conditions["p2_binary_spectrum"] = x_hat is not None and is_binary_weights(gA, x_hat)
     return PairReport("toral", conditions, details, x_hat)
 

@@ -8,6 +8,7 @@ from lieposet import forms
 from lieposet.algebras import build_g, build_gA
 from lieposet.cli import analyze
 from lieposet.forms import OneForm, in_kernel, is_contact_form_volume, kernel
+from lieposet.linalg import clear_denominators, int_rank
 from lieposet.posets import Poset
 from lieposet.toral import (
     BlockError,
@@ -412,3 +413,27 @@ def test_folded_pair_report_matches_kernel_and_spectrum():
         form = OneForm(poset, {pq: rng.randint(-3, 3) for pq in support})
         singular += not _pair_report_matches_separate_calls(poset, form)
     assert singular == 57  # and 2 Frobenius forms
+
+
+def test_kernel_full_read_off_g_A_matches_g_elimination():
+    # the pair check reads ker dφ on g off its one g_A elimination; an exact
+    # kernel on g, checked against the Fraction dφ assembly, is the oracle
+    cases = [(b.poset, b.form) for b in catalog_blocks((1, 14)) if b.kind == "toral"]
+    rng = random.Random(16)
+    for poset in enumerate_posets(6):
+        pairs = sorted(poset.relations) + [(p, p) for p in poset.elements]
+        for _ in range(2):
+            cases.append((poset, OneForm(poset, {pq: rng.randint(-2, 2) for pq in pairs})))
+    singular = 0
+    for poset, form in cases:
+        rep = verify_toral_pair(poset, form)
+        full = rep.details["kernel_full"]
+        g = build_g(poset)
+        dim = kernel(g, form).dimension
+        assert full.dimension == len(full.vectors) == dim, (poset.covers, form)
+        assert all(in_kernel(g, form, v) for v in full.vectors)
+        rows = [clear_denominators([Fraction(x) for x in v])[1] for v in full.vectors]
+        assert int_rank(rows, g.dim) == dim
+        assert rep.conditions["f4_kernel_shape"] == (dim == 1)
+        singular += dim > 1
+    assert (len(cases), singular) == (47 + 594, 538)  # 56 random forms are Frobenius

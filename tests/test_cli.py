@@ -548,7 +548,18 @@ def test_malformed_inputs_exit_code(tmp_path, capsys):
         cases.append(["analyze", chain3, "--form", write(tmp_path, f"form{i}.json", form)])
     for i, form in enumerate(fork4_forms):
         cases.append(["analyze", fork4, "--form", write(tmp_path, f"fork4_form{i}.json", form)])
+    # a repeated key used to keep its last value: coefficient 4, and n = 3
+    dup_form = tmp_path / "dup_form.json"
+    dup_form.write_text('{"support": [[1, 2]], "coeffs": {"1,2": "3", "1,2": "4"}}')
+    dup_poset = tmp_path / "dup_poset.json"
+    dup_poset.write_text('{"n": 4, "n": 3, "covers": [[1, 2], [2, 3]]}')
+    # not UTF-8: a UnicodeDecodeError, which is no JSONDecodeError, was a traceback
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
     cases += [
+        ["analyze", fork4, "--form", str(dup_form)],
+        ["analyze", str(dup_poset)],
+        ["analyze", str(not_utf8)],
         ["export-dot", chain3, "--dot-out", str(tmp_path / "missing" / "out.dot")],
         ["analyze", chain3, "--json-out", str(tmp_path / "missing" / "out.json")],
     ]

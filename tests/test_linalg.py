@@ -467,8 +467,17 @@ def test_sparse_kernel_and_solve_match_dense_bit_for_bit(case, as_dicts):
     given_rows = _dict_rows(rows) if as_dicts else rows
     assert repr(int_kernel_basis(given_rows, ncols)) == repr(dense_kernel_basis(rows, ncols))
     if ncols:
-        got = int_solve(given_rows, ncols - 1)
-        assert repr(got) == repr(dense_solve(rows, ncols - 1))
+        # the last column is the right-hand side; the kernel is that of A alone
+        x, kern = int_solve(given_rows, ncols - 1)
+        dense_x, dense_rank = dense_solve(rows, ncols - 1)
+        assert repr(x) == repr(dense_x)
+        assert ncols - 1 - len(kern) == dense_rank
+        a = [r[:-1] for r in rows]
+        assert repr(kern) == repr(dense_kernel_basis(a, ncols - 1))
+        assert repr(kern) == repr(int_kernel_basis(a, ncols - 1))
+    # a nonzero right-hand side: x = (5, 0), and the kernel of [1 1] is (-1, 1)
+    assert int_solve([[1, 1, 5]], 2) == ([5, 0], [[-1, 1]])
+    assert repr(int_solve([{0: 1, 1: 1, 2: 5}], 2)[1]) == repr(int_kernel_basis([[1, 1]], 2))
 
 
 @functools.cache
@@ -528,8 +537,10 @@ def test_int_solve_matches_dense_on_frobenius_forms(data):
     # the principal-element system dφ x = φ(b) of a Frobenius poset
     rows, phi, d = _draw_dphi(data, _sweep_posets()[1], diagonal=data.draw(st.booleans()))
     aug = [row | {d: p} if p else row for row, p in zip(rows, phi)]
-    got = int_solve(aug, d)
-    assert repr(got) == repr(dense_solve(_dense(aug, d + 1), d))
-    x, rank = got
-    if rank == d:
+    x, kern = int_solve(aug, d)
+    dense_x, dense_rank = dense_solve(_dense(aug, d + 1), d)
+    assert repr(x) == repr(dense_x)
+    assert d - len(kern) == dense_rank
+    assert repr(kern) == repr(dense_kernel_basis(_dense(rows, d), d))
+    if not kern:
         assert all(_exact_dot(row, x) == p for row, p in zip(rows, phi))
