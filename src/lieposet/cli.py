@@ -16,11 +16,13 @@ import sys
 
 from .algebras import build_gA
 from .forms import (
+    INDEX_TRIALS,
     FormError,
     NotFrobeniusError,
     OneForm,
     ad_char_poly,
     index,
+    index_failure_bound,
     is_contact_form,
 )
 from .posets import Poset, PosetError
@@ -84,7 +86,7 @@ def _load_poset(path):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def analyze(poset, form=None, seed=0, trials=5):
+def analyze(poset, form=None, seed=0, trials=INDEX_TRIALS):
     """Full analysis report as a JSON-ready dict; no bare verdicts."""
     ext = poset.extremal_data()
     gA = build_gA(poset)
@@ -104,6 +106,7 @@ def analyze(poset, form=None, seed=0, trials=5):
             "value": index(gA, trials=trials, seed=seed),
             "trials": trials,
             "seed": seed,
+            "failure_bound": str(index_failure_bound(gA, trials)),
         },
     }
     ind = report["index"]["value"]
@@ -332,7 +335,7 @@ def _add_common(parser):
 def _add_sampling(parser):
     """Flags of the commands that call the sampled ``index``."""
     parser.add_argument("--seed", type=int, default=0, help="index sampling seed")
-    parser.add_argument("--trials", type=int, default=5, help="index sampling trials")
+    parser.add_argument("--trials", type=int, default=INDEX_TRIALS, help="index sampling trials")
 
 
 def build_parser():

@@ -13,14 +13,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable
 
 from . import linalg
-from .algebras import AlgebraElement, LieAlgebra, PosetLieAlgebra
+from .algebras import AlgebraElement, PosetLieAlgebra
 from .linalg import RatMatrix, ShapeError
 from .posets import is_forest, json_int
 
-INDEX_TRIALS = 5
-INDEX_COEFF_BOUND = 1 << 20
+INDEX_TRIALS = 2
 
 
 class FormError(ValueError):
@@ -238,14 +238,14 @@ class KernelReport:
     space: str  # "g", "gA", or "custom"
     dimension: int
     vectors: list  # coordinate vectors in the algebra basis
-    algebra: LieAlgebra = field(repr=False, compare=False)
+    to_coords: Callable | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def coords(self):
         """Matrix-coordinate dicts (poset algebras) or None entries, built on first read."""
-        if isinstance(self.algebra, PosetLieAlgebra):
-            return [self.algebra.to_matrix_coords(v) for v in self.vectors]
-        return [None] * self.dimension
+        if self.to_coords is None:
+            return [None] * self.dimension
+        return [self.to_coords(v) for v in self.vectors]
 
     def generator_coords(self):
         if self.dimension != 1:
@@ -261,8 +261,9 @@ class KernelReport:
 
 
 def _kernel_report(algebra, basis):
-    space = algebra.kind if isinstance(algebra, PosetLieAlgebra) else "custom"
-    return KernelReport(space, len(basis), basis, algebra)
+    if isinstance(algebra, PosetLieAlgebra):
+        return KernelReport(algebra.kind, len(basis), basis, algebra.to_matrix_coords)
+    return KernelReport("custom", len(basis), basis)
 
 
 def kernel(algebra, form_or_values):
@@ -280,19 +281,22 @@ def in_kernel(algebra, form_or_values, elem):
 
 
 def index(algebra, trials=INDEX_TRIALS, seed=0):
-    """Sampled index: the least corank of dφ over random integer forms.
+    """Sampled index: the least corank of dφ over random forms mod p.
 
-    Each trial is a Schwartz-Zippel trial: φ takes coefficients uniform
-    in [1, INDEX_COEFF_BOUND] on the basis, and dφ's rank is computed over
-    GF(2^61 - 1) by ``linalg.rank_mod_p``, a sparse skew-symmetric
+    Each trial is a Schwartz-Zippel trial over GF(p), p = 2^61 - 1: φ
+    takes every basis coefficient uniform in [0, p), and dφ's rank is
+    computed mod p by ``linalg.rank_mod_p``, a sparse skew-symmetric
     elimination with 2 x 2 pivots that reads only dφ's upper triangle.
-    Over Q the rank mod p is at most the exact rank, so a trial's
-    corank is at least the exact corank of its φ, which is at least the
-    true index: the result is never below the true index, and it equals
-    it unless every trial fails, which for the default five trials has
-    probability far below 1e-4. Coranks have the parity of dim, so a
-    trial reaching that floor ends the search early. Kernels, solves,
-    determinants and characteristic polynomials stay exact.
+    The rank mod p is at most the rank over Q, so a trial's corank is at
+    least the exact corank of its φ, which is at least the true index:
+    the result is never below the true index. dφ's generic rank r has a
+    nonzero principal Pfaffian of degree r/2 <= d // 2 in φ, so when that
+    Pfaffian is not 0 mod p a trial overshoots with probability at most
+    (d // 2)/p, and the result exceeds the true index with probability
+    at most ``index_failure_bound`` = ((d // 2)/p)^trials.
+    Coranks have the parity of d, so a trial reaching that floor ends the
+    search early. Kernels, solves, determinants and characteristic
+    polynomials stay exact.
     """
     if trials < 1:
         raise ValueError(f"index needs at least one trial, got {trials}")
@@ -305,12 +309,17 @@ def index(algebra, trials=INDEX_TRIALS, seed=0):
     parity_floor = n % 2
     best = n
     for _ in range(trials):
-        values = [rng.randint(1, INDEX_COEFF_BOUND) for _ in range(n)]
+        values = [rng.randrange(linalg._MODP) for _ in range(n)]
         rows, _ = _dphi_rows(algebra, values)
         best = min(best, n - linalg.rank_mod_p(rows, n))
         if best == parity_floor:
             break
     return best
+
+
+def index_failure_bound(algebra, trials=INDEX_TRIALS):
+    """((d // 2)/p)^trials, the bound on ``index`` overshooting; 0 where it samples nothing."""
+    return Fraction(0 if algebra.is_abelian() else algebra.dim // 2, linalg._MODP) ** trials
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .algebras import build_gA
-from .forms import index, kernel
+from .forms import INDEX_TRIALS, index, kernel
 from .posets import Poset, canonical_key
 from .toral.blocks import catalog_blocks
 from .toral.gluing import (
@@ -50,7 +50,7 @@ def enumerate_posets(max_n, connected_only=True):
     return out
 
 
-def classify_contact(poset, seed=0, trials=5):
+def classify_contact(poset, seed=0, trials=INDEX_TRIALS):
     """(verdict, reason, witness-or-None); empirical, never a proof.
 
     A witness is φ on g_A's basis as a list of ints.
@@ -138,7 +138,7 @@ def reachable_contact_posets(max_n):
     return seen
 
 
-def conjecture_sweep(max_n, seed=0, trials=5):
+def conjecture_sweep(max_n, seed=0, trials=INDEX_TRIALS):
     """Flag contact posets up to max_n and check script reachability."""
     posets = enumerate_posets(max_n, connected_only=True)
     reachable = reachable_contact_posets(max_n)

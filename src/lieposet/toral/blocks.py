@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .. import linalg
-from ..algebras import build_g, build_gA
+from ..algebras import build_gA
 from ..forms import (
     KernelReport,
     OneForm,
@@ -421,7 +421,7 @@ def verify_toral_pair(poset, form):
     """Itemized check of the Frobenius building-block conditions, in one exact
     elimination of [dφ | φ] on g_A. It gives x̂ (kept as ``principal``, for the
     spectra) or the trace-zero kernel; the kernel on g is read off it as I
-    followed by each trace-zero generator lifted into g."""
+    followed by each trace-zero generator lifted into g, and g is not built."""
     conditions = {}
     details = {}
     ext = poset.extremal_data()
@@ -436,18 +436,22 @@ def verify_toral_pair(poset, form):
     conditions["f3_extremal_edges"] = ext.rel_e <= stripped.strict_support
     gA = build_gA(poset)
     x_hat, ker_a = principal_or_kernel(gA, form)
-    ker_a = ker_a or KernelReport("gA", 0, [], gA)
+    ker_a = ker_a or KernelReport("gA", 0, [])
     # g = g_A ⊕ C·I with I central: ker dφ on g is C·I iff φ is Frobenius on g_A
     conditions["f4_kernel_shape"] = x_hat is not None
-    g, n = build_g(poset), poset.n
-    full = [g.identity_element().vec]
+    n, strict = poset.n, gA.strict_pairs
+    full = [[Fraction(1)] * n + [Fraction(0)] * len(strict)]
     for v in ker_a.vectors:
         # v lifted into g with d_n = 0: its h-coordinates c, with c_0 = c_n = 0,
         # give d_p = c_p - c_{p-1} + c_{n-1}; the e-coordinates are copied over.
         # Fraction makes a float 0.0 of linalg's known defect an exact 0 here.
         c = [0, *map(Fraction, v[: n - 1]), 0]
         full.append([c[p] - c[p - 1] + c[n - 1] for p in range(1, n + 1)] + v[n - 1 :])
-    details["kernel_full"] = KernelReport("g", len(full), full, g)
+    # g's basis (as build_g lays it out) is d_1..d_n, then g_A's strict pairs
+    labels = [(p, p) for p in poset.elements] + strict
+    details["kernel_full"] = KernelReport(
+        "g", len(full), full, lambda v: {pq: Fraction(x) for pq, x in zip(labels, v) if x}
+    )
     conditions["frobenius"] = x_hat is not None
     details["kernel_trace_zero"] = ker_a
     conditions["p2_binary_spectrum"] = x_hat is not None and is_binary_weights(gA, x_hat)

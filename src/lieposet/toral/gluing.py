@@ -20,7 +20,7 @@ from functools import cache
 from itertools import product
 
 from ..algebras import build_gA
-from ..forms import ContactResult, OneForm, index
+from ..forms import INDEX_TRIALS, ContactResult, OneForm, index
 from ..posets import Poset, is_forest, json_int
 from .blocks import block, family
 
@@ -369,7 +369,7 @@ def ext_hasse_has_cycle(poset):
     return not is_forest(ext.ext, ext.rel_e)
 
 
-def disconnected_contact_check(poset, trials=5, seed=0):
+def disconnected_contact_check(poset, trials=INDEX_TRIALS, seed=0):
     """Disconnected posets are contact iff exactly two Frobenius components.
 
     Returns a ContactResult, true exactly when the poset is contact.

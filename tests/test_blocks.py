@@ -416,8 +416,9 @@ def test_folded_pair_report_matches_kernel_and_spectrum():
 
 
 def test_kernel_full_read_off_g_A_matches_g_elimination():
-    # the pair check reads ker dφ on g off its one g_A elimination; an exact
-    # kernel on g, checked against the Fraction dφ assembly, is the oracle
+    # the pair check reads ker dφ on g, and its coordinates, off its one g_A
+    # elimination without building g; an exact kernel on g, checked against
+    # the Fraction dφ assembly, is the oracle
     cases = [(b.poset, b.form) for b in catalog_blocks((1, 14)) if b.kind == "toral"]
     rng = random.Random(16)
     for poset in enumerate_posets(6):
@@ -432,6 +433,7 @@ def test_kernel_full_read_off_g_A_matches_g_elimination():
         dim = kernel(g, form).dimension
         assert full.dimension == len(full.vectors) == dim, (poset.covers, form)
         assert all(in_kernel(g, form, v) for v in full.vectors)
+        assert full.coords == [g.to_matrix_coords(v) for v in full.vectors]
         rows = [clear_denominators([Fraction(x) for x in v])[1] for v in full.vectors]
         assert int_rank(rows, g.dim) == dim
         assert rep.conditions["f4_kernel_shape"] == (dim == 1)

@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import os
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 import lieposet
 from lieposet import sweep
 from lieposet.algebras import build_gA
-from lieposet.cli import main
-from lieposet.forms import OneForm, index
+from lieposet.cli import analyze, build_parser, main
+from lieposet.forms import INDEX_TRIALS, OneForm, index
 from lieposet.posets import JSON_SIZE_LIMIT, Poset
 from lieposet.sweep import (
     canonical_key,
@@ -27,7 +28,7 @@ from lieposet.sweep import (
     enumerate_posets,
 )
 from lieposet.toral import block, catalog, verify_contact_toral_pair
-from lieposet.toral.gluing import RULES
+from lieposet.toral.gluing import RULES, disconnected_contact_check
 
 GATE = {"n": 4, "covers": [[1, 2], [2, 3], [2, 4]]}
 CYCLE7 = {
@@ -69,6 +70,33 @@ def test_analyze_singleton(tmp_path):
     report = json.loads(out.read_text())
     assert report["index"]["value"] == 0
     assert report["algebra"]["dim_gA"] == 0
+
+
+def test_analyze_index_failure_bound(tmp_path):
+    # dim g_A of the 3-chain is 5, so each trial overshoots with probability at most 2/p
+    path = write(tmp_path, "chain3.json", {"n": 3, "covers": [[1, 2], [2, 3]]})
+    out = tmp_path / "report.json"
+    p = (1 << 61) - 1
+    assert main(["analyze", path, "--json-out", str(out)]) == 0
+    entry = json.loads(out.read_text())["index"]
+    assert entry == {"value": 1, "trials": 2, "seed": 0, "failure_bound": f"4/{p * p}"}
+    assert main(["analyze", path, "--trials", "3", "--json-out", str(out)]) == 0
+    assert json.loads(out.read_text())["index"]["failure_bound"] == f"8/{p**3}"
+
+
+def test_trial_defaults_are_index_trials():
+    # every default trial count, the --trials flag's included, is forms.INDEX_TRIALS
+    for fn in (
+        analyze,
+        index,
+        classify_contact,
+        conjecture_sweep,
+        disconnected_contact_check,
+    ):
+        assert inspect.signature(fn).parameters["trials"].default == INDEX_TRIALS, fn
+    parser = build_parser()
+    for argv in (["analyze", "p.json"], ["build", "s.json"], ["sweep", "--max-n", "3"]):
+        assert parser.parse_args(argv).trials == INDEX_TRIALS, argv
 
 
 def test_analyze_with_form_certificates(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from lieposet import linalg
 from lieposet.algebras import build_custom, build_g, build_gA, footnote_algebra
 from lieposet.forms import (
+    INDEX_TRIALS,
     FormError,
     NotFrobeniusError,
     OneForm,
@@ -14,6 +15,7 @@ from lieposet.forms import (
     functional_on_basis,
     in_kernel,
     index,
+    index_failure_bound,
     is_binary_spectrum,
     is_contact_form,
     is_contact_form_volume,
@@ -179,9 +181,21 @@ def test_index_rejects_fewer_than_one_trial():
     assert index(gA, trials=1) == 1
 
 
-@pytest.mark.parametrize("n", [*range(2, 17), 20, 24])
+@pytest.mark.parametrize("n", range(2, 41))
 def test_index_chain_formula(n):
-    assert index(build_gA(Poset.chain(n))) == (n - 1) // 2
+    # the GF(p)-uniform draws at the default trials, up to dim 819
+    gA = build_gA(Poset.chain(n))
+    assert [index(gA, seed=seed) for seed in range(3)] == [(n - 1) // 2] * 3
+
+
+def test_index_failure_bound_is_exact():
+    p = linalg._MODP
+    assert INDEX_TRIALS == 2
+    assert index_failure_bound(build_gA(CHAIN3)) == Fraction(4, p * p)  # dim 5
+    assert index_failure_bound(build_gA(Poset.chain(40)), trials=1) == Fraction(409, p)  # dim 819
+    # index samples nothing on an abelian algebra, so its value is exact there
+    for algebra in (build_custom(4, {}), build_gA(Poset.from_covers(3, []))):
+        assert index_failure_bound(algebra) == 0
 
 
 def _reference_phi(algebra, form):
