@@ -128,8 +128,12 @@ def _int_echelon(rows, ncols, augmented_from=None):
     row with no entry in the pivot column skips that: ``scale`` keeps
     the ``prev`` it was last exact at, and as the skipped factors
     telescope its true entries are ``stored * prev // scale``, exactly.
-    They are materialised when the row enters a pivot column and at the
-    end, so pivots, values and sign are those of dense Bareiss.
+    The pivot search scales only a row's pivot-column entry, to compare
+    it; the chosen pivot row is materialised, and every other row is
+    updated from its stored entries, dividing by its own scale s:
+    (stored·pivot − stored_c·x)/s equals (true·pivot − true_c·x)/prev, an
+    exact integer. Rows left below the last pivot are materialised at
+    the end, so pivots, values and sign are those of dense Bareiss.
     """
     rows = [dict(r) for r in _sparse(rows)]
     scale = [1] * len(rows)
@@ -146,10 +150,9 @@ def _int_echelon(rows, ncols, augmented_from=None):
         for i in range(r, len(rows)):
             v = rows[i].get(c)
             if v:
-                if scale[i] != prev:
-                    s, scale[i] = scale[i], prev
-                    rows[i] = {j: x * prev // s for j, x in rows[i].items()}
-                    v = rows[i][c]
+                s = scale[i]
+                if s != prev:
+                    v = v * prev // s
                 hits.append(i)
                 # the least |value|, the first row on ties
                 if best is None or abs(v) < best:
@@ -160,17 +163,20 @@ def _int_echelon(rows, ncols, augmented_from=None):
             rows[r], rows[piv] = rows[piv], rows[r]
             scale[r], scale[piv] = scale[piv], scale[r]
             sign = -sign
+        if (s := scale[r]) != prev:
+            rows[r] = {j: x * prev // s for j, x in rows[r].items()}
         prc = rows[r][c]
         tail = [(j, x) for j, x in rows[r].items() if j != c]
         # every other row with an entry in column c, after the swap
         for i in (piv if i == r else i for i in hits if i != piv):
             ri = rows[i]
             ric = ri.pop(c)
+            s = scale[i]
             new = {}
             for j, x in tail:
                 if y := ri.pop(j, 0) * prc - ric * x:
-                    new[j] = y // prev
-            new.update({j: x * prc // prev for j, x in ri.items()})
+                    new[j] = y // s
+            new.update({j: x * prc // s for j, x in ri.items()})
             rows[i], scale[i] = new, prc
         prev = prc
         pivots.append(c)

@@ -206,15 +206,15 @@ class Poset:
             raise PosetError("subset contains labels outside the poset")
         return all(q in subset for p in subset for q in self.down_sets[p])
 
-    @cached_property
-    def hasse_adjacency(self):
-        adj = {p: set() for p in self.elements}
-        for p, q in self.covers:
-            adj[p].add(q)
-            adj[q].add(p)
-        return adj
-
     def connected_components(self):
+        """Components of the comparability graph, in order of least label.
+
+        The adjacency is built per call and not cached: the enumeration
+        filters thousands of posets by connectivity."""
+        adj = {p: [] for p in self.elements}
+        for p, q in self.relations:
+            adj[p].append(q)
+            adj[q].append(p)
         seen = set()
         comps = []
         for start in self.elements:
@@ -224,7 +224,7 @@ class Poset:
             stack = [start]
             while stack:
                 v = stack.pop()
-                for w in self.hasse_adjacency[v]:
+                for w in adj[v]:
                     if w not in comp:
                         comp.add(w)
                         stack.append(w)
@@ -250,8 +250,9 @@ class Poset:
     def ideals(self):
         """All down-closed subsets, as sorted tuples.
 
-        Elements are decided in order of their down-set size, each first
-        left out and then put in, so the sequence is deterministic.
+        Elements are decided in order of their down-set size, ties by
+        label, each first left out and then put in, so the sequence is
+        deterministic; ``sweep.enumerate_posets`` relies on this order.
         """
         order = sorted(self.elements, key=lambda p: len(self.down_sets[p]))
         down = self.down_sets
@@ -405,43 +406,62 @@ def _canonical_labelling(poset):
     antichain and classes come in depth order: each leaf labelling is a
     linear extension and keeps the p<q convention. Ties are broken in the
     first tied class, one branch per twin class (equal down- and up-sets),
-    since swapping twins is an automorphism. The search grows as k! on k
-    identical disjoint components, hence the cap.
+    since swapping twins is an automorphism; the branch individualises the
+    class's last element. The search grows as k! on k identical disjoint
+    components, hence the cap. It runs on index lists built per call and
+    caches nothing on the poset.
     """
-    if poset.n > ISO_SIZE_LIMIT:
+    n = poset.n
+    if n > ISO_SIZE_LIMIT:
         raise UnsupportedSizeError(f"isomorphism search is capped at {ISO_SIZE_LIMIT} elements")
-    down, up = poset.down_sets, poset.up_sets
+    # element p is index p - 1
+    rels = [(p - 1, q - 1) for p, q in poset.relations]
+    down = [[] for _ in range(n)]
+    up = [[] for _ in range(n)]
+    for p, q in sorted(rels):
+        up[p].append(q)
+        down[q].append(p)
+    depth = [0] * n
+    for q in range(n):  # labels ascend along every relation
+        depth[q] = max((depth[p] + 1 for p in down[q]), default=0)
+    twin_ids = {}
+    twin = [twin_ids.setdefault((tuple(down[p]), tuple(up[p])), p) for p in range(n)]
 
     def refine(colour):
-        while (classes := len(set(colour.values()))) < poset.n:
-            sig = {
-                p: (
+        classes = len(set(colour))
+        while classes < n:
+            sig = [
+                (
                     c,
-                    tuple(sorted(map(colour.get, down[p]))),
-                    tuple(sorted(map(colour.get, up[p]))),
+                    tuple(sorted([colour[q] for q in down[p]])),
+                    tuple(sorted([colour[q] for q in up[p]])),
                 )
-                for p, c in colour.items()
-            }
-            rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+                for p, c in enumerate(colour)
+            ]
+            rank = {s: i for i, s in enumerate(sorted(set(sig)))}
             if len(rank) == classes:
                 break
-            colour = {p: rank[s] for p, s in sig.items()}
+            colour = [rank[s] for s in sig]
+            classes = len(rank)
         return colour
 
     def leaves(colour):
         colour = refine(colour)
-        values = list(colour.values())
-        tied = min((c for c in values if values.count(c) > 1), default=None)
+        tied = min((c for c in colour if colour.count(c) > 1), default=None)
         if tied is None:
-            yield tuple(sorted((colour[p] + 1, colour[q] + 1) for p, q in poset.relations)), colour
-        twins = {(frozenset(down[p]), frozenset(up[p])): p for p in colour if colour[p] == tied}
-        for v in twins.values():
+            yield tuple(sorted((colour[p] + 1, colour[q] + 1) for p, q in rels)), colour
+            return
+        last = {}  # the last element of each twin class, classes in order of first element
+        for p, c in enumerate(colour):
+            if c == tied:
+                last[twin[p]] = p
+        for v in last.values():
             # v keeps colour tied, the rest of its class and later classes move up one
-            marked = {p: c + (c > tied or (c == tied and p != v)) for p, c in colour.items()}
+            marked = [c + (c > tied or (c == tied and p != v)) for p, c in enumerate(colour)]
             yield from leaves(marked)
 
-    key, colour = min(leaves(poset.depth), key=lambda leaf: leaf[0])
-    return key, {p: c + 1 for p, c in colour.items()}
+    key, colour = min(leaves(depth), key=lambda leaf: leaf[0])
+    return key, {p: c + 1 for p, c in enumerate(colour, start=1)}
 
 
 def is_forest(vertices, edges):

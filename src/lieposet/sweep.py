@@ -9,6 +9,7 @@ ones against everything reachable by contact-sequence gluing.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from .algebras import build_gA
 from .forms import INDEX_TRIALS, index, kernel
@@ -28,14 +29,26 @@ WITNESS_ATTEMPTS = 60
 
 
 def enumerate_posets(max_n, connected_only=True):
-    """Isomorphism representatives of posets with up to max_n elements."""
+    """Isomorphism representatives of posets with up to max_n elements.
+
+    Each child of a parent adds a new maximal element over one of the
+    parent's ideals; the first child seen in each isomorphism class is
+    kept. An ideal holding a but not b, for twins a < b of the parent
+    (equal down-set and up-set), is skipped: swapping a and b is an
+    automorphism of the parent, and ``Poset.ideals`` yields the swapped
+    ideal first (a is decided before b, "out" before "in"), so the child
+    is isomorphic to an earlier one and never a representative.
+    """
     if max_n > SWEEP_MAX_N:
         raise ValueError(f"enumeration supports at most {SWEEP_MAX_N} elements")
     levels = {1: [Poset.from_covers(1, [])]}
     for n in range(2, max_n + 1):
         seen = {}
         for parent in levels[n - 1]:
+            twin_pairs = _twin_pairs(parent)
             for ideal in parent.ideals():
+                if any(a in ideal and b not in ideal for a, b in twin_pairs):
+                    continue
                 # n lies above a down-closed set, so the union stays closed
                 child = Poset.from_closed(n, parent.relations | {(i, n) for i in ideal})
                 key = canonical_key(child)
@@ -50,6 +63,15 @@ def enumerate_posets(max_n, connected_only=True):
     return out
 
 
+def _twin_pairs(poset):
+    """Pairs a < b with equal down-set and equal up-set."""
+    classes = {}
+    for p in poset.elements:
+        twin_key = (frozenset(poset.down_sets[p]), frozenset(poset.up_sets[p]))
+        classes.setdefault(twin_key, []).append(p)
+    return [pair for twins in classes.values() for pair in combinations(twins, 2)]
+
+
 def classify_contact(poset, seed=0, trials=INDEX_TRIALS):
     """(verdict, reason, witness-or-None); empirical, never a proof.
 
@@ -61,8 +83,7 @@ def classify_contact(poset, seed=0, trials=INDEX_TRIALS):
     ``index`` decides only the posets whose first kernel has dimension
     other than 1.
     """
-    gA = build_gA(poset)
-    d = gA.dim
+    d = poset.n - 1 + len(poset.relations)  # dim g_A, known before g_A is built
     if d == 0:
         return False, "zero-dimensional algebra", None
     if d % 2 == 0:
@@ -72,6 +93,7 @@ def classify_contact(poset, seed=0, trials=INDEX_TRIALS):
         return res.is_contact, res.reason, None
     if ext_hasse_has_cycle(poset):
         return False, "extremal Hasse diagram contains a cycle", None
+    gA = build_gA(poset)
     rng = random.Random(seed)
     strict_idx = [i for i, lab in enumerate(gA.labels) if lab[0] == "e"]
     diag_idx = [i for i, lab in enumerate(gA.labels) if lab[0] == "h"]

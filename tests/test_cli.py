@@ -20,7 +20,7 @@ from lieposet import sweep
 from lieposet.algebras import build_gA
 from lieposet.cli import analyze, build_parser, main
 from lieposet.forms import INDEX_TRIALS, OneForm, index
-from lieposet.posets import JSON_SIZE_LIMIT, Poset
+from lieposet.posets import JSON_SIZE_LIMIT, Poset, _canonical_labelling
 from lieposet.sweep import (
     canonical_key,
     classify_contact,
@@ -334,6 +334,94 @@ def test_canonical_key_iso_invariant():
         for right in relabeled:
             same_key = canonical_key(left) == canonical_key(right)
             assert same_key == _brute_isomorphic(left, right)
+
+
+def _unpruned_enumeration(max_n):
+    """Oracle: every ideal of every parent, first child seen per class kept."""
+    levels = {1: [Poset.from_covers(1, [])]}
+    for n in range(2, max_n + 1):
+        seen = {}
+        for parent in levels[n - 1]:
+            for ideal in parent.ideals():
+                child = Poset.from_closed(n, parent.relations | {(i, n) for i in ideal})
+                seen.setdefault(canonical_key(child), child)
+        levels[n] = list(seen.values())
+    return [poset for n in range(1, max_n + 1) for poset in levels[n]]
+
+
+def test_twin_pruned_children_repeat_an_earlier_sibling():
+    # an ideal holding a but not b, for twins a < b of the parent, gives a
+    # child isomorphic to an earlier child of the same parent
+    skipped = 0
+    for parent in enumerate_posets(6, connected_only=False):
+        twins = sweep._twin_pairs(parent)
+        earlier = set()
+        n = parent.n + 1
+        for ideal in parent.ideals():
+            key = canonical_key(Poset.from_closed(n, parent.relations | {(i, n) for i in ideal}))
+            if any(a in ideal and b not in ideal for a, b in twins):
+                skipped += 1
+                assert key in earlier, (parent, ideal)
+            earlier.add(key)
+    assert skipped > 0
+
+
+def test_twin_pruned_enumeration_matches_unpruned_loop():
+    pruned = enumerate_posets(7, connected_only=False)
+    unpruned = _unpruned_enumeration(7)
+    assert len(pruned) == len(unpruned) == 2045 + 318 + 63 + 16 + 5 + 2 + 1
+    assert [(p.n, p.relations) for p in pruned] == [(p.n, p.relations) for p in unpruned]
+
+
+def test_canonical_labelling_attains_the_key_and_reverses_twins():
+    # the key is the relations under the returned labelling; the search
+    # individualises the last element of a twin class first, so twins
+    # a < b are labelled in reverse (a wrong twin choice keeps valid keys)
+    reversed_pairs = 0
+    for poset in enumerate_posets(7, connected_only=False):
+        key, labelling = _canonical_labelling(poset)
+        assert sorted(labelling.values()) == list(poset.elements)
+        assert (poset.n, key) == canonical_key(poset)
+        assert tuple(sorted((labelling[p], labelling[q]) for p, q in poset.relations)) == key
+        for a, b in sweep._twin_pairs(poset):
+            assert labelling[a] > labelling[b], (poset, a, b)
+            reversed_pairs += 1
+    assert reversed_pairs > 0
+
+
+def test_classify_contact_rejects_before_building_gA(monkeypatch):
+    # dimension, parity, connectivity and the extremal cycle come first,
+    # so only posets that reach the witness loop build g_A
+    real_build = sweep.build_gA
+    calls = []
+
+    def counted_build(poset):
+        calls.append(poset)
+        return real_build(poset)
+
+    monkeypatch.setattr(sweep, "build_gA", counted_build)
+    short = {
+        "zero-dimensional algebra": "zero-dimensional",
+        "even dimension": "even",
+        "random regular form is contact": "contact",
+        "regular form completed on the diagonal": "contact",
+        "extremal Hasse diagram contains a cycle": "cycle",
+        "no contact witness found (empirical)": "no witness",
+        "index is not one": "index not one",
+    }
+    reasons = {}
+    for poset in enumerate_posets(6):
+        reason = short[classify_contact(poset)[1]]
+        reasons[reason] = reasons.get(reason, 0) + 1
+    assert len(calls) == 96
+    assert reasons == {
+        "zero-dimensional": 1,
+        "even": 155,
+        "contact": 82,
+        "cycle": 45,
+        "no witness": 6,
+        "index not one": 8,
+    }
 
 
 def test_classify_contact_chain3():

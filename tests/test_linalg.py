@@ -26,6 +26,7 @@ from lieposet.linalg import (
     skew_rank,
     solve,
 )
+from lieposet.posets import Poset
 from lieposet.sweep import enumerate_posets
 
 
@@ -529,6 +530,26 @@ def test_int_kernel_basis_matches_dense_at_sweep_size(data):
     for v in basis:
         assert all(x == 0 for x in v if isinstance(x, float))
         assert all(_exact_dot(row, v) == 0 for row in rows)
+
+
+def test_int_kernel_basis_matches_dense_on_witnesses_of_1_2_345():
+    # the 60 witness draws of classify_contact at seed 0 on 1<2<{3,4,5},
+    # the poset whose pairing the float 0 / pivot entries flip: lazily
+    # scaled rows and the float pattern must both match the dense oracle
+    gA = build_gA(Poset.from_covers(5, [(1, 2), (2, 3), (2, 4), (2, 5)]))
+    d = gA.dim
+    strict = [i for i, lab in enumerate(gA.labels) if lab[0] == "e"]
+    rng = random.Random(0)
+    with_floats = 0
+    for _ in range(60):
+        values = [0] * d
+        for i in strict:
+            values[i] = rng.randint(1, 1 << 16)
+        rows, _ = _dphi_rows(gA, values)
+        basis = int_kernel_basis(rows, d)
+        assert repr(basis) == repr(dense_kernel_basis(_dense(rows, d), d))
+        with_floats += any(isinstance(x, float) for v in basis for x in v)
+    assert d == 11 and with_floats == 55
 
 
 @settings(max_examples=100, deadline=None)
