@@ -5,6 +5,11 @@ the full and trace-zero algebras, the sampled index, Frobenius and contact decis
 principal elements and spectra, and the support-graph combinatorics (small forms,
 sink/source partition). Eliminations read dφ from ``_dphi_rows``, one integer loop
 over ``LieAlgebra.dphi_terms``.
+
+Verdicts decide on integer vectors X over one scale D, as the elimination gives
+them: ``KernelReport`` keeps them, and ``principal_or_kernel`` gives x̂ as (X, D).
+Fractions are built at the report only: ``KernelReport.vectors`` on first read,
+the Reeb vector once, and x̂ in ``principal_element``.
 """
 
 from __future__ import annotations
@@ -236,9 +241,19 @@ def coords_json(coords):
 @dataclass
 class KernelReport:
     space: str  # "g", "gA", or "custom"
-    dimension: int
-    vectors: list  # coordinate vectors in the algebra basis
+    generators: list  # integer vectors X in the algebra basis; each kernel vector is X / scale
+    scale: int = 1  # D, a Bareiss pivot: nonzero, of either sign
     to_coords: Callable | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def dimension(self):
+        return len(self.generators)
+
+    @cached_property
+    def vectors(self):
+        """The kernel vectors X / D as Fraction lists, built on first read."""
+        d = self.scale
+        return [[Fraction(x, d) for x in g] for g in self.generators]
 
     @cached_property
     def coords(self):
@@ -260,16 +275,20 @@ class KernelReport:
         }
 
 
-def _kernel_report(algebra, basis):
+def _kernel_report(algebra, gens, d):
     if isinstance(algebra, PosetLieAlgebra):
-        return KernelReport(algebra.kind, len(basis), basis, algebra.to_matrix_coords)
-    return KernelReport("custom", len(basis), basis)
+        return KernelReport(algebra.kind, gens, d, algebra.to_matrix_coords)
+    return KernelReport("custom", gens, d)
 
 
 def kernel(algebra, form_or_values):
-    """Exact kernel of dφ."""
+    """Exact kernel of dφ, with linalg's legacy ``vectors`` (the float zeros
+    of its known defect included), which the sweep's witness loop reads."""
     rows, _ = _dphi_rows(algebra, _as_values(algebra, form_or_values))
-    return _kernel_report(algebra, linalg.int_kernel_basis(rows, algebra.dim))
+    gens, d, empties = linalg._kernel(rows, algebra.dim)
+    report = _kernel_report(algebra, gens, d)
+    report.vectors = linalg._legacy(gens, d, empties)
+    return report
 
 
 def in_kernel(algebra, form_or_values, elem):
@@ -341,21 +360,26 @@ def is_contact_form(algebra, form_or_values, trials=INDEX_TRIALS, seed=0):
 
     Exact: in odd dimension a one-dimensional kernel bounds the index by
     1 and parity bounds it below by 1, so no sampled ``index`` is needed.
-    ``trials`` and ``seed`` are not read; they stay only because
-    ``bench/run.py`` and the acceptance suite pass ``seed=``.
+    In integers: ``_dphi_rows`` gives φ̃ = λ·φ(b), λ > 0, so for the kernel
+    X / D, φ(X / D) = S / (λ·D) with S = Σ X_i·φ̃_i, and the Reeb vector
+    is X·λ·sign(D) / |S|. ``trials`` and ``seed`` are not read; they stay
+    only because ``bench/run.py`` and the acceptance suite pass ``seed=``.
     """
     n = algebra.dim
     if n % 2 == 0:
         return ContactResult(False, "even dimension")
-    report = kernel(algebra, form_or_values)
+    values = _as_values(algebra, form_or_values)
+    rows, phi = _dphi_rows(algebra, values)
+    report = _kernel_report(algebra, *linalg.int_null_space(rows, n))
     if report.dimension != 1:
         return ContactResult(False, f"kernel dimension {report.dimension} != 1", kernel=report)
-    gen = algebra.element(report.vectors[0])
-    values = _as_values(algebra, form_or_values)
-    phi_b = sum((c * values[i] for i, c in enumerate(gen.vec)), Fraction(0))
-    if phi_b == 0:
+    x = report.generators[0]
+    pairing = sum(xi * p for xi, p in zip(x, phi) if xi)
+    if pairing == 0:
         return ContactResult(False, "form vanishes on the kernel generator", kernel=report)
-    reeb = (Fraction(1) / abs(phi_b)) * gen
+    lam = next(p // v for p, v in zip(phi, values) if v)  # exact: p = λ·v
+    lam, den = (lam if report.scale > 0 else -lam), abs(pairing)
+    reeb = AlgebraElement(algebra, tuple(Fraction(xi * lam, den) for xi in x))
     return ContactResult(True, "contact", reeb=reeb, kernel=report)
 
 
@@ -376,27 +400,33 @@ def is_contact_form_volume(algebra, form_or_values):
     return linalg.skew_rank(bordered, n + 1) == n + 1
 
 
-def principal_element(algebra, form_or_values):
-    """The unique x with φ([x, y]) = φ(y) for all y (Frobenius forms only)."""
+def _principal(algebra, form_or_values):
+    """x̂ as ``(X, D)``; ``NotFrobeniusError`` when dφ is singular."""
     x_hat, report = principal_or_kernel(algebra, form_or_values)
     if report is not None:
         raise NotFrobeniusError("dφ is singular; the form is not Frobenius")
     return x_hat
 
 
-def principal_or_kernel(algebra, form_or_values):
-    """``(x̂, None)`` for a Frobenius form, else ``(None, kernel report)``.
+def principal_element(algebra, form_or_values):
+    """The unique x with φ([x, y]) = φ(y) for all y (Frobenius forms only)."""
+    x, d = _principal(algebra, form_or_values)
+    return AlgebraElement(algebra, tuple(Fraction(v, d) for v in x))
 
-    One exact elimination of [dφ | φ(b)] gives both: the kernel of dφ,
-    and when it is empty, x̂ as the solution of the system.
+
+def principal_or_kernel(algebra, form_or_values):
+    """``((X, D), None)`` for a Frobenius form, x̂ = X / D, else ``(None, kernel report)``.
+
+    One exact elimination of [dφ | φ(b)] gives both, over one D: the
+    kernel of dφ, and when it is empty, x̂ as the solution of the system.
     """
     rows, phi = _dphi_rows(algebra, _as_values(algebra, form_or_values))
     # φ([x, b_j]) = Σ_i x_i φ([b_i, b_j]) = Σ_i (-M[i][j]) x_i = (M x)_j by skewness
     n = algebra.dim
-    x, basis = linalg.int_solve([row | {n: p} if p else row for row, p in zip(rows, phi)], n)
-    if basis:
-        return None, _kernel_report(algebra, basis)
-    return algebra.element(x), None
+    x, gens, d = linalg.int_solve_scaled([row | {n: p} if p else row for row, p in zip(rows, phi)], n)
+    if gens:
+        return None, _kernel_report(algebra, gens, d)
+    return (x, d), None
 
 
 def ad_weights(algebra, elem):
@@ -417,16 +447,23 @@ def ad_weights(algebra, elem):
     return weights
 
 
-def is_binary_weights(algebra, elem):
-    """ad(x) has eigenvalues 0 and 1, each d/2 times; false for odd d."""
-    w, d = ad_weights(algebra, elem), algebra.dim
-    return d % 2 == 0 and w.count(0) == w.count(1) == d // 2
+def is_binary_weights(algebra, x, d):
+    """ad(X / D) on g_A has eigenvalues 0 and 1, each dim/2 times; false for odd dim.
+
+    ``ad_weights`` in integers: 0 on each diagonal basis vector and
+    (K_pp - K_qq) / D on each e_pq, K_pp = a_p - a_{p-1} (a_0 = a_n = 0)."""
+    if getattr(algebra, "kind", None) != "gA":
+        raise ShapeError("binary spectra are read on g_A only")
+    n, dim, pairs = algebra.poset.n, algebra.dim, algebra.strict_pairs
+    a = [0, *x[: n - 1], 0]
+    k = [a[p] - a[p - 1] for p in range(n + 1)]
+    w = [k[p] - k[q] for p, q in pairs]
+    return dim % 2 == 0 and dim - len(pairs) + w.count(0) == w.count(d) == dim // 2
 
 
 def is_binary_spectrum(algebra, form_or_values):
     """``is_binary_weights`` of x̂; false for odd d, where x̂ does not exist."""
-    d = algebra.dim
-    return d % 2 == 0 and is_binary_weights(algebra, principal_element(algebra, form_or_values))
+    return algebra.dim % 2 == 0 and is_binary_weights(algebra, *_principal(algebra, form_or_values))
 
 
 def ad_char_poly(algebra, elem):
@@ -460,20 +497,3 @@ def is_small(poset, form):
     """Strict support is a spanning tree of the comparability graph."""
     edges = form.strict_support
     return len(edges) == poset.n - 1 and is_forest(poset.elements, edges)
-
-
-def restrict_element(elem, label_map, target_algebra):
-    """Restriction of an element to a sub-poset's algebra.
-
-    ``label_map`` sends the target poset's labels to the host labels;
-    matrix coordinates at pairs inside the image are kept.
-    """
-    coords = elem.matrix_coords
-    inv = {v: k for k, v in label_map.items()}
-    out = {}
-    for (p, q), c in coords.items():
-        if p in inv and q in inv:
-            out[(inv[p], inv[q])] = c
-    if target_algebra.kind == "g":
-        return target_algebra.element_from_coords(out)
-    raise ShapeError("restriction targets the full incidence algebra")

@@ -4,11 +4,13 @@ Scalars are ``fractions.Fraction`` (arbitrary precision, always reduced,
 positive denominator). An integer row is a dict ``{col: int}`` of its
 nonzeros. One fraction-free (Bareiss) elimination on such rows bounds
 coefficient growth and serves rank, determinant, kernels and solves; the
-last two back-substitute in integers as well and build each output
-entry once, as a Fraction over the last pivot; a solve reads the kernel
-off the same echelon. Callers that already hold integer rows use the
-``int_*`` entry points, which take dense lists too; the ``RatMatrix``
-functions clear denominators row by row and call the same core.
+last two back-substitute in integers as well, and a solve reads the
+kernel off the same echelon. ``int_null_space`` and ``int_solve_scaled``
+return integer vectors X over one scale D, the last pivot (nonzero, of
+either sign); the Fraction wrappers ``int_kernel_basis``, ``int_solve``,
+``kernel_basis`` and ``solve`` build each entry once, as X / D. Callers
+that hold integer rows use the ``int_*`` entry points, which take dense
+lists too; the ``RatMatrix`` functions clear denominators row by row.
 ``rank_mod_p`` ranks skew-symmetric rows over GF(2^61 - 1), two indices
 at a time; the sampled index reads it as it is, and ``skew_rank`` turns
 it into the exact rank over Q that the Frobenius and contact verdicts
@@ -75,20 +77,6 @@ class RatMatrix:
         bt = other.transpose().rows
         return RatMatrix(
             [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.rows]
-        )
-
-    def mul_vector(self, vec):
-        if len(vec) != self.ncols:
-            raise ShapeError("vector length mismatch")
-        return [sum(a * Fraction(x) for a, x in zip(row, vec)) for row in self.rows]
-
-    def is_skew_symmetric(self):
-        if self.nrows != self.ncols:
-            return False
-        return all(
-            self.rows[i][j] == -self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i, self.ncols)
         )
 
     def is_zero(self):
@@ -187,36 +175,55 @@ def _int_echelon(rows, ncols, augmented_from=None):
     return rows, pivots, sign
 
 
-def _back_substitute(ech, pivots, ncols, free=None):
+def _back_substitute(ech, pivots, ncols, d, free=None):
     """One solution of the echelon system, last pivot first, in integers.
 
     With ``free`` it is the kernel vector that is 1 at that free column,
     and column ``ncols`` is not read even when the rows carry one;
     without, the rows carry a right-hand side in column ``ncols`` and the
-    free unknowns are 0. The unknowns are scaled by the last Bareiss
-    pivot D, the r x r minor on the pivot rows and columns: by Cramer's
-    rule each scaled unknown is an integer, so every division by a pivot
-    is exact, and each entry is built once, as ``Fraction(X, D)``.
+    free unknowns are 0. The unknowns are integers X scaled by the last
+    Bareiss pivot D, the r x r minor on the pivot rows and columns: by
+    Cramer's rule each is an integer, so every division by a pivot is
+    exact. Also returned: ``{col: pivot}`` for the kernel entries whose
+    sum is empty (no later nonzero unknown in the row).
 
-    Known defect, kept so that results stay as they were: a kernel entry
-    whose sum is empty (no later nonzero unknown in its row) is the float
-    ``0 / pivot``, 0.0 or -0.0, and sums taken over such a vector turn
-    into floats.
+    Known defect, kept so that results stay as they were: ``_legacy``
+    makes each such entry the float ``0 / pivot``, 0.0 or -0.0, and sums
+    over the vector turn into floats. Every site that still makes them
+    goes through ``_legacy``: ``int_kernel_basis``, ``int_solve``,
+    ``kernel_basis``, ``solve`` and ``forms.kernel`` (for the sweep's
+    witness loop). ROADMAP item 1 deletes its float branch.
     """
-    d = ech[len(pivots) - 1][pivots[-1]] if pivots else 1
     scaled = [0] * ncols
-    floats = {}
+    empty = {}
     if free is not None:
         scaled[free] = d
     for k in range(len(pivots) - 1, -1, -1):
         c = pivots[k]
         row = ech[k]
         terms = [v * scaled[j] for j, v in row.items() if c < j < ncols and scaled[j]]
-        rhs = 0 if free is not None else row.get(ncols, 0) * d
-        scaled[c] = (rhs - sum(terms)) // row[c]
-        if free is not None and not terms:
-            floats[c] = 0 / row[c]  # the known defect; ROADMAP item 1 deletes this branch
-    return [floats[j] if j in floats else Fraction(x, d) for j, x in enumerate(scaled)]
+        if free is None:
+            scaled[c] = (row.get(ncols, 0) * d - sum(terms)) // row[c]
+        elif terms:
+            scaled[c] = -sum(terms) // row[c]
+        else:
+            empty[c] = row[c]
+    return scaled, empty
+
+
+def _null_space(ech, pivots, ncols):
+    """``(gens, D, empties)``: each free column's kernel generator, in column
+    order, over the last pivot D, and its empty-sum entries."""
+    d = ech[len(pivots) - 1][pivots[-1]] if pivots else 1
+    pivot_set = set(pivots)
+    sols = [_back_substitute(ech, pivots, ncols, d, f) for f in range(ncols) if f not in pivot_set]
+    return [x for x, _ in sols], d, [e for _, e in sols]
+
+
+def _legacy(gens, d, empties):
+    """Fraction vectors X / D, with the float ``0 / pivot`` of the known defect."""
+    return [[0 / e[j] if j in e else Fraction(x, d) for j, x in enumerate(g)]
+            for g, e in zip(gens, empties)]
 
 
 def int_rank(rows, ncols):
@@ -224,33 +231,46 @@ def int_rank(rows, ncols):
     return len(_int_echelon(rows, ncols)[1])
 
 
-def _null_vectors(ech, pivots, ncols):
-    """The kernel vector of each free column < ``ncols``, in column order."""
-    pivot_set = set(pivots)
-    return [_back_substitute(ech, pivots, ncols, f) for f in range(ncols) if f not in pivot_set]
+def _kernel(rows, ncols):
+    """``_null_space`` of integer rows, from their own elimination."""
+    return _null_space(*_int_echelon(rows, ncols)[:2], ncols)
+
+
+def int_null_space(rows, ncols):
+    """Right null space of integer rows as ``(gens, D)``: one integer X per
+    free column, in column order, D at that column; the vectors are X / D."""
+    return _kernel(rows, ncols)[:2]
 
 
 def int_kernel_basis(rows, ncols):
     """Right null space of integer rows: one Fraction vector per free column."""
-    ech, pivots, _ = _int_echelon(rows, ncols)
-    return _null_vectors(ech, pivots, ncols)
+    return _legacy(*_kernel(rows, ncols))
+
+
+def _solve(aug_rows, ncols):
+    ech, pivots, _ = _int_echelon(aug_rows, ncols + 1, augmented_from=ncols)
+    gens, d, empties = _null_space(ech, pivots, ncols)
+    # inconsistent iff some residual row is 0 ... 0 | nonzero
+    if any(row.get(ncols) for row in ech[len(pivots):]):
+        return None, gens, d, empties
+    return _back_substitute(ech, pivots, ncols, d)[0], gens, d, empties
+
+
+def int_solve_scaled(aug_rows, ncols):
+    """Solve integer rows ``[A | b]`` with ``ncols`` unknowns, in one elimination.
+
+    Returns ``(x, gens, D)``: x / D is one exact solution (free unknowns
+    0), or x is None when the system is inconsistent, and gens / D span
+    the right null space of A. Pivots never enter column ``ncols``, so
+    gens and D are those ``int_null_space`` gives for A.
+    """
+    return _solve(aug_rows, ncols)[:3]
 
 
 def int_solve(aug_rows, ncols):
-    """Solve integer rows ``[A | b]`` with ``ncols`` unknowns, in one elimination.
-
-    Returns (x, kernel): x is one exact solution (free unknowns 0) as
-    Fractions, or None when the system is inconsistent; kernel is the
-    right null space of A, read off the same echelon. Pivots never enter
-    column ``ncols``, so the echelon of A and its pivots are those
-    ``int_kernel_basis`` computes, and the kernel vectors are the same.
-    """
-    ech, pivots, _ = _int_echelon(aug_rows, ncols + 1, augmented_from=ncols)
-    kernel = _null_vectors(ech, pivots, ncols)
-    # inconsistent iff some residual row is 0 ... 0 | nonzero
-    if any(row.get(ncols) for row in ech[len(pivots):]):
-        return None, kernel
-    return _back_substitute(ech, pivots, ncols), kernel
+    """``int_solve_scaled`` in Fractions: ``(x or None, int_kernel_basis of A)``."""
+    x, gens, d, empties = _solve(aug_rows, ncols)
+    return None if x is None else [Fraction(v, d) for v in x], _legacy(gens, d, empties)
 
 
 def rank(m):
@@ -403,27 +423,3 @@ def char_poly(m):
     scaled = _charpoly_faddeev_int(rows)
     # char_{dM}(x) = d^n char_M(x/d): coefficient i of M is scaled[i] / d^i
     return [Fraction(scaled[i], d**i) for i in range(n + 1)]
-
-
-def poly_eval_matrix(coeffs, m):
-    """Evaluate a polynomial (descending coefficients) at a square matrix."""
-    n = m.nrows
-    acc = RatMatrix.zeros(n, n)
-    for c in coeffs:
-        acc = acc @ m
-        for i in range(n):
-            acc.rows[i][i] += Fraction(c)
-    return acc
-
-
-def integer_sqrt_exact(q):
-    """Exact square root of a nonnegative rational, or None."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    from math import isqrt
-
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None

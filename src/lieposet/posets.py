@@ -92,7 +92,8 @@ class Poset:
     def __init__(self, n, relations, relabeling=None, _validated=False):
         if n < 1:
             raise PosetError("posets must have at least one element")
-        relations = frozenset((int(p), int(q)) for p, q in relations)
+        # a _validated caller (``from_closed``, the relabellings) passes int pairs
+        relations = frozenset(relations if _validated else ((int(p), int(q)) for p, q in relations))
         if not _validated:
             for p, q in relations:
                 if not (1 <= p <= n and 1 <= q <= n):

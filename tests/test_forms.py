@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lieposet import linalg
-from lieposet.algebras import build_custom, build_g, build_gA, footnote_algebra
+from lieposet.algebras import build_custom, build_g, build_gA, footnote_algebra, sl2
 from lieposet.forms import (
     INDEX_TRIALS,
     FormError,
@@ -17,6 +17,7 @@ from lieposet.forms import (
     index,
     index_failure_bound,
     is_binary_spectrum,
+    is_binary_weights,
     is_contact_form,
     is_contact_form_volume,
     is_small,
@@ -31,6 +32,7 @@ from lieposet.forms import (
 from lieposet.linalg import ShapeError, char_poly
 from lieposet.posets import Poset
 from lieposet.sweep import enumerate_posets
+from oracles import is_skew_symmetric
 
 CHAIN2 = Poset.chain(2)
 CHAIN3 = Poset.chain(3)
@@ -90,7 +92,7 @@ def test_dphi_chain2_entry():
     m = dphi_matrix(gA, phi)
     # basis (E11-E22, E12): [E11-E22, E12] = 2 E12, so dφ = -2
     assert m.rows[0][1] == -2 and m.rows[1][0] == 2
-    assert m.is_skew_symmetric()
+    assert is_skew_symmetric(m)
 
 
 def test_dphi_skew_randomized():
@@ -100,7 +102,7 @@ def test_dphi_skew_randomized():
             pairs = sorted(poset.relations)
             support = [pq for pq in pairs if rng.random() < 0.6] or pairs[:1]
             phi = OneForm.from_support(poset, support)
-            assert dphi_matrix(alg, phi).is_skew_symmetric()
+            assert is_skew_symmetric(dphi_matrix(alg, phi))
 
 
 def test_golden_kernel_chain4():
@@ -562,19 +564,123 @@ def test_spectrum_of_custom_algebra_is_shape_error():
         spectrum(alg, [0, 1])
 
 
+def _over(x, d):
+    return [Fraction(v, d) for v in x]
+
+
 def test_principal_or_kernel_routes_each_form():
     alg = build_custom(2, {(1, 2): {2: 1}})  # [e1, e2] = e2
     p = linalg._MODP
     # φ(e2) = p: det dφ = p² vanishes mod p, but dφ is nonsingular over Q
     assert linalg.rank_mod_p(_dphi_rows(alg, [0, p])[0], 2) == 0
+    # x̂ comes back as integers X over the pivot D
     x_hat, report = principal_or_kernel(alg, [0, p])
-    assert x_hat.vec == principal_element(alg, [0, p]).vec == (1, 0) and report is None
+    assert _over(*x_hat) == [1, 0] and report is None
+    assert principal_element(alg, [0, p]).vec == (1, 0)
     x_hat, report = principal_or_kernel(alg, [0, 1])
-    assert x_hat.vec == (1, 0) and report is None
+    assert _over(*x_hat) == [1, 0] and report is None
     x_hat, report = principal_or_kernel(alg, [1, 0])  # dφ = 0
     assert x_hat is None and report.dimension == 2
     x_hat, report = principal_or_kernel(build_gA(CHAIN4), PHI_CHAIN4)  # odd dim
     assert x_hat is None and report.dimension == 1
+
+
+def _contact_reference(alg, values):
+    """``is_contact_form``'s verdict through the Fraction layer: ``dphi_matrix``,
+    ``kernel_basis`` and a Fraction pairing; (reason, Reeb vector, kernel)."""
+    basis = [[Fraction(x) for x in v] for v in linalg.kernel_basis(dphi_matrix(alg, values))]
+    if len(basis) != 1:
+        return f"kernel dimension {len(basis)} != 1", None, basis
+    pairing = sum(c * v for c, v in zip(basis[0], values))
+    if pairing == 0:
+        return "form vanishes on the kernel generator", None, basis
+    return "contact", tuple(c / abs(pairing) for c in basis[0]), basis
+
+
+def _assert_contact_matches_reference(alg, form_or_values):
+    values = form_or_values
+    if isinstance(form_or_values, OneForm):
+        values = phi_on_basis(alg, form_or_values)
+    reason, reeb, basis = _contact_reference(alg, values)
+    res = is_contact_form(alg, form_or_values)
+    assert (res.is_contact, res.reason) == (reeb is not None, reason)
+    assert (None if res.reeb is None else res.reeb.vec) == reeb
+    assert res.kernel.vectors == basis
+    # the integer path builds exact Fractions only, never a float zero
+    assert all(type(x) is Fraction for v in res.kernel.vectors for x in v)
+    return res
+
+
+def test_contact_integer_pairing_matches_fraction_reference_on_catalog():
+    from lieposet.toral.blocks import catalog_blocks
+
+    checked = 0
+    for blk in catalog_blocks():
+        if blk.kind == "contact":
+            assert _assert_contact_matches_reference(build_gA(blk.poset), blk.form), blk.id
+            checked += 1
+    assert checked == 44
+
+
+def test_contact_integer_pairing_matches_fraction_reference_on_random_forms():
+    # seeded integral forms, sparse and dense, so that every verdict occurs
+    rng = random.Random(19)
+    verdicts = {}
+    for poset in enumerate_posets(6):
+        gA = build_gA(poset)
+        if gA.dim % 2 == 0:
+            continue
+        pairs = sorted(poset.relations) + [(p, p) for p in poset.elements]
+        for density in (0.5, 0.9):
+            coeffs = {pq: rng.choice((-2, -1, 1, 2, 3)) for pq in pairs if rng.random() < density}
+            reason = _assert_contact_matches_reference(gA, OneForm(poset, coeffs)).reason
+            reason = "kernel dimension > 1" if reason.startswith("kernel") else reason
+            verdicts[reason] = verdicts.get(reason, 0) + 1
+    assert verdicts == {
+        "contact": 60,
+        "form vanishes on the kernel generator": 50,
+        "kernel dimension > 1": 172,
+    }
+
+
+def test_reeb_vector_sign_with_a_negative_pivot():
+    # Reeb = X·λ·sign(D) / |S|: on sl2 these forms have a negative last pivot D
+    alg = sl2()
+    for values, d in (([1, 0, 0], -1), ([2, 1, 1], -4), ([-1, 1, 1], -2)):
+        assert linalg.int_null_space(_dphi_rows(alg, values)[0], 3)[1] == d
+        assert _assert_contact_matches_reference(alg, values).is_contact
+    assert is_contact_form(alg, [1, 0, 0]).reeb.vec == (1, 0, 0)
+
+
+def test_binary_weights_in_integers_match_ad_weights():
+    # the integer rule against the Fraction ad_weights, on x̂ = X / D of every
+    # small Frobenius form at n <= 6 and of a seeded random form on each poset
+    from lieposet.toral.blocks import derive_small_frobenius_form
+
+    rng = random.Random(23)
+    found = {True: 0, False: 0}
+    for poset in enumerate_posets(6):
+        small = derive_small_frobenius_form(poset)
+        if small is None:
+            continue
+        gA = build_gA(poset)
+        pairs = sorted(poset.relations) + [(p, p) for p in poset.elements]
+        for form in (small, OneForm(poset, {pq: rng.randint(-2, 2) for pq in pairs})):
+            x_hat, report = principal_or_kernel(gA, form)
+            if report is not None:
+                continue
+            x, d = x_hat
+            # x̂ itself, then two elements that are not x̂: 2·x̂ and a random one
+            drawn = [rng.randint(-2, 2) * d for _ in x]
+            for vec in (x, [2 * v for v in x], drawn):
+                w = ad_weights(gA, gA.element([Fraction(v, d) for v in vec]))
+                binary = w.count(0) == w.count(1) == gA.dim // 2
+                assert is_binary_weights(gA, vec, d) == binary, poset.covers
+                assert is_binary_weights(gA, [-v for v in vec], -d) == binary
+                found[binary] += 1
+    assert found == {True: 101, False: 202}  # 71 small forms, 30 random Frobenius ones
+    with pytest.raises(ShapeError):
+        is_binary_weights(build_g(CHAIN2), [0, 1, 0], 1)
 
 
 def test_form_graph_contact_chain3():

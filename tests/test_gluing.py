@@ -22,6 +22,7 @@ from lieposet.toral import (
     random_toral_script,
     run_script,
 )
+from oracles import restrict_element
 from lieposet.toral.gluing import CONTACT_RULES, _valid_identifications
 
 
@@ -376,8 +377,6 @@ def test_restriction_property_of_built_kernels():
         for i, step in enumerate(script.steps):
             blk = step.block()
             g_blk = build_g(blk.poset)
-            from lieposet.forms import restrict_element
-
             restricted = restrict_element(elem, result.audits[i].block_map, g_blk)
             assert in_kernel(g_blk, blk.form, restricted), (i, step.block_id)
 

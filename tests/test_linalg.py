@@ -16,11 +16,11 @@ from lieposet.linalg import (
     char_poly,
     determinant,
     int_kernel_basis,
+    int_null_space,
     int_rank,
     int_solve,
-    integer_sqrt_exact,
+    int_solve_scaled,
     kernel_basis,
-    poly_eval_matrix,
     rank,
     rank_mod_p,
     skew_rank,
@@ -28,6 +28,7 @@ from lieposet.linalg import (
 )
 from lieposet.posets import Poset
 from lieposet.sweep import enumerate_posets
+from oracles import integer_sqrt_exact, mul_vector, poly_eval_matrix
 
 
 def naive_rref(rows):
@@ -133,7 +134,7 @@ def test_kernel_matches_oracle_randomized():
         basis = kernel_basis(m)
         assert len(basis) == ncols - rank(m)
         for v in basis:
-            assert all(x == 0 for x in m.mul_vector(v))
+            assert all(x == 0 for x in mul_vector(m, v))
         # basis vectors are linearly independent
         if basis:
             assert rank(RatMatrix(basis)) == len(basis)
@@ -225,9 +226,9 @@ def test_kernel_stability_under_row_permutation():
         if b1:
             # same row space of solutions: each basis solves the other matrix
             for v in b1:
-                assert all(x == 0 for x in m2.mul_vector(v))
+                assert all(x == 0 for x in mul_vector(m2, v))
             for v in b2:
-                assert all(x == 0 for x in m.mul_vector(v))
+                assert all(x == 0 for x in mul_vector(m, v))
             stacked = RatMatrix(b1 + b2)
             assert rank(stacked) == len(b1)
 
@@ -243,10 +244,10 @@ def test_kernel_stability_under_row_permutation():
 def test_solve_consistency_property(rows):
     m = RatMatrix(rows)
     x = [Fraction(1), Fraction(-2), Fraction(3)]
-    b = m.mul_vector(x)
+    b = mul_vector(m, x)
     got = solve(m, b)
     assert got is not None
-    assert m.mul_vector(got) == b
+    assert mul_vector(m, got) == b
 
 
 def skew_matrices(max_n, entries):
@@ -479,6 +480,24 @@ def test_sparse_kernel_and_solve_match_dense_bit_for_bit(case, as_dicts):
     # a nonzero right-hand side: x = (5, 0), and the kernel of [1 1] is (-1, 1)
     assert int_solve([[1, 1, 5]], 2) == ([5, 0], [[-1, 1]])
     assert repr(int_solve([{0: 1, 1: 1, 2: 5}], 2)[1]) == repr(int_kernel_basis([[1, 1]], 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bareiss_cases())
+def test_integer_front_ends_are_the_fraction_wrappers_without_floats(case):
+    # int_null_space and int_solve_scaled give X over the last pivot D, of
+    # either sign; the Fraction wrappers divide by D and alone make floats
+    rows, ncols = case
+    gens, d = int_null_space(rows, ncols)
+    assert d != 0 and all(type(x) is int for g in gens for x in g)
+    assert [[Fraction(x, d) for x in g] for g in gens] == int_kernel_basis(rows, ncols)
+    if ncols:
+        x, gens_a, d_a = int_solve_scaled(rows, ncols - 1)
+        fraction_x, kern = int_solve(rows, ncols - 1)
+        assert (gens_a, d_a) == int_null_space([r[:-1] for r in rows], ncols - 1)
+        assert [[Fraction(v, d_a) for v in g] for g in gens_a] == kern
+        assert (x is None) == (fraction_x is None)
+        assert x is None or [Fraction(v, d_a) for v in x] == fraction_x
 
 
 @functools.cache
