@@ -3,7 +3,9 @@
 Two poset specializations: the incidence algebra under the commutator
 (basis E_pp and E_pq for p < q in the order) and its trace-zero part
 (diagonal differences E_ii - E_{i+1,i+1} plus the strict pairs).
-Elements of either carry a matrix-coordinate view k_{p,q}.
+Elements of either carry a matrix-coordinate view k_{p,q}. Both are
+built as integer dφ terms and read their structure table off them; a
+custom algebra's given table compiles to terms instead.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .linalg import RatMatrix, ShapeError
+from .linalg import ShapeError
 
 JACOBI_EXHAUSTIVE_LIMIT = 40
 JACOBI_SAMPLES = 400
@@ -33,16 +35,15 @@ class LieAlgebra:
     """Basis-indexed antisymmetric structure constants.
 
     ``table[(i, j)]`` for i < j maps output index -> coefficient; other
-    orderings follow by antisymmetry. The table is stored as given, and
-    its builders hand in nonzero coefficients only, each an int when
-    integral, else a Fraction, so integer work on the table (dφ
-    assembly) stays in integers.
+    orderings follow by antisymmetry. A custom algebra stores its table
+    as given, nonzero coefficients only, each an int when integral, else
+    a Fraction, and compiles it into ``dphi_terms`` on first use. Poset
+    algebras are built the other way round (``PosetLieAlgebra``).
     """
 
     def __init__(self, labels, table):
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.table = table
 
     @cached_property
@@ -85,24 +86,8 @@ class LieAlgebra:
         vec[i] = Fraction(1)
         return self.element(vec)
 
-    def ad_matrix(self, elem):
-        """Matrix of [a, -]; column j holds the coordinates of [a, b_j]."""
-        vec = elem.vec if isinstance(elem, AlgebraElement) else elem
-        m = RatMatrix.zeros(self.dim, self.dim)
-        for j in range(self.dim):
-            col = self.bracket_vec(vec, self._unit(j))
-            for k, c in enumerate(col):
-                if c:
-                    m.rows[k][j] = c
-        return m
-
-    def _unit(self, j):
-        vec = [Fraction(0)] * self.dim
-        vec[j] = Fraction(1)
-        return vec
-
     def is_abelian(self):
-        return not self.table
+        return not self.dphi_terms[1]
 
     def jacobi_defect(self, i, j, k):
         """[[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j] as a dict."""
@@ -180,14 +165,17 @@ def bracket(a, b):
 class PosetLieAlgebra(LieAlgebra):
     """Either the full incidence commutator algebra or its trace-zero part."""
 
-    def __init__(self, poset, kind, labels, table):
-        super().__init__(labels, table)
+    def __init__(self, poset, kind, labels, strict, terms):
+        self.labels, self.dim = tuple(labels), len(labels)
         self.poset = poset
         self.kind = kind  # "g" or "gA"
+        self.strict_pairs = strict
+        self.dphi_terms = 1, terms
 
-    @property
-    def strict_pairs(self):
-        return [lab[1] for lab in self.labels if lab[0] == "e"]
+    @cached_property
+    def table(self):
+        """The table read off the terms (one per basis pair), for the Fraction oracles."""
+        return {(i, j): {k: -c} for i, j, k, c in self.dphi_terms[1]}
 
     def to_matrix_coords(self, vec):
         coords = {}
@@ -247,45 +235,46 @@ class PosetLieAlgebra(LieAlgebra):
         return self.element_from_coords({(p, p): 1 for p in self.poset.elements})
 
 
-def _poset_algebra(poset, kind, diagonal):
-    """Algebra on ``diagonal`` labels plus one e_pq per strict relation.
-
-    ``diagonal`` maps each diagonal label to its matrix diagonal {r: x_r};
-    such an x acts by [x, e_pq] = (x_p - x_q) e_pq. Strict brackets are
-    [e_pq, e_qs] = e_ps, read off the up-sets; no other pair of strict
-    basis vectors composes.
-    """
+def _poset_algebra(poset, kind):
+    """g (d_1..d_n) or g_A (h_i = E_ii - E_{i+1,i+1}, i < n), then e_pq per sorted
+    relation, with ``dphi_terms`` (t = 1) off the poset: [x, e_pq] = (x_p - x_q) e_pq
+    for a diagonal x, so e_pq meets only d_p, d_q on g and h_{p-1}, h_p, h_{q-1}, h_q
+    on g_A; [e_pq, e_qs] = e_ps comes off the up-sets."""
+    n = poset.n
     strict = sorted(poset.relations)
-    labels = list(diagonal) + [("e", pq) for pq in strict]
-    index = {lab: i for i, lab in enumerate(labels)}
-    table = {}
-
-    def add(i, j, k, c):
-        if i > j:
-            i, j, c = j, i, -c
-        table[(i, j)] = {k: c}  # every basis pair brackets to one basis vector
-
-    for lab, x in diagonal.items():
-        for p, q in strict:
-            c = x.get(p, 0) - x.get(q, 0)
-            if c:
-                e = index[("e", (p, q))]
-                add(index[lab], e, e, c)
+    labels = [("d", p) for p in poset.elements] if kind == "g" else [("h", i) for i in range(1, n)]
+    index = {pq: len(labels) + m for m, pq in enumerate(strict)}
+    terms = []
+    for (p, q), e in index.items():
+        # a term (i, e, e, -w) for the diagonal label x at i with [x, e_pq] = w·e_pq
+        if kind == "g":
+            terms += ((p - 1, e, e, -1), (q - 1, e, e, 1))
+            continue
+        if p > 1:
+            terms.append((p - 2, e, e, 1))  # h_{p-1}
+        if q == p + 1:
+            terms.append((p - 1, e, e, -2))  # h_p = h_{q-1}
+        else:
+            terms += ((p - 1, e, e, -1), (q - 2, e, e, -1))  # h_p, h_{q-1}
+        if q < n:
+            terms.append((q - 1, e, e, 1))  # h_q
     for p, q in strict:
+        a = index[(p, q)]
         for s in poset.up_sets[q]:
-            add(index[("e", (p, q))], index[("e", (q, s))], index[("e", (p, s))], 1)
-    return PosetLieAlgebra(poset, kind, labels, table)
+            b, k = index[(q, s)], index[(p, s)]
+            terms.append((a, b, k, -1) if a < b else (b, a, k, 1))
+    labels += [("e", pq) for pq in strict]
+    return PosetLieAlgebra(poset, kind, labels, strict, tuple(terms))
 
 
 def build_g(poset):
     """Incidence algebra of the poset under the commutator bracket."""
-    return _poset_algebra(poset, "g", {("d", p): {p: 1} for p in poset.elements})
+    return _poset_algebra(poset, "g")
 
 
 def build_gA(poset):
     """Trace-zero part: diagonal differences plus strict pairs."""
-    diagonal = {("h", i): {i: 1, i + 1: -1} for i in range(1, poset.n)}
-    return _poset_algebra(poset, "gA", diagonal)
+    return _poset_algebra(poset, "gA")
 
 
 def build_custom(dim, brackets):

@@ -4,7 +4,9 @@ The skew form dφ(x, y) = -φ([x, y]) drives everything here: kernels in
 the full and trace-zero algebras, the sampled index, Frobenius and contact decisions,
 principal elements and spectra, and the support-graph combinatorics (small forms,
 sink/source partition). Eliminations read dφ from ``_dphi_rows``, one integer loop
-over ``LieAlgebra.dphi_terms``.
+over ``LieAlgebra.dphi_terms`` with φ in ints: ``_phi_ints`` gives λ·φ(b), λ > 0
+one lcm of a form's denominators, and ``_dphi_rows`` carries λ to the Reeb vector;
+``phi_on_basis`` and ``dphi_matrix`` are the Fraction views.
 
 Verdicts decide on integer vectors X over one scale D, as the elimination gives
 them: ``KernelReport`` keeps them, and ``principal_or_kernel`` gives x̂ as (X, D).
@@ -18,6 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Callable
 
 from . import linalg
@@ -160,24 +163,30 @@ class OneForm:
         return cls.from_support(poset, pairs, coeffs)
 
 
-def phi_on_basis(algebra, form):
-    """φ on every basis vector, in closed form, as a Fraction list.
-
-    On g, φ(d_p) = φ_pp; on g_A, φ(h_i) = φ_ii - φ_{i+1,i+1}; on both,
-    φ(e_pq) = φ_pq.
-    """
+def _phi_ints(algebra, form_or_values):
+    """``(λ, λ·φ(b))`` in ints, λ > 0: for a form, λ is the lcm of its denominators
+    and φ(d_p) = φ_pp, φ(h_i) = φ_ii - φ_{i+1,i+1}, φ(e_pq) = φ_pq; an int
+    value list is taken as it is (λ = 1), other values are cleared."""
+    if not isinstance(form_or_values, OneForm):
+        values = list(form_or_values)
+        if len(values) == algebra.dim and all(type(v) is int for v in values):
+            return 1, values
+        return linalg.clear_denominators(functional_on_basis(algebra, values))
     if not isinstance(algebra, PosetLieAlgebra):
         raise ShapeError("poset one-forms apply to poset algebras only")
-    coeff = form.coefficient
-    out = []
-    for kind, lab in algebra.labels:
-        if kind == "e":
-            out.append(coeff(*lab))
-        elif kind == "d":
-            out.append(coeff(lab, lab))
-        else:
-            out.append(coeff(lab, lab) - coeff(lab + 1, lab + 1))
-    return out
+    coeffs = form_or_values.coeffs
+    lam = lcm(1, *(c.denominator for c in coeffs.values()))
+    get = {pq: c.numerator * (lam // c.denominator) for pq, c in coeffs.items()}.get
+    diag = [get((p, p), 0) for p in range(1, algebra.poset.n + 1)]
+    if algebra.kind == "gA":
+        diag = [a - b for a, b in zip(diag, diag[1:])]
+    return lam, diag + [get(pq, 0) for pq in algebra.strict_pairs]
+
+
+def phi_on_basis(algebra, form):
+    """φ on every basis vector as a Fraction list: ``_phi_ints`` over its λ."""
+    lam, phi = _phi_ints(algebra, form)
+    return [Fraction(x, lam) for x in phi]
 
 
 def functional_on_basis(algebra, values):
@@ -193,7 +202,10 @@ def functional_on_basis(algebra, values):
 
 def dphi_matrix(algebra, form_or_values):
     """Skew matrix M[i][j] = -φ([b_i, b_j])."""
-    values = _as_values(algebra, form_or_values)
+    if isinstance(form_or_values, OneForm):
+        values = phi_on_basis(algebra, form_or_values)
+    else:
+        values = functional_on_basis(algebra, list(form_or_values))
     n = algebra.dim
     m = RatMatrix.zeros(n, n)
     for (i, j), entry in algebra.table.items():
@@ -204,21 +216,13 @@ def dphi_matrix(algebra, form_or_values):
     return m
 
 
-def _as_values(algebra, form_or_values):
-    if isinstance(form_or_values, OneForm):
-        return phi_on_basis(algebra, form_or_values)
-    return functional_on_basis(algebra, list(form_or_values))
-
-
-def _dphi_rows(algebra, values):
-    """Rows ``{col: int}`` of s·dφ and the vector s·φ(b), for one scale s > 0.
-
-    ``values`` (φ on the basis, ints or Fractions) lose their denominators,
-    and s is that lcm times the table scale t. One loop over the compiled
-    ``algebra.dphi_terms`` adds c·φ(b_k) into rows[i][j] and mirrors it; an
-    entry whose terms cancel is not stored. s changes no rank, kernel or solve."""
+def _dphi_rows(algebra, form_or_values):
+    """``(rows, λ, φ̃)``: rows ``{col: int}`` of λ·dφ and φ̃ = λ·φ(b), λ > 0 the
+    ``_phi_ints`` scale times the table's t. One loop over ``algebra.dphi_terms``
+    adds c·φ̃(b_k) into rows[i][j] and mirrors it; an entry whose terms cancel
+    is not stored. λ changes no rank, kernel or solve; the Reeb vector reads it."""
     t, terms = algebra.dphi_terms
-    _, phi = linalg.clear_denominators(values)
+    lam, phi = _phi_ints(algebra, form_or_values)
     rows = [{} for _ in range(algebra.dim)]
     for i, j, k, c in terms:
         v = c * phi[k]
@@ -230,7 +234,9 @@ def _dphi_rows(algebra, values):
                 rows[j][i] = -v
             else:
                 del row[j], rows[j][i]
-    return rows, [t * x for x in phi]
+    if t != 1:
+        lam, phi = t * lam, [t * x for x in phi]
+    return rows, lam, phi
 
 
 def coords_json(coords):
@@ -284,19 +290,11 @@ def _kernel_report(algebra, gens, d):
 def kernel(algebra, form_or_values):
     """Exact kernel of dφ, with linalg's legacy ``vectors`` (the float zeros
     of its known defect included), which the sweep's witness loop reads."""
-    rows, _ = _dphi_rows(algebra, _as_values(algebra, form_or_values))
+    rows = _dphi_rows(algebra, form_or_values)[0]
     gens, d, empties = linalg._kernel(rows, algebra.dim)
     report = _kernel_report(algebra, gens, d)
     report.vectors = linalg._legacy(gens, d, empties)
     return report
-
-
-def in_kernel(algebra, form_or_values, elem):
-    """Membership test: dφ x = 0, read off the Fraction reference ``dphi_matrix``
-    rather than ``_dphi_rows``, so tests check kernels against another assembly."""
-    vec = elem.vec if isinstance(elem, AlgebraElement) else elem
-    rows = dphi_matrix(algebra, form_or_values).rows
-    return not any(sum(c * x for c, x in zip(row, vec) if x) for row in rows)
 
 
 def index(algebra, trials=INDEX_TRIALS, seed=0):
@@ -328,8 +326,7 @@ def index(algebra, trials=INDEX_TRIALS, seed=0):
     parity_floor = n % 2
     best = n
     for _ in range(trials):
-        values = [rng.randrange(linalg._MODP) for _ in range(n)]
-        rows, _ = _dphi_rows(algebra, values)
+        rows = _dphi_rows(algebra, [rng.randrange(linalg._MODP) for _ in range(n)])[0]
         best = min(best, n - linalg.rank_mod_p(rows, n))
         if best == parity_floor:
             break
@@ -360,16 +357,16 @@ def is_contact_form(algebra, form_or_values, trials=INDEX_TRIALS, seed=0):
 
     Exact: in odd dimension a one-dimensional kernel bounds the index by
     1 and parity bounds it below by 1, so no sampled ``index`` is needed.
-    In integers: ``_dphi_rows`` gives φ̃ = λ·φ(b), λ > 0, so for the kernel
-    X / D, φ(X / D) = S / (λ·D) with S = Σ X_i·φ̃_i, and the Reeb vector
-    is X·λ·sign(D) / |S|. ``trials`` and ``seed`` are not read; they stay
-    only because ``bench/run.py`` and the acceptance suite pass ``seed=``.
+    In integers: ``_dphi_rows`` gives φ̃ = λ·φ(b) with its λ > 0, so for the
+    kernel X / D, φ(X / D) = S / (λ·D) with S = Σ X_i·φ̃_i, and the Reeb
+    vector, the generator over |φ(X / D)|, is X·λ·sign(D) / |S|.
+    ``trials`` and ``seed`` are not read; they stay only because
+    ``bench/run.py`` and the acceptance suite pass ``seed=``.
     """
     n = algebra.dim
     if n % 2 == 0:
         return ContactResult(False, "even dimension")
-    values = _as_values(algebra, form_or_values)
-    rows, phi = _dphi_rows(algebra, values)
+    rows, lam, phi = _dphi_rows(algebra, form_or_values)
     report = _kernel_report(algebra, *linalg.int_null_space(rows, n))
     if report.dimension != 1:
         return ContactResult(False, f"kernel dimension {report.dimension} != 1", kernel=report)
@@ -377,7 +374,6 @@ def is_contact_form(algebra, form_or_values, trials=INDEX_TRIALS, seed=0):
     pairing = sum(xi * p for xi, p in zip(x, phi) if xi)
     if pairing == 0:
         return ContactResult(False, "form vanishes on the kernel generator", kernel=report)
-    lam = next(p // v for p, v in zip(phi, values) if v)  # exact: p = λ·v
     lam, den = (lam if report.scale > 0 else -lam), abs(pairing)
     reeb = AlgebraElement(algebra, tuple(Fraction(xi * lam, den) for xi in x))
     return ContactResult(True, "contact", reeb=reeb, kernel=report)
@@ -394,7 +390,7 @@ def is_contact_form_volume(algebra, form_or_values):
     n = algebra.dim
     if n % 2 == 0:
         raise ShapeError("volume-form test requires odd dimension")
-    rows, phi = _dphi_rows(algebra, _as_values(algebra, form_or_values))
+    rows, _, phi = _dphi_rows(algebra, form_or_values)
     bordered = [row | {n: -p} if p else row for p, row in zip(phi, rows)]
     bordered.append({j: x for j, x in enumerate(phi) if x})
     return linalg.skew_rank(bordered, n + 1) == n + 1
@@ -420,7 +416,7 @@ def principal_or_kernel(algebra, form_or_values):
     One exact elimination of [dφ | φ(b)] gives both, over one D: the
     kernel of dφ, and when it is empty, x̂ as the solution of the system.
     """
-    rows, phi = _dphi_rows(algebra, _as_values(algebra, form_or_values))
+    rows, _, phi = _dphi_rows(algebra, form_or_values)
     # φ([x, b_j]) = Σ_i x_i φ([b_i, b_j]) = Σ_i (-M[i][j]) x_i = (M x)_j by skewness
     n = algebra.dim
     x, gens, d = linalg.int_solve_scaled([row | {n: p} if p else row for row, p in zip(rows, phi)], n)

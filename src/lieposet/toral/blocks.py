@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .. import linalg
@@ -396,7 +397,14 @@ class PairReport:
     kind: str
     conditions: dict
     details: dict = field(default_factory=dict)
-    principal: object = field(default=None, repr=False, compare=False)  # x̂; not in JSON
+    scaled_principal: tuple | None = field(default=None, repr=False, compare=False)  # (g_A, X, D)
+
+    @cached_property
+    def principal(self):
+        """x̂ = X / D in g_A, built on first read; None unless Frobenius. Not in JSON."""
+        if self.scaled_principal:
+            gA, x, d = self.scaled_principal
+            return AlgebraElement(gA, tuple(Fraction(v, d) for v in x))
 
     @property
     def all_pass(self):
@@ -419,9 +427,9 @@ class PairReport:
 
 def verify_toral_pair(poset, form):
     """Itemized check of the Frobenius building-block conditions, in one exact
-    elimination of [dφ | φ] on g_A. It gives x̂ (kept as ``principal``, for the
-    spectra) or the trace-zero kernel; the kernel on g is read off it as I
-    followed by each trace-zero generator lifted into g, and g is not built."""
+    elimination of [dφ | φ] on g_A. It gives x̂ in integers (``principal`` builds
+    it for the spectra) or the trace-zero kernel; the kernel on g is read off it
+    as I followed by each trace-zero generator lifted into g, and g is not built."""
     conditions = {}
     details = {}
     ext = poset.extremal_data()
@@ -456,8 +464,7 @@ def verify_toral_pair(poset, form):
     conditions["frobenius"] = x_hat is not None
     details["kernel_trace_zero"] = ker_a or KernelReport("gA", [], scale)
     conditions["p2_binary_spectrum"] = x_hat is not None and is_binary_weights(gA, *x_hat)
-    principal = x_hat and AlgebraElement(gA, tuple(Fraction(v, scale) for v in x_hat[0]))
-    return PairReport("toral", conditions, details, principal)
+    return PairReport("toral", conditions, details, x_hat and (gA, *x_hat))
 
 
 def verify_contact_toral_pair(poset, form):

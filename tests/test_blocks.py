@@ -7,7 +7,7 @@ import pytest
 from lieposet import forms
 from lieposet.algebras import build_g, build_gA
 from lieposet.cli import analyze
-from lieposet.forms import OneForm, in_kernel, is_contact_form_volume, kernel
+from lieposet.forms import OneForm, is_contact_form_volume, kernel
 from lieposet.linalg import clear_denominators, int_rank
 from lieposet.posets import Poset
 from lieposet.toral import (
@@ -26,6 +26,7 @@ from lieposet.toral import (
 from lieposet.sweep import enumerate_posets
 from lieposet.toral import blocks
 from lieposet.toral.blocks import search_contact_form, verify_block
+from oracles import in_kernel
 
 
 def test_catalog_listing():

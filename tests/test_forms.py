@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -13,7 +14,6 @@ from lieposet.forms import (
     ad_weights,
     dphi_matrix,
     functional_on_basis,
-    in_kernel,
     index,
     index_failure_bound,
     is_binary_spectrum,
@@ -32,7 +32,7 @@ from lieposet.forms import (
 from lieposet.linalg import ShapeError, char_poly
 from lieposet.posets import Poset
 from lieposet.sweep import enumerate_posets
-from oracles import is_skew_symmetric
+from oracles import ad_matrix, in_kernel, is_skew_symmetric, unit
 
 CHAIN2 = Poset.chain(2)
 CHAIN3 = Poset.chain(3)
@@ -203,7 +203,7 @@ def test_index_failure_bound_is_exact():
 def _reference_phi(algebra, form):
     """φ on the basis through each basis vector's matrix coordinates."""
     return [
-        form.evaluate_coords(algebra.to_matrix_coords(algebra._unit(j)))
+        form.evaluate_coords(algebra.to_matrix_coords(unit(algebra.dim, j)))
         for j in range(algebra.dim)
     ]
 
@@ -236,7 +236,7 @@ def test_dphi_rows_modp_corank_matches_exact_rank():
         form = _random_form(poset, rng)
         for alg in (build_g(poset), build_gA(poset)):
             n = alg.dim
-            rows, _ = _dphi_rows(alg, phi_on_basis(alg, form))
+            rows = _dphi_rows(alg, phi_on_basis(alg, form))[0]
             exact = n - linalg.rank(dphi_matrix(alg, _reference_phi(alg, form)))
             assert n - linalg.rank_mod_p(rows, n) == exact, (poset.covers, alg.kind)
 
@@ -248,11 +248,11 @@ def test_dphi_rows_are_the_integer_entries_on_poset_algebras():
     for poset in _oracle_posets():
         form = _random_form(poset, rng, denominators=(1, 2, 3))
         for alg in (build_g(poset), build_gA(poset)):
-            _, phi = linalg.clear_denominators(phi_on_basis(alg, form))
-            rows, phi_out = _dphi_rows(alg, phi_on_basis(alg, form))
+            lam, phi = linalg.clear_denominators(phi_on_basis(alg, form))
+            rows, lam_out, phi_out = _dphi_rows(alg, phi_on_basis(alg, form))
             m = dphi_matrix(alg, phi)
             expected = [{j: int(v) for j, v in enumerate(r) if v} for r in m.rows]
-            assert alg.dphi_terms[0] == 1 and phi_out == phi
+            assert alg.dphi_terms[0] == 1 and (lam_out, phi_out) == (lam, phi)
             assert rows == expected and all(type(v) is int for r in rows for v in r.values())
 
 
@@ -266,9 +266,7 @@ SL2_RATIONAL = {
 
 def _assert_scaled_dphi(alg, values):
     """_dphi_rows gives λ·dφ and λ·φ(b) for one λ > 0, with no stored zero."""
-    rows, phi = _dphi_rows(alg, values)
-    k = next(k for k, v in enumerate(values) if v)
-    lam = Fraction(phi[k]) / values[k]
+    rows, lam, phi = _dphi_rows(alg, values)
     assert lam > 0 and phi == [lam * v for v in values]
     assert all(type(v) is int and v for r in rows for v in r.values())
     m = dphi_matrix(alg, values)
@@ -405,7 +403,7 @@ def test_contact_volume_modp_certificate_matches_exact_rank():
             pairs = sorted(poset.relations) + [(p, p) for p in poset.elements]
             sparse = OneForm.from_support(poset, [pq for pq in pairs if rng.random() < 0.5])
             for form in (OneForm(poset, {}), sparse, _random_form(poset, rng)):
-                rows, phi = _dphi_rows(alg, phi_on_basis(alg, form))
+                rows, _, phi = _dphi_rows(alg, phi_on_basis(alg, form))
                 bordered = [{j + 1: x for j, x in enumerate(phi) if x}] + [
                     ({0: -p} if p else {}) | {j + 1: v for j, v in row.items()}
                     for p, row in zip(phi, rows)
@@ -456,7 +454,7 @@ def test_principal_element_chain2():
     phi = OneForm.from_support(CHAIN2, [(1, 2)])
     x_hat = principal_element(gA, phi)
     assert x_hat.matrix_coords == {(1, 1): Fraction(1, 2), (2, 2): Fraction(-1, 2)}
-    assert char_poly(gA.ad_matrix(x_hat)) == [1, -1, 0]  # λ² - λ
+    assert char_poly(ad_matrix(gA, x_hat)) == [1, -1, 0]  # λ² - λ
     assert is_binary_spectrum(gA, phi)
 
 
@@ -531,7 +529,7 @@ def test_ad_weights_match_faddeev_for_non_diagonal_elements():
                 if strict:
                     vec[rng.choice(strict)] = Fraction(rng.randint(1, 6), rng.randint(1, 4))
                 x = alg.element(vec)
-                expected = char_poly(alg.ad_matrix(x))
+                expected = char_poly(ad_matrix(alg, x))
                 assert _poly_from_roots(ad_weights(alg, x)) == expected, (poset.covers, alg.kind)
                 checked += 1
     assert checked == 2 * 2 * 87
@@ -546,7 +544,7 @@ def test_spectrum_matches_faddeev_on_searched_frobenius_forms():
         if form is None:
             continue
         gA = build_gA(poset)
-        reference = char_poly(gA.ad_matrix(principal_element(gA, form)))
+        reference = char_poly(ad_matrix(gA, principal_element(gA, form)))
         half = gA.dim // 2
         binary = reference == _poly_from_roots([0] * half + [1] * half)
         assert spectrum(gA, form) == reference, poset.covers
@@ -650,6 +648,49 @@ def test_reeb_vector_sign_with_a_negative_pivot():
         assert linalg.int_null_space(_dphi_rows(alg, values)[0], 3)[1] == d
         assert _assert_contact_matches_reference(alg, values).is_contact
     assert is_contact_form(alg, [1, 0, 0]).reeb.vec == (1, 0, 0)
+
+
+def _shifted_diagonal_form(poset, rng, shift):
+    """Diagonal coefficients in shift + Z and integral strict ones, of both signs:
+    φ is integral on g_A's basis, while the form's denominators are shift's."""
+    coeffs = {(p, p): shift + rng.randint(-3, 3) for p in poset.elements}
+    coeffs.update({pq: rng.randint(-3, 3) for pq in poset.relations})
+    return OneForm(poset, coeffs)
+
+
+def test_rational_form_carries_its_lambda_to_rows_and_reeb():
+    # λ is the lcm of the form's denominators, not of φ(b)'s: with φ_11 =
+    # φ_22 = 1/2 and φ_33 = -1/2, φ(h_1) = 0 and φ(b) is integral, yet λ = 2
+    half = Fraction(1, 2)
+    coeffs = {(1, 1): half, (2, 2): half, (3, 3): -half, (1, 3): -2, (2, 3): 3}
+    cases = [(CHAIN3, OneForm(CHAIN3, coeffs))]
+    rng = random.Random(29)
+    for poset in enumerate_posets(5):
+        for shift in (half, Fraction(-2, 3)):
+            cases.append((poset, _shifted_diagonal_form(poset, rng, shift)))
+    reasons = {}
+    for poset, form in cases:
+        gA = build_gA(poset)
+        values = phi_on_basis(gA, form)
+        assert linalg.clear_denominators(values)[0] == 1
+        rows, lam, phi = _dphi_rows(gA, form)
+        assert lam == lcm(*(c.denominator for c in form.coeffs.values())) > 1
+        assert phi == [lam * v for v in values]
+        m = dphi_matrix(gA, form)
+        assert rows == [{j: lam * v for j, v in enumerate(r) if v} for r in m.rows]
+        if gA.dim % 2 == 0:
+            continue
+        res = _assert_contact_matches_reference(gA, form)
+        reasons[res.reason] = reasons.get(res.reason, 0) + 1
+        if res.is_contact:
+            # the Reeb vector is the kernel generator over |φ(generator)|
+            assert abs(form.evaluate(res.reeb)) == 1 and in_kernel(gA, form, res.reeb)
+    assert reasons == {
+        "contact": 24,
+        "form vanishes on the kernel generator": 15,
+        "kernel dimension 3 != 1": 9,
+        "kernel dimension 5 != 1": 3,
+    }
 
 
 def test_binary_weights_in_integers_match_ad_weights():

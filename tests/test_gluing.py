@@ -3,7 +3,7 @@ import json
 import pytest
 
 from lieposet.algebras import build_g, build_gA
-from lieposet.forms import in_kernel, index, is_contact_form, kernel
+from lieposet.forms import index, is_contact_form, kernel
 from lieposet.posets import Poset, canonical_key
 from lieposet.sweep import reachable_contact_posets
 from lieposet.toral import (
@@ -22,7 +22,7 @@ from lieposet.toral import (
     random_toral_script,
     run_script,
 )
-from oracles import restrict_element
+from oracles import in_kernel, restrict_element
 from lieposet.toral.gluing import CONTACT_RULES, _valid_identifications
 
 
