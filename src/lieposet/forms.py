@@ -165,13 +165,10 @@ class OneForm:
 
 def _phi_ints(algebra, form_or_values):
     """``(λ, λ·φ(b))`` in ints, λ > 0: for a form, λ is the lcm of its denominators
-    and φ(d_p) = φ_pp, φ(h_i) = φ_ii - φ_{i+1,i+1}, φ(e_pq) = φ_pq; an int
-    value list is taken as it is (λ = 1), other values are cleared."""
+    and φ(d_p) = φ_pp, φ(h_i) = φ_ii - φ_{i+1,i+1}, φ(e_pq) = φ_pq; a value
+    list is cleared of its denominators (λ = 1 for ints)."""
     if not isinstance(form_or_values, OneForm):
-        values = list(form_or_values)
-        if len(values) == algebra.dim and all(type(v) is int for v in values):
-            return 1, values
-        return linalg.clear_denominators(functional_on_basis(algebra, values))
+        return linalg.clear_denominators(functional_on_basis(algebra, list(form_or_values)))
     if not isinstance(algebra, PosetLieAlgebra):
         raise ShapeError("poset one-forms apply to poset algebras only")
     coeffs = form_or_values.coeffs

@@ -34,9 +34,9 @@ def test_g_gate_dimension_and_basis():
 def test_poset_algebra_terms_and_table_match_the_oracle():
     # the terms read off the poset against the label-by-label table's compile:
     # the same multiset of terms, the same labels, and a derived table equal to it
-    posets = enumerate_posets(6, connected_only=False) + [Poset.chain(n) for n in range(2, 17)]
+    posets = enumerate_posets(7, connected_only=False) + [Poset.chain(n) for n in range(2, 17)]
     posets += [blk.poset for blk in catalog_blocks()]
-    assert len(posets) == 405 + 15 + 91
+    assert len(posets) == 2450 + 15 + 91
     for poset in posets:
         for alg in (build_g(poset), build_gA(poset)):
             ref = poset_algebra(poset, alg.kind)
