@@ -135,7 +135,7 @@ def analyze(poset, form=None, seed=0, trials=INDEX_TRIALS):
             "verdict": contact.conditions["contact"],
             "certificate": {
                 "reason": contact.details["contact"],
-                "reeb": contact.details.get("reeb"),
+                "reeb": contact.contact_result.reeb_json(),
             },
         }
         if toral.conditions["frobenius"]:

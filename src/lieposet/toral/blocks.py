@@ -398,6 +398,7 @@ class PairReport:
     conditions: dict
     details: dict = field(default_factory=dict)
     scaled_principal: tuple | None = field(default=None, repr=False, compare=False)  # (g_A, X, D)
+    contact_input: tuple | None = field(default=None, repr=False, compare=False)  # (g_A, form)
 
     @cached_property
     def principal(self):
@@ -405,6 +406,13 @@ class PairReport:
         if self.scaled_principal:
             gA, x, d = self.scaled_principal
             return AlgebraElement(gA, tuple(Fraction(v, d) for v in x))
+
+    @cached_property
+    def contact_result(self):
+        """``is_contact_form`` on g_A, run on first read; None on a toral report.
+        ``to_json`` puts its kernel and Reeb vector into the details."""
+        if self.contact_input:
+            return is_contact_form(*self.contact_input)
 
     @property
     def all_pass(self):
@@ -414,22 +422,30 @@ class PairReport:
         return [name for name, ok in self.conditions.items() if not ok]
 
     def to_json(self):
+        details = dict(self.details)
+        if (res := self.contact_result) is not None:
+            if res.kernel is not None:
+                details["kernel_trace_zero"] = res.kernel
+            if res.reeb is not None:
+                details["reeb"] = res.reeb_json()
         return {
             "kind": self.kind,
             "conditions": dict(self.conditions),
             "all_pass": self.all_pass,
             "details": {
                 k: (v.to_json() if hasattr(v, "to_json") else v)
-                for k, v in self.details.items()
+                for k, v in details.items()
             },
         }
 
 
 def verify_toral_pair(poset, form):
-    """Itemized check of the Frobenius building-block conditions, in one exact
-    elimination of [dφ | φ] on g_A. It gives x̂ in integers (``principal`` builds
-    it for the spectra) or the trace-zero kernel; the kernel on g is read off it
-    as I followed by each trace-zero generator lifted into g, and g is not built."""
+    """Itemized check of the Frobenius building-block conditions on g_A, through
+    ``principal_or_kernel``: x̂ in the Cartan, certified by a thin solve and a
+    full rank mod p, or else one exact elimination of [dφ | φ]. It gives x̂ in
+    integers (``principal`` builds it for the spectra) or the trace-zero kernel;
+    the kernel on g is read off it as I followed by each trace-zero generator
+    lifted into g, and g is not built."""
     conditions = {}
     details = {}
     ext = poset.extremal_data()
@@ -444,8 +460,7 @@ def verify_toral_pair(poset, form):
     conditions["f3_extremal_edges"] = ext.rel_e <= stripped.strict_support
     gA = build_gA(poset)
     x_hat, ker_a = principal_or_kernel(gA, form)
-    # X and the kernel generators share the scale D of the one elimination
-    gens, scale = (ker_a.generators, ker_a.scale) if ker_a else ([], x_hat[1])
+    gens, scale = (ker_a.generators, ker_a.scale) if ker_a else ([], 1)
     # g = g_A ⊕ C·I with I central: ker dφ on g is C·I iff φ is Frobenius on g_A
     conditions["f4_kernel_shape"] = x_hat is not None
     n, strict = poset.n, gA.strict_pairs
@@ -462,13 +477,20 @@ def verify_toral_pair(poset, form):
         "g", full, scale, lambda v: {pq: x for pq, x in zip(labels, v) if x}
     )
     conditions["frobenius"] = x_hat is not None
-    details["kernel_trace_zero"] = ker_a or KernelReport("gA", [], scale)
+    details["kernel_trace_zero"] = ker_a or KernelReport("gA", [])
     conditions["p2_binary_spectrum"] = x_hat is not None and is_binary_weights(gA, *x_hat)
     return PairReport("toral", conditions, details, x_hat and (gA, *x_hat))
 
 
 def verify_contact_toral_pair(poset, form):
-    """Itemized check of the contact building-block conditions."""
+    """Itemized check of the contact building-block conditions.
+
+    The verdict is ``is_contact_form_volume``'s bordered rank, exact over Q
+    and settled by a full rank mod p, so a contact pair runs no kernel
+    elimination. ``is_contact_form`` supplies the trace-zero kernel and the
+    Reeb vector: on a negative verdict it runs at once and gives the reason,
+    on a positive one ``contact_result`` runs it on first read.
+    """
     conditions = {}
     details = {}
     conditions["cp1_connected"] = poset.is_connected()
@@ -486,14 +508,11 @@ def verify_contact_toral_pair(poset, form):
     details["partition"] = {"up": sorted(u), "down": sorted(d), "other": sorted(o)}
     conditions["cf4_extremal_edges"] = ext.rel_e <= stripped.strict_support
     gA = build_gA(poset)
-    res = is_contact_form(gA, form)
-    conditions["contact"] = res.is_contact
-    details["contact"] = res.reason
-    if res.kernel is not None:
-        details["kernel_trace_zero"] = res.kernel
-    if res.reeb is not None:
-        details["reeb"] = res.reeb_json()
-    return PairReport("contact", conditions, details)
+    # is_contact_form_volume refuses even dimension; is_contact_form names it
+    conditions["contact"] = gA.dim % 2 == 1 and is_contact_form_volume(gA, form)
+    report = PairReport("contact", conditions, details, contact_input=(gA, form))
+    details["contact"] = "contact" if conditions["contact"] else report.contact_result.reason
+    return report
 
 
 def verify_block(blk, seed=0):
