@@ -357,7 +357,7 @@ def is_contact_form(algebra, form_or_values, trials=INDEX_TRIALS, seed=0):
     1 and parity bounds it below by 1, so no sampled ``index`` is needed.
     In integers: ``_dphi_rows`` gives φ̃ = λ·φ(b) with its λ > 0, so for the
     kernel X / D, φ(X / D) = S / (λ·D) with S = Σ X_i·φ̃_i, and the Reeb
-    vector, the generator over |φ(X / D)|, is X·λ·sign(D) / |S|.
+    vector, the generator over φ(X / D), is X·λ / S, with φ(R) = 1.
     ``trials`` and ``seed`` are not read; they stay only because
     ``bench/run.py`` and the acceptance suite pass ``seed=``.
     """
@@ -372,8 +372,7 @@ def is_contact_form(algebra, form_or_values, trials=INDEX_TRIALS, seed=0):
     pairing = sum(xi * p for xi, p in zip(x, phi) if xi)
     if pairing == 0:
         return ContactResult(False, "form vanishes on the kernel generator", kernel=report)
-    lam, den = (lam if report.scale > 0 else -lam), abs(pairing)
-    reeb = AlgebraElement(algebra, tuple(Fraction(xi * lam, den) for xi in x))
+    reeb = AlgebraElement(algebra, tuple(Fraction(xi * lam, pairing) for xi in x))
     return ContactResult(True, "contact", reeb=reeb, kernel=report)
 
 

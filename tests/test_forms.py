@@ -316,12 +316,12 @@ def test_contact_chain4():
     gA = build_gA(CHAIN4)
     res = is_contact_form(gA, PHI_CHAIN4)
     assert res.is_contact
-    # Reeb vector: B / |φ(B)| with φ(B) = k11 for the golden generator
+    # Reeb vector: B / φ(B) with φ(B) = k11 for the golden generator
     coords = res.reeb.matrix_coords
     assert_proportional(
         coords, {(1, 1): 1, (2, 2): -1, (3, 3): -1, (4, 4): 1, (1, 2): 2}
     )
-    assert PHI_CHAIN4.evaluate(res.reeb) in (Fraction(1), Fraction(-1))
+    assert PHI_CHAIN4.evaluate(res.reeb) == 1
 
 
 def test_contact_footnote_fails():
@@ -592,7 +592,7 @@ def _contact_reference(alg, values):
     pairing = sum(c * v for c, v in zip(basis[0], values))
     if pairing == 0:
         return "form vanishes on the kernel generator", None, basis
-    return "contact", tuple(c / abs(pairing) for c in basis[0]), basis
+    return "contact", tuple(c / pairing for c in basis[0]), basis
 
 
 def _assert_contact_matches_reference(alg, form_or_values):
@@ -642,7 +642,7 @@ def test_contact_integer_pairing_matches_fraction_reference_on_random_forms():
 
 
 def test_reeb_vector_sign_with_a_negative_pivot():
-    # Reeb = X·λ·sign(D) / |S|: on sl2 these forms have a negative last pivot D
+    # Reeb = X·λ / S: on sl2 these forms have a negative last pivot D
     alg = sl2()
     for values, d in (([1, 0, 0], -1), ([2, 1, 1], -4), ([-1, 1, 1], -2)):
         assert linalg.int_null_space(_dphi_rows(alg, values)[0], 3)[1] == d
@@ -683,13 +683,8 @@ def test_rational_form_carries_its_lambda_to_rows_and_reeb():
         res = _assert_contact_matches_reference(gA, form)
         reasons[res.reason] = reasons.get(res.reason, 0) + 1
         if res.is_contact:
-            # the Reeb vector is X·λ·sign(D) / |S| for the kernel X / D and
-            # S = Σ X_i·φ̃_i, so φ(R) = sign(D)·sign(S) rather than the 1 a
-            # Reeb vector should give; a fix of that sign must flip this check
-            x, d = res.kernel.generators[0], res.kernel.scale
-            pairing = sum(xi * p for xi, p in zip(x, phi))
-            sign = (1 if d > 0 else -1) * (1 if pairing > 0 else -1)
-            assert form.evaluate(res.reeb) == sign and in_kernel(gA, form, res.reeb)
+            # the Reeb vector is X·λ / S for the kernel X / D and S = Σ X_i·φ̃_i
+            assert form.evaluate(res.reeb) == 1 and in_kernel(gA, form, res.reeb)
     assert reasons == {
         "contact": 24,
         "form vanishes on the kernel generator": 15,
