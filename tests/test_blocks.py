@@ -416,6 +416,56 @@ def test_folded_pair_report_matches_kernel_and_spectrum():
     assert singular == 57  # and 2 Frobenius forms
 
 
+def test_contact_pair_report_builds_kernel_and_reeb_on_read(monkeypatch):
+    # the bordered rank decides; is_contact_form's kernel and Reeb vector are
+    # built on first read and must equal an eager is_contact_form's
+    from lieposet import linalg
+
+    echelon = linalg._int_echelon
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[1])
+        return echelon(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_int_echelon", counted)
+    cases = []
+    for blk in catalog_blocks((1, 14)):
+        if blk.kind == "contact":
+            runs.clear()
+            rep = verify_block(blk)
+            assert rep.all_pass and runs == [], blk.id
+            rep.to_json()
+            rep.to_json()
+            assert len(runs) == 1, blk.id
+            cases.append((blk.poset, blk.form))
+    rng = random.Random(41)
+    for poset in enumerate_posets(6):
+        pairs = sorted(poset.relations) + [(p, p) for p in poset.elements]
+        for _ in range(2):
+            cases.append((poset, OneForm(poset, {pq: rng.randint(-2, 2) for pq in pairs})))
+    reasons = {}
+    for poset, form in cases:
+        rep = verify_contact_toral_pair(poset, form)
+        res = forms.is_contact_form(build_gA(poset), form)
+        assert rep.conditions["contact"] == res.is_contact, (poset.covers, form)
+        expected = {"partition": rep.details["partition"], "contact": res.reason}
+        if res.kernel is not None:
+            expected["kernel_trace_zero"] = res.kernel.to_json()
+        if res.reeb is not None:
+            expected["reeb"] = res.reeb_json()
+        assert rep.to_json()["details"] == expected
+        assert rep.contact_result.reeb_json() == expected.get("reeb")
+        reason = "kernel dimension > 1" if res.reason.startswith("kernel") else res.reason
+        reasons[reason] = reasons.get(reason, 0) + 1
+    assert reasons == {  # 44 catalog blocks and 73 random forms are contact
+        "contact": 117,
+        "even dimension": 312,
+        "form vanishes on the kernel generator": 60,
+        "kernel dimension > 1": 149,
+    }
+
+
 def test_kernel_full_read_off_g_A_matches_g_elimination():
     # the pair check reads ker dφ on g, and its coordinates, off its one g_A
     # elimination without building g; an exact kernel on g, checked against

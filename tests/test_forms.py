@@ -583,6 +583,70 @@ def test_principal_or_kernel_routes_each_form():
     assert x_hat is None and report.dimension == 1
 
 
+def test_principal_in_the_cartan_and_its_fallback(monkeypatch):
+    # principal_or_kernel certifies x̂ = (a, 0) in the Cartan by a thin solve on
+    # the n - 1 h-columns and a full rank mod p; every other form goes to the
+    # one [dφ | φ] elimination. Both must give what that elimination gives.
+    from lieposet.toral.blocks import catalog_blocks
+
+    solve, rank = linalg.int_solve_scaled, linalg.rank_mod_p
+    widths, ranks = [], []
+
+    def logged_solve(rows, ncols):
+        widths.append(ncols)
+        return solve(rows, ncols)
+
+    def logged_rank(rows, ncols):
+        ranks.append(ncols)
+        return rank(rows, ncols)
+
+    monkeypatch.setattr(linalg, "int_solve_scaled", logged_solve)
+    monkeypatch.setattr(linalg, "rank_mod_p", logged_rank)
+
+    def path(gA, form):
+        widths.clear()
+        ranks.clear()
+        x_hat, report = principal_or_kernel(gA, form)
+        rows, _, phi = _dphi_rows(gA, form)
+        n = gA.dim
+        x, gens, d = solve([row | {n: p} if p else row for row, p in zip(rows, phi)], n)
+        if gens:
+            assert x_hat is None and (report.generators, report.scale) == (gens, d)
+        else:
+            assert report is None and _over(*x_hat) == _over(x, d)
+        if n % 2:
+            assert widths == [n]
+            return "odd"
+        m = gA.poset.n - 1
+        if widths == [m]:
+            assert x_hat is not None and not any(x_hat[0][m:]) and ranks == [n]
+            return "cartan"
+        assert widths == [m, n]
+        if x_hat:
+            return "frobenius off the Cartan"
+        # a thin solution with no kernel is x̂ unless dφ is singular
+        return "singular, rank deficit" if ranks else "singular, no thin solution"
+
+    toral = [b for b in catalog_blocks() if b.kind == "toral"]
+    assert [path(build_gA(b.poset), b.form) for b in toral] == ["cartan"] * 47
+    rng = random.Random(37)
+    paths = {}
+    for poset in enumerate_posets(5):
+        gA = build_gA(poset)
+        diagonal = [(p, p) for p in poset.elements]
+        for pairs in (sorted(poset.relations), sorted(poset.relations) + diagonal):
+            form = OneForm(poset, {pq: rng.randint(-2, 2) for pq in pairs})
+            key = path(gA, form)
+            paths[key] = paths.get(key, 0) + 1
+    assert paths == {
+        "cartan": 7,
+        "frobenius off the Cartan": 13,
+        "singular, no thin solution": 44,
+        "singular, rank deficit": 4,
+        "odd": 50,
+    }
+
+
 def _contact_reference(alg, values):
     """``is_contact_form``'s verdict through the Fraction layer: ``dphi_matrix``,
     ``kernel_basis`` and a Fraction pairing; (reason, Reeb vector, kernel)."""

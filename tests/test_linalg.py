@@ -28,6 +28,7 @@ from lieposet.linalg import (
 )
 from lieposet.posets import Poset
 from lieposet.sweep import enumerate_posets
+from lieposet.toral import catalog_blocks
 from oracles import integer_sqrt_exact, mul_vector, poly_eval_matrix
 
 
@@ -336,6 +337,56 @@ def test_rank_mod_p_edge_shapes():
     for rows, ncols in (([], 4), ([[], []], 0), ([[1, 2, 3, 4]], 4), ([[0, 1], [-1, 0], [1, 1]], 2)):
         with pytest.raises(ShapeError):
             rank_mod_p(rows, ncols)
+
+
+def _skew(n, entries):
+    """n x n skew rows from ``{(i, j): x}`` above the diagonal."""
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), x in entries.items():
+        rows[i][j], rows[j][i] = x, -x
+    return rows
+
+
+def test_rank_mod_p_degree_buckets_against_int_rank():
+    # rank_mod_p keeps its live indices in buckets by degree and re-buckets
+    # only the neighbours of each 2 x 2 pivot
+    cases = [
+        [],
+        [[0]],
+        [{}],
+        [[0] * 4 for _ in range(4)],
+        # all-zero rows among live ones
+        _skew(5, {(1, 3): 2, (3, 4): -1}),
+        # a star: the first pivot is a leaf and the centre, which leaves the
+        # other leaves isolated mid-elimination
+        _skew(5, {(0, k): k for k in range(1, 5)}),
+        # K4 with Pfaffian 2·1 - 1·1 + 1·(-1) = 0: the Schur update cancels
+        # the last entry, so the last two indices are isolated by cancellation
+        _skew(4, {(0, 1): 2, (2, 3): 1, (0, 2): 1, (1, 3): 1, (0, 3): 1, (1, 2): -1}),
+        # K4 and K6 with nonzero Pfaffian: every degree starts at n - 1, and the
+        # first pivot drops the others to n - 3, below the current bucket
+        _skew(4, {(i, j): i + 2 * j + 1 for i in range(4) for j in range(i + 1, 4)}),
+        _skew(6, {(i, j): (i * j) % 5 + 1 for i in range(6) for j in range(i + 1, 6)}),
+        # a path 0 - 1 - ... - 7: degrees 1 and 2 throughout, a perfect matching
+        _skew(8, {(i, i + 1): i + 1 for i in range(7)}),
+    ]
+    # the bordered contact matrices of the catalog, [[dφ, -φ], [φ, 0]]
+    for blk in catalog_blocks():
+        if blk.kind == "contact":
+            gA = build_gA(blk.poset)
+            rows, _, phi = _dphi_rows(gA, blk.form)
+            n = gA.dim
+            bordered = [row | {n: -p} if p else row for p, row in zip(phi, rows)]
+            bordered.append({j: x for j, x in enumerate(phi) if x})
+            assert rank_mod_p(bordered, n + 1) == n + 1, blk.id
+            cases.append(bordered)
+    for rows in cases:
+        n = len(rows)
+        exact = int_rank(rows, n)
+        assert rank_mod_p(rows, n) == exact, rows
+        if rows and isinstance(rows[0], list):
+            assert rank_mod_p(as_rows(rows, True), n) == exact, rows
+    assert [rank_mod_p(c, len(c)) for c in cases[:10]] == [0, 0, 0, 0, 2, 2, 2, 4, 6, 8]
 
 
 @settings(max_examples=100, deadline=None)
