@@ -413,8 +413,9 @@ def principal_or_kernel(algebra, form_or_values):
     On g_A of even dimension it first tries x̂ in the Cartan, the span of the
     n - 1 basis vectors h_i, where small forms put it. The thin system, all
     rows of dφ on the h-columns augmented with φ, is solved exactly; when it
-    has a solution a and no kernel, and dφ has full rank mod p (hence over Q,
-    so x̂ is unique), x̂ = (a, 0). Either certificate failing sends the form to
+    has a solution a and no kernel, and dφ has full rank (``linalg.skew_rank``,
+    which a full rank mod p settles), x̂ is unique and equals (a, 0). Either
+    certificate failing sends the form to
     one exact elimination of [dφ | φ(b)], which gives both, over one D: the
     kernel of dφ, and when it is empty, x̂ as the solution of the system.
     """
@@ -426,7 +427,7 @@ def principal_or_kernel(algebra, form_or_values):
         thin = [{c: v for c, v in row.items() if c < m} | ({m: p} if p else {})
                 for row, p in zip(rows, phi)]
         x, gens, d = linalg.int_solve_scaled(thin, m)
-        if x is not None and not gens and linalg.rank_mod_p(rows, n) == n:
+        if x is not None and not gens and linalg.skew_rank(rows, n) == n:
             return (x + [0] * (n - m), d), None
     x, gens, d = linalg.int_solve_scaled([row | {n: p} if p else row for row, p in zip(rows, phi)], n)
     if gens:

@@ -442,7 +442,7 @@ class PairReport:
 def verify_toral_pair(poset, form):
     """Itemized check of the Frobenius building-block conditions on g_A, through
     ``principal_or_kernel``: x̂ in the Cartan, certified by a thin solve and a
-    full rank mod p, or else one exact elimination of [dφ | φ]. It gives x̂ in
+    full rank of dφ, or else one exact elimination of [dφ | φ]. It gives x̂ in
     integers (``principal`` builds it for the spectra) or the trace-zero kernel;
     the kernel on g is read off it as I followed by each trace-zero generator
     lifted into g, and g is not built."""
