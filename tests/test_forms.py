@@ -585,8 +585,8 @@ def test_principal_or_kernel_routes_each_form():
 
 def test_principal_in_the_cartan_and_its_fallback(monkeypatch):
     # principal_or_kernel certifies x̂ = (a, 0) in the Cartan by a thin solve on
-    # the n - 1 h-columns and a full rank mod p; every other form goes to the
-    # one [dφ | φ] elimination. Both must give what that elimination gives.
+    # the n - 1 h-columns and a full skew_rank of dφ; every other form goes to
+    # the one [dφ | φ] elimination. Both must give what that elimination gives.
     from lieposet.toral.blocks import catalog_blocks
 
     solve, rank = linalg.int_solve_scaled, linalg.rank_mod_p
