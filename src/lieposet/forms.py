@@ -411,24 +411,26 @@ def principal_or_kernel(algebra, form_or_values):
     """``((X, D), None)`` for a Frobenius form, x̂ = X / D, else ``(None, kernel report)``.
 
     On g_A of even dimension it first tries x̂ in the Cartan, the span of the
-    n - 1 basis vectors h_i, where small forms put it. The thin system, all
-    rows of dφ on the h-columns augmented with φ, is solved exactly; when it
-    has a solution a and no kernel, and dφ has full rank (``linalg.skew_rank``,
-    which a full rank mod p settles), x̂ is unique and equals (a, 0). Either
-    certificate failing sends the form to
-    one exact elimination of [dφ | φ(b)], which gives both, over one D: the
-    kernel of dφ, and when it is empty, x̂ as the solution of the system.
+    n - 1 basis vectors h_i, where small forms put it. The Cartan is abelian,
+    so x̂ can lie there only when φ vanishes on every h_i; for such a φ the
+    thin system, all rows of dφ on the h-columns augmented with φ, is solved
+    exactly, and when it has a solution a and no kernel, and dφ has full rank
+    (``linalg.skew_rank``, which a full rank mod p settles), x̂ is unique and
+    equals (a, 0). Any other form goes to one exact elimination of
+    [dφ | φ(b)], which gives both, over one D: the kernel of dφ, and when it
+    is empty, x̂ as the solution of the system.
     """
     rows, _, phi = _dphi_rows(algebra, form_or_values)
     # φ([x, b_j]) = Σ_i x_i φ([b_i, b_j]) = Σ_i (-M[i][j]) x_i = (M x)_j by skewness
     n = algebra.dim
     if n % 2 == 0 and getattr(algebra, "kind", None) == "gA":
         m = algebra.poset.n - 1
-        thin = [{c: v for c, v in row.items() if c < m} | ({m: p} if p else {})
-                for row, p in zip(rows, phi)]
-        x, gens, d = linalg.int_solve_scaled(thin, m)
-        if x is not None and not gens and linalg.skew_rank(rows, n) == n:
-            return (x + [0] * (n - m), d), None
+        if not any(phi[:m]):
+            thin = [{c: v for c, v in row.items() if c < m} | ({m: p} if p else {})
+                    for row, p in zip(rows, phi)]
+            x, gens, d = linalg.int_solve_scaled(thin, m)
+            if x is not None and not gens and linalg.skew_rank(rows, n) == n:
+                return (x + [0] * (n - m), d), None
     x, gens, d = linalg.int_solve_scaled([row | {n: p} if p else row for row, p in zip(rows, phi)], n)
     if gens:
         return None, _kernel_report(algebra, gens, d)

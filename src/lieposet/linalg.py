@@ -285,12 +285,8 @@ def rank_mod_p(int_rows, ncols, p=_MODP):
     degree and its neighbour j of least degree form a 2 x 2 pivot (Bunch
     1982): the rank-2 Schur update a_kl += (a_jk a_il - a_ik a_jl) / a_ij
     keeps the rest skew, touches only the neighbours of i and j and adds
-    2 to the rank; indices left isolated drop out. The live indices sit in
-    buckets by degree, so the least degree is found by walking up from the
-    last one; only the neighbours of i and j change degree, and only they
-    move bucket (a drop below the current bucket moves the walk back). The
-    rank over GF(p) is a lower bound for the rank over Q and does not
-    depend on the pivots.
+    2 to the rank; indices left isolated drop out. The rank over GF(p) is
+    a lower bound for the rank over Q and does not depend on the pivots.
     """
     if len(int_rows) != ncols:
         raise ShapeError(f"skew rank needs a square matrix, got {len(int_rows)} x {ncols}")
@@ -300,22 +296,12 @@ def rank_mod_p(int_rows, ncols, p=_MODP):
             if j > i and (v := x % p):
                 adj[i][j] = v
                 adj[j][i] = p - v
-    deg = [len(a) for a in adj]
-    buckets = [set() for _ in range(ncols)]  # a degree is below ncols
-    for i, d in enumerate(deg):
-        if d:
-            buckets[d].add(i)
-    low = 1
+    live = {i for i in range(ncols) if adj[i]}
     rk = 0
-    while True:
-        while low < ncols and not buckets[low]:
-            low += 1
-        if low >= ncols:
-            return rk
-        i = buckets[low].pop()
+    while live:
+        i = min(live, key=lambda k: len(adj[k]))
         ai = adj[i]
-        j = min(ai, key=deg.__getitem__)
-        buckets[deg[j]].remove(j)
+        j = min(ai, key=lambda k: len(adj[k]))
         aj = adj[j]
         aij = ai.pop(j)
         del aj[i]
@@ -336,13 +322,10 @@ def rank_mod_p(int_rows, ncols, p=_MODP):
                         else:
                             del ak[l]
                             del adj[l][k]
-        for k in ai.keys() | aj.keys():
-            buckets[deg[k]].remove(k)
-            deg[k] = d = len(adj[k])
-            if d:
-                buckets[d].add(k)
-                low = min(low, d)
+        live -= {i, j}
+        live -= {k for k in ai.keys() | aj.keys() if not adj[k]}
         rk += 2
+    return rk
 
 
 def skew_rank(int_rows, ncols):

@@ -585,8 +585,9 @@ def test_principal_or_kernel_routes_each_form():
 
 def test_principal_in_the_cartan_and_its_fallback(monkeypatch):
     # principal_or_kernel certifies x̂ = (a, 0) in the Cartan by a thin solve on
-    # the n - 1 h-columns and a full skew_rank of dφ; every other form goes to
-    # the one [dφ | φ] elimination. Both must give what that elimination gives.
+    # the n - 1 h-columns and a full skew_rank of dφ, tried only when φ(h_i) = 0
+    # for every i; every other form goes to the one [dφ | φ] elimination. Both
+    # must give what that elimination gives.
     from lieposet.toral.blocks import catalog_blocks
 
     solve, rank = linalg.int_solve_scaled, linalg.rank_mod_p
@@ -621,6 +622,11 @@ def test_principal_in_the_cartan_and_its_fallback(monkeypatch):
         if widths == [m]:
             assert x_hat is not None and not any(x_hat[0][m:]) and ranks == [n]
             return "cartan"
+        if widths == [n]:
+            # x̂ in the abelian Cartan would give φ(h_i) = φ([x̂, h_i]) = 0
+            assert any(phi[:m]) and not ranks
+            return "φ(h) ≠ 0, " + ("frobenius" if x_hat else "singular")
+        assert not any(phi[:m])
         assert widths == [m, n]
         if x_hat:
             return "frobenius off the Cartan"
@@ -640,9 +646,11 @@ def test_principal_in_the_cartan_and_its_fallback(monkeypatch):
             paths[key] = paths.get(key, 0) + 1
     assert paths == {
         "cartan": 7,
-        "frobenius off the Cartan": 13,
-        "singular, no thin solution": 44,
+        "frobenius off the Cartan": 3,
+        "singular, no thin solution": 21,
         "singular, rank deficit": 4,
+        "φ(h) ≠ 0, frobenius": 10,
+        "φ(h) ≠ 0, singular": 23,
         "odd": 50,
     }
 

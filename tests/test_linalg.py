@@ -347,9 +347,9 @@ def _skew(n, entries):
     return rows
 
 
-def test_rank_mod_p_degree_buckets_against_int_rank():
-    # rank_mod_p keeps its live indices in buckets by degree and re-buckets
-    # only the neighbours of each 2 x 2 pivot
+def test_rank_mod_p_pivot_order_against_int_rank():
+    # rank_mod_p pivots on an index of least degree and its least-degree
+    # neighbour, and drops the indices each 2 x 2 pivot leaves isolated
     cases = [
         [],
         [[0]],
@@ -364,7 +364,7 @@ def test_rank_mod_p_degree_buckets_against_int_rank():
         # the last entry, so the last two indices are isolated by cancellation
         _skew(4, {(0, 1): 2, (2, 3): 1, (0, 2): 1, (1, 3): 1, (0, 3): 1, (1, 2): -1}),
         # K4 and K6 with nonzero Pfaffian: every degree starts at n - 1, and the
-        # first pivot drops the others to n - 3, below the current bucket
+        # first pivot drops the others to n - 3, below the least degree so far
         _skew(4, {(i, j): i + 2 * j + 1 for i in range(4) for j in range(i + 1, 4)}),
         _skew(6, {(i, j): (i * j) % 5 + 1 for i in range(6) for j in range(i + 1, 6)}),
         # a path 0 - 1 - ... - 7: degrees 1 and 2 throughout, a perfect matching
