@@ -285,8 +285,10 @@ def rank_mod_p(int_rows, ncols, p=_MODP):
     degree and its neighbour j of least degree form a 2 x 2 pivot (Bunch
     1982): the rank-2 Schur update a_kl += (a_jk a_il - a_ik a_jl) / a_ij
     keeps the rest skew, touches only the neighbours of i and j and adds
-    2 to the rank; indices left isolated drop out. The rank over GF(p) is
-    a lower bound for the rank over Q and does not depend on the pivots.
+    2 to the rank; indices left isolated drop out. Only the neighbours of
+    i and j change degree, so only their entries in the degree list are
+    recounted after a step. The rank over GF(p) is a lower bound for the
+    rank over Q and does not depend on the pivots.
     """
     if len(int_rows) != ncols:
         raise ShapeError(f"skew rank needs a square matrix, got {len(int_rows)} x {ncols}")
@@ -297,11 +299,12 @@ def rank_mod_p(int_rows, ncols, p=_MODP):
                 adj[i][j] = v
                 adj[j][i] = p - v
     live = {i for i in range(ncols) if adj[i]}
+    deg = [len(a) for a in adj]
     rk = 0
     while live:
-        i = min(live, key=lambda k: len(adj[k]))
+        i = min(live, key=deg.__getitem__)
         ai = adj[i]
-        j = min(ai, key=lambda k: len(adj[k]))
+        j = min(ai, key=deg.__getitem__)
         aj = adj[j]
         aij = ai.pop(j)
         del aj[i]
@@ -323,7 +326,10 @@ def rank_mod_p(int_rows, ncols, p=_MODP):
                             del ak[l]
                             del adj[l][k]
         live -= {i, j}
-        live -= {k for k in ai.keys() | aj.keys() if not adj[k]}
+        for k in ai.keys() | aj.keys():
+            if not (d := len(adj[k])):
+                live.discard(k)
+            deg[k] = d
         rk += 2
     return rk
 
