@@ -19,7 +19,6 @@ from .forms import (
     KernelReport,
     NotFrobeniusError,
     OneForm,
-    dphi_matrix,
     index,
     is_binary_spectrum,
     is_contact_form,
@@ -30,15 +29,7 @@ from .forms import (
     spectrum,
     udo_partition,
 )
-from .linalg import (
-    RatMatrix,
-    ShapeError,
-    char_poly,
-    determinant,
-    kernel_basis,
-    rank,
-    solve,
-)
+from .linalg import ShapeError
 from .posets import CycleError, ExtremalData, Poset, PosetError, UnsupportedSizeError
 
 __version__ = "0.1.0"

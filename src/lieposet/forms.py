@@ -10,8 +10,9 @@ one lcm of a form's denominators, and ``_dphi_rows`` carries λ to the Reeb vect
 
 Verdicts decide on integer vectors X over one scale D, as the elimination gives
 them: ``KernelReport`` keeps them, and ``principal_or_kernel`` gives x̂ as (X, D).
-Fractions are built at the report only: ``KernelReport.vectors`` on first read,
-the Reeb vector once, and x̂ in ``principal_element``.
+Fractions are built at the report only: ``KernelReport.vectors`` on first read
+(``kernel`` presets its legacy view), the Reeb vector once, and x̂ in
+``principal_element``.
 """
 
 from __future__ import annotations
@@ -286,12 +287,26 @@ def _kernel_report(algebra, gens, d):
 
 
 def kernel(algebra, form_or_values):
-    """Exact kernel of dφ, with linalg's legacy ``vectors`` (the float zeros
-    of its known defect included), which the sweep's witness loop reads."""
-    rows = _dphi_rows(algebra, form_or_values)[0]
-    gens, d, empties = linalg._kernel(rows, algebra.dim)
+    """Exact kernel of dφ, with legacy ``vectors`` for the sweep's witness loop.
+
+    Known defect, kept so that the sweep's totals stay as they were: a
+    pivot entry of a generator that back-substitution leaves as an empty
+    sum (no later nonzero unknown in its echelon row) is the float
+    ``0 / pivot``, 0.0 or -0.0, and the pairing the sweep sums over the
+    vector turns into a float. ROADMAP item 1 deletes this loop.
+    """
+    n = algebra.dim
+    ech, pivots, _ = linalg._int_echelon(_dphi_rows(algebra, form_or_values)[0], n)
+    gens, d = linalg._null_space(ech, pivots, n)
+    zero, vectors = Fraction(0), []
+    for g in gens:
+        v = [Fraction(x, d) if x else zero for x in g]
+        for row, c in zip(ech, pivots):
+            if not g[c] and not [j for j in row if c < j < n and g[j]]:
+                v[c] = 0 / row[c]
+        vectors.append(v)
     report = _kernel_report(algebra, gens, d)
-    report.vectors = linalg._legacy(gens, d, empties)
+    report.vectors = vectors
     return report
 
 

@@ -7,14 +7,14 @@ coefficient growth and serves rank, determinant, kernels and solves; the
 last two back-substitute in integers as well, and a solve reads the
 kernel off the same echelon. ``int_null_space`` and ``int_solve_scaled``
 return integer vectors X over one scale D, the last pivot (nonzero, of
-either sign); the Fraction wrappers ``int_kernel_basis``, ``int_solve``,
-``kernel_basis`` and ``solve`` build each entry once, as X / D. Callers
-that hold integer rows use the ``int_*`` entry points, which take dense
-lists too; the ``RatMatrix`` functions clear denominators row by row.
-``rank_mod_p`` ranks skew-symmetric rows over GF(2^61 - 1), two indices
-at a time; the sampled index reads it as it is, and ``skew_rank`` turns
-it into the exact rank over Q that the Frobenius and contact verdicts
-need, by Hadamard's bound or else by Bareiss.
+either sign); the Fraction front ends ``kernel_basis`` and ``solve``
+build each entry once, as X / D. Callers that hold integer rows use the
+``int_*`` entry points, which take dense lists too; the ``RatMatrix``
+functions clear denominators row by row. ``rank_mod_p`` ranks
+skew-symmetric rows over GF(2^61 - 1), two indices at a time; the
+sampled index reads it as it is, and ``skew_rank`` turns it into the
+exact rank over Q that the Frobenius and contact verdicts need, by
+Hadamard's bound or else by Bareiss.
 """
 
 from __future__ import annotations
@@ -184,18 +184,9 @@ def _back_substitute(ech, pivots, ncols, d, free=None):
     free unknowns are 0. The unknowns are integers X scaled by the last
     Bareiss pivot D, the r x r minor on the pivot rows and columns: by
     Cramer's rule each is an integer, so every division by a pivot is
-    exact. Also returned: ``{col: pivot}`` for the kernel entries whose
-    sum is empty (no later nonzero unknown in the row).
-
-    Known defect, kept so that results stay as they were: ``_legacy``
-    makes each such entry the float ``0 / pivot``, 0.0 or -0.0, and sums
-    over the vector turn into floats. Every site that still makes them
-    goes through ``_legacy``: ``int_kernel_basis``, ``int_solve``,
-    ``kernel_basis``, ``solve`` and ``forms.kernel`` (for the sweep's
-    witness loop). ROADMAP item 1 deletes its float branch.
+    exact.
     """
     scaled = [0] * ncols
-    empty = {}
     if free is not None:
         scaled[free] = d
     for k in range(len(pivots) - 1, -1, -1):
@@ -206,24 +197,15 @@ def _back_substitute(ech, pivots, ncols, d, free=None):
             scaled[c] = (row.get(ncols, 0) * d - sum(terms)) // row[c]
         elif terms:
             scaled[c] = -sum(terms) // row[c]
-        else:
-            empty[c] = row[c]
-    return scaled, empty
+    return scaled
 
 
 def _null_space(ech, pivots, ncols):
-    """``(gens, D, empties)``: each free column's kernel generator, in column
-    order, over the last pivot D, and its empty-sum entries."""
+    """``(gens, D)``: each free column's kernel generator, in column order,
+    over the last pivot D."""
     d = ech[len(pivots) - 1][pivots[-1]] if pivots else 1
     pivot_set = set(pivots)
-    sols = [_back_substitute(ech, pivots, ncols, d, f) for f in range(ncols) if f not in pivot_set]
-    return [x for x, _ in sols], d, [e for _, e in sols]
-
-
-def _legacy(gens, d, empties):
-    """Fraction vectors X / D, with the float ``0 / pivot`` of the known defect."""
-    return [[0 / e[j] if j in e else Fraction(x, d) for j, x in enumerate(g)]
-            for g, e in zip(gens, empties)]
+    return [_back_substitute(ech, pivots, ncols, d, f) for f in range(ncols) if f not in pivot_set], d
 
 
 def int_rank(rows, ncols):
@@ -231,29 +213,10 @@ def int_rank(rows, ncols):
     return len(_int_echelon(rows, ncols)[1])
 
 
-def _kernel(rows, ncols):
-    """``_null_space`` of integer rows, from their own elimination."""
-    return _null_space(*_int_echelon(rows, ncols)[:2], ncols)
-
-
 def int_null_space(rows, ncols):
     """Right null space of integer rows as ``(gens, D)``: one integer X per
     free column, in column order, D at that column; the vectors are X / D."""
-    return _kernel(rows, ncols)[:2]
-
-
-def int_kernel_basis(rows, ncols):
-    """Right null space of integer rows: one Fraction vector per free column."""
-    return _legacy(*_kernel(rows, ncols))
-
-
-def _solve(aug_rows, ncols):
-    ech, pivots, _ = _int_echelon(aug_rows, ncols + 1, augmented_from=ncols)
-    gens, d, empties = _null_space(ech, pivots, ncols)
-    # inconsistent iff some residual row is 0 ... 0 | nonzero
-    if any(row.get(ncols) for row in ech[len(pivots):]):
-        return None, gens, d, empties
-    return _back_substitute(ech, pivots, ncols, d)[0], gens, d, empties
+    return _null_space(*_int_echelon(rows, ncols)[:2], ncols)
 
 
 def int_solve_scaled(aug_rows, ncols):
@@ -264,13 +227,12 @@ def int_solve_scaled(aug_rows, ncols):
     the right null space of A. Pivots never enter column ``ncols``, so
     gens and D are those ``int_null_space`` gives for A.
     """
-    return _solve(aug_rows, ncols)[:3]
-
-
-def int_solve(aug_rows, ncols):
-    """``int_solve_scaled`` in Fractions: ``(x or None, int_kernel_basis of A)``."""
-    x, gens, d, empties = _solve(aug_rows, ncols)
-    return None if x is None else [Fraction(v, d) for v in x], _legacy(gens, d, empties)
+    ech, pivots, _ = _int_echelon(aug_rows, ncols + 1, augmented_from=ncols)
+    gens, d = _null_space(ech, pivots, ncols)
+    # inconsistent iff some residual row is 0 ... 0 | nonzero
+    if any(row.get(ncols) for row in ech[len(pivots):]):
+        return None, gens, d
+    return _back_substitute(ech, pivots, ncols, d), gens, d
 
 
 def rank(m):
@@ -360,7 +322,8 @@ def kernel_basis(m):
     Each vector is a list of Fractions of length ``m.ncols``; the basis
     has dimension ``ncols - rank``.
     """
-    return int_kernel_basis(_int_rows(m), m.ncols)
+    gens, d = int_null_space(_int_rows(m), m.ncols)
+    return [[Fraction(x, d) for x in g] for g in gens]
 
 
 def determinant(m):
@@ -386,7 +349,8 @@ def solve(m, b):
     if len(b) != m.nrows:
         raise ShapeError("right-hand side length mismatch")
     aug = [clear_denominators(list(row) + [Fraction(bi)])[1] for row, bi in zip(m.rows, b)]
-    return int_solve(aug, m.ncols)[0]
+    x, _, d = int_solve_scaled(aug, m.ncols)
+    return None if x is None else [Fraction(v, d) for v in x]
 
 
 def _charpoly_faddeev_int(rows):

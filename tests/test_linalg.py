@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieposet.algebras import build_gA
-from lieposet.forms import _dphi_rows
+from lieposet.forms import _dphi_rows, kernel
 from lieposet.linalg import (
     _MODP,
     RatMatrix,
@@ -15,10 +15,8 @@ from lieposet.linalg import (
     _int_echelon,
     char_poly,
     determinant,
-    int_kernel_basis,
     int_null_space,
     int_rank,
-    int_solve,
     int_solve_scaled,
     kernel_basis,
     rank,
@@ -450,23 +448,26 @@ def dense_int_echelon(rows, ncols, augmented_from=None):
     return rows, pivots, sign
 
 
-def dense_back_substitute(ech, pivots, x, ncols, rhs=False):
+def dense_back_substitute(ech, pivots, x, ncols, rhs=False, legacy=False):
+    # legacy: an empty sum stays the int 0, so 0 / pivot is the float 0.0
+    # or -0.0 of the known defect that forms.kernel keeps for the sweep
+    zero = 0 if legacy else Fraction(0)
     for k in range(len(pivots) - 1, -1, -1):
         c = pivots[k]
         row = ech[k]
         s = sum(row[j] * x[j] for j in range(c + 1, ncols) if row[j] and x[j])
-        x[c] = ((Fraction(row[ncols]) if rhs else 0) - s) / row[c]
+        x[c] = ((Fraction(row[ncols]) if rhs else zero) - s) / row[c]
     return x
 
 
-def dense_kernel_basis(rows, ncols):
+def dense_kernel_basis(rows, ncols, legacy=False):
     ech, pivots, _ = dense_int_echelon(rows, ncols)
     basis = []
     for f in range(ncols):
         if f not in pivots:
             v = [Fraction(0)] * ncols
             v[f] = Fraction(1)
-            basis.append(dense_back_substitute(ech, pivots, v, ncols))
+            basis.append(dense_back_substitute(ech, pivots, v, ncols, legacy=legacy))
     return basis
 
 
@@ -512,43 +513,53 @@ def test_sparse_bareiss_is_pivot_identical_to_dense(case, data):
     assert all(x for row in ech for x in row.values())
 
 
+def _over(xs, d):
+    return [Fraction(x, d) for x in xs]
+
+
 @settings(max_examples=300, deadline=None)
 @given(bareiss_cases(), st.booleans())
 def test_sparse_kernel_and_solve_match_dense_bit_for_bit(case, as_dicts):
-    # repr tells Fraction(0) from the float 0.0 and -0.0 of empty sums
+    # repr tells Fraction(0) from a float 0.0 or -0.0: exact zeros throughout
     rows, ncols = case
     given_rows = _dict_rows(rows) if as_dicts else rows
-    assert repr(int_kernel_basis(given_rows, ncols)) == repr(dense_kernel_basis(rows, ncols))
+    gens, d = int_null_space(given_rows, ncols)
+    assert repr([_over(g, d) for g in gens]) == repr(dense_kernel_basis(rows, ncols))
     if ncols:
         # the last column is the right-hand side; the kernel is that of A alone
-        x, kern = int_solve(given_rows, ncols - 1)
+        x, gens_a, d_a = int_solve_scaled(given_rows, ncols - 1)
         dense_x, dense_rank = dense_solve(rows, ncols - 1)
-        assert repr(x) == repr(dense_x)
-        assert ncols - 1 - len(kern) == dense_rank
+        assert repr(x and _over(x, d_a)) == repr(dense_x)
+        assert ncols - 1 - len(gens_a) == dense_rank
         a = [r[:-1] for r in rows]
-        assert repr(kern) == repr(dense_kernel_basis(a, ncols - 1))
-        assert repr(kern) == repr(int_kernel_basis(a, ncols - 1))
+        assert repr([_over(g, d_a) for g in gens_a]) == repr(dense_kernel_basis(a, ncols - 1))
     # a nonzero right-hand side: x = (5, 0), and the kernel of [1 1] is (-1, 1)
-    assert int_solve([[1, 1, 5]], 2) == ([5, 0], [[-1, 1]])
-    assert repr(int_solve([{0: 1, 1: 1, 2: 5}], 2)[1]) == repr(int_kernel_basis([[1, 1]], 2))
+    assert int_solve_scaled([[1, 1, 5]], 2) == ([5, 0], [[-1, 1]], 1)
+    assert int_solve_scaled([{0: 1, 1: 1, 2: 5}], 2)[1:] == int_null_space([[1, 1]], 2)
+    # an empty back-substitution sum is an exact zero, not the float 0 / pivot
+    assert repr(kernel_basis(RatMatrix([[1, 0]]))) == "[[Fraction(0, 1), Fraction(1, 1)]]"
 
 
 @settings(max_examples=300, deadline=None)
 @given(bareiss_cases())
 def test_integer_front_ends_are_the_fraction_wrappers_without_floats(case):
     # int_null_space and int_solve_scaled give X over the last pivot D, of
-    # either sign; the Fraction wrappers divide by D and alone make floats
+    # either sign; kernel_basis and solve divide by D, exactly
     rows, ncols = case
     gens, d = int_null_space(rows, ncols)
     assert d != 0 and all(type(x) is int for g in gens for x in g)
-    assert [[Fraction(x, d) for x in g] for g in gens] == int_kernel_basis(rows, ncols)
+    if not rows:
+        return
+    basis = kernel_basis(RatMatrix(rows))
+    assert basis == [_over(g, d) for g in gens]
+    assert repr(basis) == repr(dense_kernel_basis(rows, ncols))
     if ncols:
         x, gens_a, d_a = int_solve_scaled(rows, ncols - 1)
-        fraction_x, kern = int_solve(rows, ncols - 1)
+        fraction_x = solve(RatMatrix([r[:-1] for r in rows]), [r[-1] for r in rows])
         assert (gens_a, d_a) == int_null_space([r[:-1] for r in rows], ncols - 1)
-        assert [[Fraction(v, d_a) for v in g] for g in gens_a] == kern
         assert (x is None) == (fraction_x is None)
-        assert x is None or [Fraction(v, d_a) for v in x] == fraction_x
+        assert x is None or fraction_x == _over(x, d_a)
+        assert repr(fraction_x) == repr(dense_solve(rows, ncols - 1)[0])
 
 
 @functools.cache
@@ -577,25 +588,26 @@ def _exact_dot(row, v):
     return sum(x * Fraction(v[j]) for j, x in row.items())
 
 
-def _draw_dphi(data, posets, diagonal):
-    """dφ rows and φ(b) for a 16-bit φ, drawn as ``classify_contact`` draws
+def _draw_form(data, posets, diagonal):
+    """g_A and a 16-bit φ on its basis, drawn as ``classify_contact`` draws
     it: every strict coefficient in [1, 2^16]; the diagonal only if asked."""
     gA = build_gA(data.draw(st.sampled_from(posets)))
     coeff = st.integers(1, 1 << 16)
     values = [
         data.draw(coeff if lab[0] == "e" or diagonal else st.just(0)) for lab in gA.labels
     ]
-    rows, _, phi = _dphi_rows(gA, values)
-    return rows, phi, gA.dim
+    return gA, values
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_int_kernel_basis_matches_dense_at_sweep_size(data):
-    # dφ of connected posets with n <= 6: g_A of dimension up to 20
-    rows, _, d = _draw_dphi(data, _sweep_posets()[0], diagonal=False)
-    basis = int_kernel_basis(rows, d)
-    assert repr(basis) == repr(dense_kernel_basis(_dense(rows, d), d))
+    # forms.kernel's legacy vectors on dφ of connected posets with n <= 6
+    # (g_A of dimension up to 20) match the oracle's legacy float pattern
+    gA, values = _draw_form(data, _sweep_posets()[0], diagonal=False)
+    rows, d = _dphi_rows(gA, values)[0], gA.dim
+    basis = kernel(gA, values).vectors
+    assert repr(basis) == repr(dense_kernel_basis(_dense(rows, d), d, legacy=True))
     assert len(basis) == d - int_rank(rows, d)
     for v in basis:
         assert all(x == 0 for x in v if isinstance(x, float))
@@ -605,7 +617,8 @@ def test_int_kernel_basis_matches_dense_at_sweep_size(data):
 def test_int_kernel_basis_matches_dense_on_witnesses_of_1_2_345():
     # the 60 witness draws of classify_contact at seed 0 on 1<2<{3,4,5},
     # the poset whose pairing the float 0 / pivot entries flip: lazily
-    # scaled rows and the float pattern must both match the dense oracle
+    # scaled rows and forms.kernel's float pattern must both match the
+    # dense oracle's legacy mode
     gA = build_gA(Poset.from_covers(5, [(1, 2), (2, 3), (2, 4), (2, 5)]))
     d = gA.dim
     strict = [i for i, lab in enumerate(gA.labels) if lab[0] == "e"]
@@ -616,8 +629,8 @@ def test_int_kernel_basis_matches_dense_on_witnesses_of_1_2_345():
         for i in strict:
             values[i] = rng.randint(1, 1 << 16)
         rows = _dphi_rows(gA, values)[0]
-        basis = int_kernel_basis(rows, d)
-        assert repr(basis) == repr(dense_kernel_basis(_dense(rows, d), d))
+        basis = kernel(gA, values).vectors
+        assert repr(basis) == repr(dense_kernel_basis(_dense(rows, d), d, legacy=True))
         with_floats += any(isinstance(x, float) for v in basis for x in v)
     assert d == 11 and with_floats == 55
 
@@ -626,12 +639,14 @@ def test_int_kernel_basis_matches_dense_on_witnesses_of_1_2_345():
 @given(st.data())
 def test_int_solve_matches_dense_on_frobenius_forms(data):
     # the principal-element system dφ x = φ(b) of a Frobenius poset
-    rows, phi, d = _draw_dphi(data, _sweep_posets()[1], diagonal=data.draw(st.booleans()))
+    gA, values = _draw_form(data, _sweep_posets()[1], diagonal=data.draw(st.booleans()))
+    (rows, _, phi), d = _dphi_rows(gA, values), gA.dim
     aug = [row | {d: p} if p else row for row, p in zip(rows, phi)]
-    x, kern = int_solve(aug, d)
+    x, gens, scale = int_solve_scaled(aug, d)
+    x = x and _over(x, scale)
     dense_x, dense_rank = dense_solve(_dense(aug, d + 1), d)
     assert repr(x) == repr(dense_x)
-    assert d - len(kern) == dense_rank
-    assert repr(kern) == repr(dense_kernel_basis(_dense(rows, d), d))
-    if not kern:
+    assert d - len(gens) == dense_rank
+    assert repr([_over(g, scale) for g in gens]) == repr(dense_kernel_basis(_dense(rows, d), d))
+    if not gens:
         assert all(_exact_dot(row, x) == p for row, p in zip(rows, phi))
