@@ -3,7 +3,8 @@
 Two poset specializations: the incidence algebra under the commutator
 (basis E_pp and E_pq for p < q in the order) and its trace-zero part
 (diagonal differences E_ii - E_{i+1,i+1} plus the strict pairs).
-Elements of either carry a matrix-coordinate view k_{p,q}. Both are
+Elements of either carry a matrix-coordinate view k_{p,q}, whose
+diagonal only ``PosetLieAlgebra.diagonal`` reads off the basis. Both are
 built as integer dφ terms and read their structure table off them; a
 custom algebra's given table compiles to terms instead.
 """
@@ -14,6 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 
 from .linalg import ShapeError
@@ -177,53 +179,31 @@ class PosetLieAlgebra(LieAlgebra):
         """The table read off the terms (one per basis pair), for the Fraction oracles."""
         return {(i, j): {k: -c} for i, j, k, c in self.dphi_terms[1]}
 
-    def to_matrix_coords(self, vec):
-        coords = {}
+    def diagonal(self, vec):
+        """The matrix diagonal k_1..k_n of a basis vector (ints or Fractions):
+        d_p on g, a_p - a_{p-1} on g_A with a_0 = a_n = 0."""
         n = self.poset.n
         if self.kind == "g":
-            for i, lab in enumerate(self.labels):
-                if not vec[i]:
-                    continue
-                if lab[0] == "d":
-                    coords[(lab[1], lab[1])] = Fraction(vec[i])
-                else:
-                    coords[lab[1]] = Fraction(vec[i])
-        else:
-            for p in range(1, n + 1):
-                # k_pp = a_p - a_{p-1} with a_0 = a_n = 0
-                a_p = Fraction(vec[p - 1]) if p <= n - 1 else Fraction(0)
-                a_prev = Fraction(vec[p - 2]) if 2 <= p <= n else Fraction(0)
-                val = a_p - a_prev
-                if val:
-                    coords[(p, p)] = val
-            for i, lab in enumerate(self.labels):
-                if lab[0] == "e" and vec[i]:
-                    coords[lab[1]] = Fraction(vec[i])
-        return {k: v for k, v in coords.items() if v}
+            return list(vec[:n])
+        a = [0, *vec[: n - 1], 0]
+        return [a[p] - a[p - 1] for p in range(1, n + 1)]
+
+    def to_matrix_coords(self, vec):
+        coords = {(p, p): Fraction(k) for p, k in enumerate(self.diagonal(vec), 1) if k}
+        strict = zip(self.strict_pairs, vec[self.dim - len(self.strict_pairs) :])
+        return coords | {pq: Fraction(x) for pq, x in strict if x}
 
     def from_matrix_coords(self, coords):
         coords = {tuple(k): Fraction(v) for k, v in coords.items() if v}
-        n = self.poset.n
         for (p, q) in coords:
             if p != q and (p, q) not in self.poset.relations:
                 raise ShapeError(f"pair ({p},{q}) is not a relation of the host poset")
-        vec = [Fraction(0)] * self.dim
-        if self.kind == "g":
-            for i, lab in enumerate(self.labels):
-                key = (lab[1], lab[1]) if lab[0] == "d" else lab[1]
-                vec[i] = coords.get(key, Fraction(0))
-            return vec
-        trace = sum(coords.get((p, p), Fraction(0)) for p in range(1, n + 1))
-        if trace:
-            raise ShapeError("matrix coordinates have nonzero trace in the trace-zero algebra")
-        running = Fraction(0)
-        for i in range(1, n):
-            running += coords.get((i, i), Fraction(0))
-            vec[i - 1] = running
-        for i, lab in enumerate(self.labels):
-            if lab[0] == "e":
-                vec[i] = coords.get(lab[1], Fraction(0))
-        return vec
+        diag = [coords.get((p, p), Fraction(0)) for p in self.poset.elements]
+        if self.kind == "gA":
+            *diag, trace = accumulate(diag)  # a_i = k_11 + ... + k_ii; a_n is the trace
+            if trace:
+                raise ShapeError("matrix coordinates have nonzero trace in the trace-zero algebra")
+        return diag + [coords.get(pq, Fraction(0)) for pq in self.strict_pairs]
 
     def element_from_coords(self, coords):
         return self.element(self.from_matrix_coords(coords))

@@ -134,7 +134,7 @@ def analyze(poset, form=None, seed=0, trials=INDEX_TRIALS):
         report["contact_form"] = {
             "verdict": contact.conditions["contact"],
             "certificate": {
-                "reason": contact.details["contact"],
+                "reason": contact.contact_result.reason,
                 "reeb": contact.contact_result.reeb_json(),
             },
         }
@@ -229,7 +229,8 @@ def cmd_verify_catalog(args):
 def cmd_build(args):
     script = ConstructionScript.from_json(_load_json(args.script, "script"))
     contact_seq = is_contact_sequence(script)
-    build_form = all(step.kind != "contact" for step in script.steps[1:])
+    # a contact check needs the form; run_script raises ScriptError when it cannot build it
+    build_form = args.check_contact and contact_seq or all(s.kind != "contact" for s in script.steps[1:])
     result = run_script(script, build_form=build_form)
     out = {
         "poset": result.poset.to_json(),

@@ -452,36 +452,37 @@ def principal_or_kernel(algebra, form_or_values):
     return (x, d), None
 
 
+def _strict_weights(algebra, vec):
+    """k_p - k_q on each e_pq, k = ``algebra.diagonal(vec)``: ad(x) on e_pq."""
+    k = algebra.diagonal(vec)
+    return [k[p - 1] - k[q - 1] for p, q in algebra.strict_pairs]
+
+
 def ad_weights(algebra, elem):
     """Eigenvalues of ad(x) with multiplicity, read off the poset.
 
     Every strict bracket [e_rs, e_pq] lands on a pair of larger span
     q - p, so for any x, diagonal or not, ad(x) is triangular in a basis
     ordered by span: it has 0 on each diagonal basis vector and
-    x_pp - x_qq on each e_pq, where x_pp are x's diagonal matrix
-    coordinates. Spectra exist only for poset algebras: an element of a
-    custom algebra has no matrix coordinates and raises ``ShapeError``.
+    k_p - k_q on each e_pq, where k is x's matrix diagonal
+    (``PosetLieAlgebra.diagonal``). Spectra exist only for poset
+    algebras: a custom algebra raises ``ShapeError``.
     """
-    coords = elem.matrix_coords
-    pairs = algebra.strict_pairs
-    weights = [Fraction(0)] * (algebra.dim - len(pairs))
-    for p, q in pairs:
-        weights.append(coords.get((p, p), Fraction(0)) - coords.get((q, q), Fraction(0)))
-    return weights
+    if not isinstance(algebra, PosetLieAlgebra):
+        raise ShapeError("spectra exist only for poset algebras")
+    weights = _strict_weights(algebra, elem.vec)
+    return [Fraction(0)] * (algebra.dim - len(weights)) + weights
 
 
 def is_binary_weights(algebra, x, d):
     """ad(X / D) on g_A has eigenvalues 0 and 1, each dim/2 times; false for odd dim.
 
     ``ad_weights`` in integers: 0 on each diagonal basis vector and
-    (K_pp - K_qq) / D on each e_pq, K_pp = a_p - a_{p-1} (a_0 = a_n = 0)."""
+    (K_p - K_q) / D on each e_pq, K the diagonal of X."""
     if getattr(algebra, "kind", None) != "gA":
         raise ShapeError("binary spectra are read on g_A only")
-    n, dim, pairs = algebra.poset.n, algebra.dim, algebra.strict_pairs
-    a = [0, *x[: n - 1], 0]
-    k = [a[p] - a[p - 1] for p in range(n + 1)]
-    w = [k[p] - k[q] for p, q in pairs]
-    return dim % 2 == 0 and dim - len(pairs) + w.count(0) == w.count(d) == dim // 2
+    dim, w = algebra.dim, _strict_weights(algebra, x)
+    return dim % 2 == 0 and dim - len(w) + w.count(0) == w.count(d) == dim // 2
 
 
 def is_binary_spectrum(algebra, form_or_values):

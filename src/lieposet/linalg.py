@@ -2,15 +2,16 @@
 
 Scalars are ``fractions.Fraction`` (arbitrary precision, always reduced,
 positive denominator). An integer row is a dict ``{col: int}`` of its
-nonzeros. One fraction-free (Bareiss) elimination on such rows bounds
-coefficient growth and serves rank, determinant, kernels and solves; the
-last two back-substitute in integers as well, and a solve reads the
-kernel off the same echelon. ``int_null_space`` and ``int_solve_scaled``
-return integer vectors X over one scale D, the last pivot (nonzero, of
-either sign); the Fraction front ends ``kernel_basis`` and ``solve``
-build each entry once, as X / D. Callers that hold integer rows use the
-``int_*`` entry points, which take dense lists too; the ``RatMatrix``
-functions clear denominators row by row. ``rank_mod_p`` ranks
+nonzeros. One fraction-free (Bareiss 1968) elimination on such rows bounds
+coefficient growth and serves rank, determinant, kernels and solves. One
+integer back-substitution gives every kernel vector, and a solve is one
+of them: A x = b holds exactly when (x, -1) lies in the kernel of
+[A | b], whose b column is never a pivot. ``int_null_space`` and
+``int_solve_scaled`` return integer vectors X over one scale D, the last
+pivot (nonzero, of either sign); the Fraction front ends ``kernel_basis``
+and ``solve`` build each entry once, as X / D. Callers that hold integer
+rows use the ``int_*`` entry points, which take dense lists too; the
+``RatMatrix`` functions clear denominators row by row. ``rank_mod_p`` ranks
 skew-symmetric rows over GF(2^61 - 1), two indices at a time; the
 sampled index reads it as it is, and ``skew_rank`` turns it into the
 exact rank over Q that the Frobenius and contact verdicts need, by
@@ -175,27 +176,21 @@ def _int_echelon(rows, ncols, augmented_from=None):
     return rows, pivots, sign
 
 
-def _back_substitute(ech, pivots, ncols, d, free=None):
-    """One solution of the echelon system, last pivot first, in integers.
+def _back_substitute(ech, pivots, ncols, d, free):
+    """The kernel vector of the echelon system that is D at column ``free``
+    and 0 at every other free column, last pivot first, in integers.
 
-    With ``free`` it is the kernel vector that is 1 at that free column,
-    and column ``ncols`` is not read even when the rows carry one;
-    without, the rows carry a right-hand side in column ``ncols`` and the
-    free unknowns are 0. The unknowns are integers X scaled by the last
-    Bareiss pivot D, the r x r minor on the pivot rows and columns: by
-    Cramer's rule each is an integer, so every division by a pivot is
+    Columns at or past ``ncols`` are not read. D is the last Bareiss
+    pivot, the r x r minor on the pivot rows and columns: by Cramer's
+    rule every unknown is an integer, so each division by a pivot is
     exact.
     """
     scaled = [0] * ncols
-    if free is not None:
-        scaled[free] = d
+    scaled[free] = d
     for k in range(len(pivots) - 1, -1, -1):
         c = pivots[k]
         row = ech[k]
-        terms = [v * scaled[j] for j, v in row.items() if c < j < ncols and scaled[j]]
-        if free is None:
-            scaled[c] = (row.get(ncols, 0) * d - sum(terms)) // row[c]
-        elif terms:
+        if terms := [v * scaled[j] for j, v in row.items() if c < j < ncols and scaled[j]]:
             scaled[c] = -sum(terms) // row[c]
     return scaled
 
@@ -225,14 +220,15 @@ def int_solve_scaled(aug_rows, ncols):
     Returns ``(x, gens, D)``: x / D is one exact solution (free unknowns
     0), or x is None when the system is inconsistent, and gens / D span
     the right null space of A. Pivots never enter column ``ncols``, so
-    gens and D are those ``int_null_space`` gives for A.
+    gens and D are those ``int_null_space`` gives for A, and x is the
+    negated kernel vector of [A | b] that is D at b's column.
     """
     ech, pivots, _ = _int_echelon(aug_rows, ncols + 1, augmented_from=ncols)
     gens, d = _null_space(ech, pivots, ncols)
     # inconsistent iff some residual row is 0 ... 0 | nonzero
     if any(row.get(ncols) for row in ech[len(pivots):]):
         return None, gens, d
-    return _back_substitute(ech, pivots, ncols, d), gens, d
+    return [-v for v in _back_substitute(ech, pivots, ncols + 1, d, ncols)[:ncols]], gens, d
 
 
 def rank(m):

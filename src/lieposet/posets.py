@@ -110,6 +110,8 @@ class Poset:
 
     @classmethod
     def from_covers(cls, n, covers):
+        if n < 1:  # before Kahn's algorithm, which would call it a cycle
+            raise PosetError("posets must have at least one element")
         covers = [(int(p), int(q)) for p, q in covers]
         for p, q in covers:
             if not (1 <= p <= n and 1 <= q <= n):

@@ -5,9 +5,11 @@ Frobenius one-form, and contact blocks carrying a distinguished contact
 one-form with a single diagonal summand at element 1. The catalog is one
 table, ``_FAMILIES``: each family is one row holding its id, kind, size
 range (None for a fixed block) and a builder ``build(n) -> (poset,
-support)``. Every support is data; the exhaustive lexicographic search
-over spanning-tree supports is the test oracle for the toral ones, and
-every form is validated by the same pair verifier as everything else.
+support)``. Every support is data, except that the three contact duals
+are derived as the order duals of their bases (``_with_dual``); the
+exhaustive lexicographic search over spanning-tree supports is the test
+oracle for the toral ones, and every form is validated by the same pair
+verifier as everything else.
 """
 
 from __future__ import annotations
@@ -201,6 +203,19 @@ def _fixed(block_id, kind, size, covers, support):
     )
 
 
+def _with_dual(base):
+    """``base`` and the row of its order dual: p -> n + 1 - p on the poset and
+    (p, q) -> (n + 1 - q, n + 1 - p) on the strict support; a diagonal
+    summand, E*_{11} on a contact block, stays where it is."""
+    def build(n):
+        poset, support = base.build(n)
+        m = poset.n + 1
+        dual = Poset.from_closed(poset.n, poset.dual().relations)  # labels kept, identity relabeling
+        return dual, [(p, q) if p == q else (m - q, m - p) for p, q in support]
+
+    return base, CatalogFamily(base.id + "_dual", base.kind, base.n_range, build)
+
+
 # The toral parametric supports are the ones the lexicographic search
 # finds at every size where it is tractable; the closed forms extend
 # them, and every instance is re-checked by the pair verifier.
@@ -269,31 +284,12 @@ def _contact_pendant_high(n):
     return Poset.from_covers(n, covers), support
 
 
-def _contact_pendant_high_dual(n):
-    h = (n + 1) // 2  # ceil(n/2)
-    covers = [(i, i + 1) for i in range(2, n)] + [(1, h)]
-    support = [(1, 1)]
-    support += [(i, n - i + 2) for i in range(2, h + 1)]
-    support += [(1, i) for i in range(h + 1, n + 1)]
-    return Poset.from_covers(n, covers), support
-
-
 def _contact_pendant_low(n):
     covers = [(i, i + 1) for i in range(1, n - 1)] + [(n // 2 - 1, n)]
     support = [(1, 1)]
     support += [(i, n - i) for i in range(1, (n - 1) // 2 + 1)]
     support += [(i, n) for i in range(1, n // 2)]
     support += [(n // 2, n - 1)]
-    return Poset.from_covers(n, covers), support
-
-
-def _contact_pendant_low_dual(n):
-    h = (n + 1) // 2
-    covers = [(i, i + 1) for i in range(2, n)] + [(1, h + 2)]
-    support = [(1, 1)]
-    support += [(i, n - i + 2) for i in range(2, h + 1)]
-    support += [(1, i) for i in range(h + 2, n + 1)]
-    support += [(2, h + 1)]
     return Poset.from_covers(n, covers), support
 
 
@@ -328,14 +324,10 @@ _FAMILIES = {
         _fixed("contact_chain3", "contact", 3, [(1, 2), (2, 3)], [(1, 1), (1, 3), (2, 3)]),
         _fixed("contact_chain4", "contact", 4, [(1, 2), (2, 3), (3, 4)],
                [(1, 1), (1, 4), (2, 3), (2, 4)]),
-        _fixed("contact_fork", "contact", 5, [(1, 2), (2, 3), (3, 4), (3, 5)],
-               [(1, 1), (1, 4), (1, 5), (2, 3), (2, 5)]),
-        _fixed("contact_fork_dual", "contact", 5, [(1, 3), (2, 3), (3, 4), (4, 5)],
-               [(1, 1), (1, 4), (1, 5), (2, 5), (3, 4)]),
-        CatalogFamily("contact_pendant_high", "contact", (5, 14), _contact_pendant_high),
-        CatalogFamily("contact_pendant_high_dual", "contact", (5, 14), _contact_pendant_high_dual),
-        CatalogFamily("contact_pendant_low", "contact", (5, 14), _contact_pendant_low),
-        CatalogFamily("contact_pendant_low_dual", "contact", (5, 14), _contact_pendant_low_dual),
+        *_with_dual(_fixed("contact_fork", "contact", 5, [(1, 2), (2, 3), (3, 4), (3, 5)],
+                           [(1, 1), (1, 4), (1, 5), (2, 3), (2, 5)])),
+        *_with_dual(CatalogFamily("contact_pendant_high", "contact", (5, 14), _contact_pendant_high)),
+        *_with_dual(CatalogFamily("contact_pendant_low", "contact", (5, 14), _contact_pendant_low)),
     )
 }
 
@@ -410,7 +402,7 @@ class PairReport:
     @cached_property
     def contact_result(self):
         """``is_contact_form`` on g_A, run on first read; None on a toral report.
-        ``to_json`` puts its kernel and Reeb vector into the details."""
+        ``to_json`` puts its reason, kernel and Reeb vector into the details."""
         if self.contact_input:
             return is_contact_form(*self.contact_input)
 
@@ -424,6 +416,7 @@ class PairReport:
     def to_json(self):
         details = dict(self.details)
         if (res := self.contact_result) is not None:
+            details["contact"] = res.reason
             if res.kernel is not None:
                 details["kernel_trace_zero"] = res.kernel
             if res.reeb is not None:
@@ -466,11 +459,9 @@ def verify_toral_pair(poset, form):
     n, strict = poset.n, gA.strict_pairs
     full = [[scale] * n + [0] * len(strict)]
     for x in gens:
-        # X lifted into g with d_n = 0, over the same D: its h-coordinates c,
-        # with c_0 = c_n = 0, give d_p = c_p - c_{p-1} + c_{n-1}; the
-        # e-coordinates are copied over.
-        c = [0, *x[: n - 1], 0]
-        full.append([c[p] - c[p - 1] + c[n - 1] for p in range(1, n + 1)] + x[n - 1 :])
+        # X lifted into g with d_n = 0, over the same D: its diagonal plus
+        # x_{h_{n-1}} times I, then the e-coordinates as they are
+        full.append([k + x[n - 2] for k in gA.diagonal(x)] + x[n - 1 :])
     # g's basis (as build_g lays it out) is d_1..d_n, then g_A's strict pairs
     labels = [(p, p) for p in poset.elements] + strict
     details["kernel_full"] = KernelReport(
@@ -486,10 +477,10 @@ def verify_contact_toral_pair(poset, form):
     """Itemized check of the contact building-block conditions.
 
     The verdict is ``is_contact_form_volume``'s bordered rank, exact over Q
-    and settled by a full rank mod p, so a contact pair runs no kernel
-    elimination. ``is_contact_form`` supplies the trace-zero kernel and the
-    Reeb vector: on a negative verdict it runs at once and gives the reason,
-    on a positive one ``contact_result`` runs it on first read.
+    and settled by a full rank mod p, so the check runs no kernel
+    elimination. ``is_contact_form`` supplies the reason, the trace-zero
+    kernel and the Reeb vector, on either verdict only when
+    ``contact_result`` is first read.
     """
     conditions = {}
     details = {}
@@ -510,9 +501,7 @@ def verify_contact_toral_pair(poset, form):
     gA = build_gA(poset)
     # is_contact_form_volume refuses even dimension; is_contact_form names it
     conditions["contact"] = gA.dim % 2 == 1 and is_contact_form_volume(gA, form)
-    report = PairReport("contact", conditions, details, contact_input=(gA, form))
-    details["contact"] = "contact" if conditions["contact"] else report.contact_result.reason
-    return report
+    return PairReport("contact", conditions, details, contact_input=(gA, form))
 
 
 def verify_block(blk, seed=0):

@@ -111,6 +111,25 @@ def test_round_trip_matrix_coords():
     vec = gA.from_matrix_coords(coords)
     back = gA.to_matrix_coords(vec)
     assert back == {k: Fraction(v) for k, v in coords.items()}
+    # both directions on g and g_A of every poset with n <= 5, and the
+    # diagonal is the (p, p) part of the matrix coordinates
+    rng = random.Random(23)
+    for poset in enumerate_posets(5, connected_only=False):
+        for alg in (build_g(poset), build_gA(poset)):
+            vec = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(alg.dim)]
+            ints = [rng.randint(-4, 4) for _ in range(alg.dim)]
+            coords = alg.to_matrix_coords(vec)
+            assert alg.from_matrix_coords(coords) == vec, (poset.covers, alg.kind)
+            for v in (vec, ints):
+                diag = alg.to_matrix_coords(v)
+                assert alg.diagonal(v) == [diag.get((p, p), 0) for p in poset.elements]
+            coords = {pq: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for pq in poset.relations}
+            ks = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in poset.elements]
+            if alg.kind == "gA":
+                ks[-1] -= sum(ks)  # trace zero
+            coords |= {(p, p): k for p, k in zip(poset.elements, ks)}
+            expected = {pq: c for pq, c in coords.items() if c}
+            assert alg.to_matrix_coords(alg.from_matrix_coords(coords)) == expected
 
 
 def test_from_matrix_coords_validates():

@@ -38,6 +38,25 @@ def test_catalog_listing():
     assert len(toral) == 15 and len(contact) == 8
 
 
+def test_contact_duals_are_order_duals_of_their_bases():
+    # p -> n + 1 - p on the relations and the strict support, E*_{11} kept at 1
+    pendant = range(5, 15)
+    for base_id, sizes in (("contact_fork", [None]), ("contact_pendant_high", pendant),
+                           ("contact_pendant_low", pendant)):
+        assert family(base_id + "_dual", sizes[0]).n_range == family(base_id, sizes[0]).n_range
+        for n in sizes:
+            base, dual = block(base_id, n), block(base_id + "_dual", n)
+            m = base.poset.n + 1
+            assert dual.poset.relations == {(m - q, m - p) for p, q in base.poset.relations}
+            assert dual.poset.relabeling == {p: p for p in dual.poset.elements}
+            assert dual.form.support == {(1, 1)} | {(m - q, m - p) for p, q in base.form.strict_support}
+            assert dual.roles["c"] == m - base.roles["c"]
+            assert {dual.roles["a1"], dual.roles["a2"]} == {m - base.roles["a1"], m - base.roles["a2"]}
+    fork_dual = block("contact_fork_dual")  # the row it replaced, as data
+    assert fork_dual.poset == Poset.from_covers(5, [(1, 3), (2, 3), (3, 4), (4, 5)])
+    assert fork_dual.form.support == {(1, 1), (1, 4), (1, 5), (2, 5), (3, 4)}
+
+
 def test_block_parameter_validation():
     bad = [
         ("nope", None),  # unknown id

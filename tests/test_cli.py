@@ -681,6 +681,11 @@ def test_malformed_inputs_exit_code(tmp_path, capsys):
     ]
     for i, steps in enumerate(scripts):
         cases.append(["build", write(tmp_path, f"script{i}.json", {"steps": steps})])
+    # a contact sequence whose contact block comes second: --check-contact
+    # used to hand the form it did not build to the contact test
+    late = [{"block": {"id": "six_a"}},
+            {"block": {"id": "contact_fork"}, "rule": "A1", "identify": {"a1": 5}}]
+    cases.append(["build", write(tmp_path, "late.json", {"steps": late}), "--check-contact"])
     for argv in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err.strip().splitlines()

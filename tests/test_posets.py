@@ -55,8 +55,12 @@ def test_rejects_cycles_and_bad_labels():
         Poset.from_covers(3, [(1, 2), (2, 3), (3, 1)])
     with pytest.raises(PosetError):
         Poset.from_covers(2, [(1, 5)])
-    with pytest.raises(PosetError):
-        Poset.from_covers(0, [])
+    # a negative "n" used to reach Kahn's algorithm and be reported as a cycle
+    for n in (0, -3):
+        with pytest.raises(PosetError, match="at least one element"):
+            Poset.from_covers(n, [])
+        with pytest.raises(PosetError, match="at least one element"):
+            Poset.from_json({"n": n, "covers": []})
 
 
 def test_relabeling_recorded_when_convention_violated():
