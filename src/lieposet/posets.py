@@ -322,7 +322,62 @@ class Poset:
         return out
 
     def betti_numbers(self, max_dim):
-        """Betti numbers beta_0..beta_max_dim of the order complex over Q."""
+        """Betti numbers beta_0..beta_max_dim of the order complex over Q.
+
+        The poset is first cut to its core (``_beat_core``): beat points
+        are removed one at a time until none is left. Removing a beat
+        point keeps the homotopy type of the order complex (Stong 1966,
+        *Trans. AMS* 123; McCord 1966, *Duke Math. J.* 33), so the core
+        has the same Betti numbers and the result stays exact. A
+        one-point core is contractible and needs no elimination; any
+        other core goes through the chain complex of its order complex.
+        """
+        if max_dim < 0:
+            return []
+        core = self._beat_core()
+        if len(core) == 1:
+            return [1] + [0] * max_dim
+        return self.induced_subposet(core)._chain_complex_betti(max_dim)
+
+    def _beat_core(self):
+        """Elements left after removing beat points until none is left.
+
+        A beat point has exactly one upper cover or exactly one lower
+        cover. Removing x keeps every other cover and adds a ⋖ b for a
+        lower cover a and an upper cover b of x with nothing else left
+        strictly between them; the cover sets are updated that way as
+        each point goes. Returns a set of labels; the core is unique up
+        to isomorphism, whatever order the points go in.
+        """
+        up, down = self.up_sets, self.down_sets
+        upper = {p: set() for p in self.elements}
+        lower = {p: set() for p in self.elements}
+        for p, q in self.covers:
+            upper[p].add(q)
+            lower[q].add(p)
+        alive = set(self.elements)
+        stack = list(self.elements)
+        while stack:
+            x = stack.pop()
+            if x not in alive or (len(upper[x]) != 1 and len(lower[x]) != 1):
+                continue
+            alive.remove(x)
+            below, above = lower.pop(x), upper.pop(x)
+            for a in below:
+                upper[a].discard(x)
+            for b in above:
+                lower[b].discard(x)
+            for a in below:
+                for b in above:
+                    if alive.isdisjoint(up[a] & down[b]):
+                        upper[a].add(b)
+                        lower[b].add(a)
+            stack.extend(below)
+            stack.extend(above)
+        return alive
+
+    def _chain_complex_betti(self, max_dim):
+        """Betti numbers from the ranks of the order complex's boundary maps."""
         faces = self.chains_by_size(min(max_dim + 2, self.height + 1))
         index = {
             k: {face: i for i, face in enumerate(faces[k])} for k in faces

@@ -10,6 +10,16 @@ replay ordered steps, build the inductive one-form (add the block form,
 subtract each merged extremal edge once), and keep a full audit in final
 labels: each step's spec and poset, its relabeling and its map to the
 final labels.
+
+Script steps and random scripts take their blocks from one module-level
+cache, keyed on the catalog row object and the size, so a batch of
+scripts builds each (id, n) once; a row swapped into the catalog misses
+the cache and is built fresh. Blocks are immutable, and a replay builds
+new forms and posets rather than changing a block's. The cache lives
+here and not in ``blocks.block``: a cache there would keep every
+catalog instance alive in processes that visit each one once
+(``verify-catalog``, the sweep's reach). Clearing the package's lru
+caches empties it.
 """
 
 from __future__ import annotations
@@ -133,6 +143,21 @@ def glue(q_poset, blk, rule_name, identify):
     return GlueResult(new_poset, q_map, s_map, merged)
 
 
+@cache
+def _row_block(row, n):
+    """The block of one catalog row and size, built on first use."""
+    return block(row.id, n)
+
+
+def _catalog_block(block_id, n=None):
+    """``blocks.block(block_id, n)``, built once per catalog row and size.
+
+    The cache is keyed on the row object itself, so a row swapped into
+    the catalog is built fresh and never served its predecessor's block.
+    """
+    return _row_block(family(block_id, n), n)
+
+
 @dataclass(frozen=True)
 class ScriptStep:
     block_id: str
@@ -141,7 +166,7 @@ class ScriptStep:
     identify: tuple = ()  # sorted tuple of (role, label)
 
     def block(self):
-        return block(self.block_id, self.n)
+        return _catalog_block(self.block_id, self.n)
 
     @property
     def kind(self):
@@ -454,15 +479,14 @@ def random_toral_script(
     rng = random.Random(seed)
     rules = sorted(rule_pool) if rule_pool else sorted(RULES)
     first_pool = _RANDOM_CONTACT_POOL if allow_contact else _RANDOM_TORAL_POOL
-    pool_block = cache(block)  # one build per (id, n) in this draw
     bid, bn = first_pool[rng.randrange(len(first_pool))]
     steps = [ScriptStep(block_id=bid, n=bn)]
-    poset = pool_block(bid, bn).poset
+    poset = _catalog_block(bid, bn).poset
     for _ in range(length - 1):
         placed = False
         for _attempt in range(60):
             bid, bn = _RANDOM_TORAL_POOL[rng.randrange(len(_RANDOM_TORAL_POOL))]
-            blk = pool_block(bid, bn)
+            blk = _catalog_block(bid, bn)
             rule_name = rules[rng.randrange(len(rules))]
             options = _valid_identifications(poset, blk, rule_name)
             if not options:

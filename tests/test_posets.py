@@ -13,6 +13,7 @@ from lieposet.posets import (
     UnsupportedSizeError,
     transitive_reduction,
 )
+from lieposet.sweep import enumerate_posets
 from lieposet.toral import block, catalog
 
 GATE = Poset.from_covers(4, [(1, 2), (2, 3), (2, 4)])  # 1 < 2 < {3,4}
@@ -205,6 +206,57 @@ def test_betti_two_component_poset():
     p = Poset.chain(3).disjoint_sum(GATE)
     b = p.betti_numbers(2)
     assert b[0] == 2
+
+
+def test_betti_negative_max_dim_is_empty():
+    assert Poset.chain(3).betti_numbers(-1) == []
+    assert GATE.betti_numbers(-2) == []
+
+
+def test_betti_core_matches_oracle_through_n6():
+    posets = list(enumerate_posets(6, connected_only=False))
+    assert len(posets) == 405
+    for p in posets:
+        assert p.betti_numbers(2) == betti_oracle(p, 2), p
+
+
+def test_betti_core_matches_chain_complex_through_n7():
+    posets = list(enumerate_posets(7, connected_only=False))
+    assert len(posets) == 2450
+    for p in posets:
+        assert p.betti_numbers(2) == p._chain_complex_betti(2), p
+
+
+def _ordinal_sum(lower, upper):
+    shift = lower.n
+    rels = set(lower.relations) | {(p + shift, q + shift) for p, q in upper.relations}
+    rels |= {(p, q + shift) for p in lower.elements for q in upper.elements}
+    return Poset.from_closed(lower.n + upper.n, rels)
+
+
+def test_betti_on_cores_that_are_not_a_point():
+    crown = Poset.from_covers(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
+    assert crown._beat_core() == {1, 2, 3, 4}  # no element is removed
+    assert crown.betti_numbers(2) == [1, 1, 0]
+    pair = Poset.antichain(2)
+    sphere = _ordinal_sum(_ordinal_sum(pair, pair), pair)
+    assert len(sphere._beat_core()) == 6
+    assert sphere.betti_numbers(2) == [1, 0, 1]
+    mixed = Poset.chain(3).disjoint_sum(crown)
+    assert len(mixed._beat_core()) == 5  # the chain shrinks to one point
+    assert mixed.betti_numbers(2) == [2, 1, 0]
+
+
+def test_betti_point_core_needs_no_elimination(monkeypatch):
+    import lieposet.posets as posets_mod
+
+    def refuse(rows, ncols):
+        raise AssertionError("the order complex was eliminated")
+
+    monkeypatch.setattr(posets_mod, "int_rank", refuse)
+    assert Poset.chain(5).betti_numbers(3) == [1, 0, 0, 0]
+    assert GATE.betti_numbers(2) == [1, 0, 0]
+    assert Poset.chain(1).betti_numbers(1) == [1, 0]
 
 
 def test_beta0_equals_component_count_randomized():
