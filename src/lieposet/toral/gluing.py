@@ -150,11 +150,7 @@ def _row_block(row, n):
 
 
 def _catalog_block(block_id, n=None):
-    """``blocks.block(block_id, n)``, built once per catalog row and size.
-
-    The cache is keyed on the row object itself, so a row swapped into
-    the catalog is built fresh and never served its predecessor's block.
-    """
+    """``blocks.block(block_id, n)``, built once per catalog row and size."""
     return _row_block(family(block_id, n), n)
 
 
