@@ -11,8 +11,8 @@ one lcm of a form's denominators, and ``_dphi_rows`` carries λ to the Reeb vect
 Verdicts decide on integer vectors X over one scale D, as the elimination gives
 them: ``KernelReport`` keeps them, and ``principal_or_kernel`` gives x̂ as (X, D).
 Fractions are built at the report only: ``KernelReport.vectors`` on first read
-(``kernel`` presets its legacy view), the Reeb vector once, and x̂ in
-``principal_element``.
+(``kernel`` presets its legacy view), the Reeb vector on first read, and x̂
+in ``principal_element``. A form holds its integral coefficients as ints.
 """
 
 from __future__ import annotations
@@ -40,15 +40,23 @@ class NotFrobeniusError(ValueError):
     """A principal element was requested for a non-Frobenius form."""
 
 
+def _exact(c):
+    """A coefficient as an int when integral, else as a Fraction; ints and
+    Fractions are never re-wrapped."""
+    c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class OneForm:
-    """Rational functional with poset support; pairs may be diagonal."""
+    """Rational functional with poset support; pairs may be diagonal.
+    Integral coefficients are held as ints, which compare and print as Fractions do."""
 
     def __init__(self, poset, coeffs):
         self.poset = poset
         clean = {}
         for pair, c in coeffs.items():
             p, q = int(pair[0]), int(pair[1])
-            c = Fraction(c)
+            c = _exact(c)
             if not c:
                 continue
             if p == q:
@@ -64,8 +72,8 @@ class OneForm:
         table = {}
         for pair in pairs:
             key = (int(pair[0]), int(pair[1]))
-            c = Fraction(1) if coeffs is None else Fraction(coeffs.get(key, coeffs.get(pair, 1)))
-            table[key] = table.get(key, Fraction(0)) + c
+            c = 1 if coeffs is None else _exact(coeffs.get(key, coeffs.get(pair, 1)))
+            table[key] = table.get(key, 0) + c
         return cls(poset, table)
 
     @property
@@ -81,35 +89,7 @@ class OneForm:
         return frozenset(pq for pq in self.coeffs if pq[0] == pq[1])
 
     def coefficient(self, p, q):
-        return self.coeffs.get((p, q), Fraction(0))
-
-    def __add__(self, other):
-        self._compatible(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return OneForm(self.poset, out)
-
-    def subtract_pair(self, p, q, amount=1):
-        out = dict(self.coeffs)
-        out[(p, q)] = out.get((p, q), Fraction(0)) - Fraction(amount)
-        return OneForm(self.poset, out)
-
-    def without_diagonal(self):
-        return OneForm(self.poset, {k: c for k, c in self.coeffs.items() if k[0] != k[1]})
-
-    def translate(self, mapping, new_poset):
-        out = {}
-        for (p, q), c in self.coeffs.items():
-            key = (mapping[p], mapping[q])
-            if key[0] > key[1]:
-                raise FormError(f"translation reverses pair ({p},{q})")
-            out[key] = out.get(key, Fraction(0)) + c
-        return OneForm(new_poset, out)
-
-    def _compatible(self, other):
-        if other.poset != self.poset:
-            raise FormError("forms live on different posets")
+        return self.coeffs.get((p, q), 0)
 
     def __eq__(self, other):
         return (
@@ -125,10 +105,7 @@ class OneForm:
         return f"OneForm({terms or '0'})"
 
     def evaluate_coords(self, coords):
-        return sum(
-            (c * coords.get(pq, Fraction(0)) for pq, c in self.coeffs.items()),
-            Fraction(0),
-        )
+        return sum((c * coords.get(pq, 0) for pq, c in self.coeffs.items()), Fraction(0))
 
     def evaluate(self, elem):
         return self.evaluate_coords(elem.matrix_coords)
@@ -156,7 +133,7 @@ class OneForm:
             try:
                 for key, val in data["coeffs"].items():
                     p, q = (int(x) for x in key.split(","))
-                    coeffs[(p, q)] = Fraction(val if isinstance(val, str) else json_int(val))
+                    coeffs[(p, q)] = _exact(val if isinstance(val, str) else json_int(val))
             except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise FormError(f"malformed one-form coefficient: {exc}") from exc
             if len(coeffs) < len(data["coeffs"]) or not coeffs.keys() <= set(pairs):
@@ -351,22 +328,36 @@ def index_failure_bound(algebra, trials=INDEX_TRIALS):
     return Fraction(0 if algebra.is_abelian() else algebra.dim // 2, linalg._MODP) ** trials
 
 
-@dataclass
+@dataclass(eq=False)
 class ContactResult:
     is_contact: bool
     reason: str
-    reeb: AlgebraElement | None = None
     kernel: KernelReport | None = None
+    reeb_input: tuple | None = field(default=None, repr=False)  # (algebra, λ, S)
 
     def __bool__(self):
         return self.is_contact
+
+    @cached_property
+    def reeb(self):
+        """R = X·λ / S for the kernel generator X, built on first read; None
+        unless contact."""
+        if self.reeb_input:
+            algebra, lam, pairing = self.reeb_input
+            x = self.kernel.generators[0]
+            return AlgebraElement(algebra, tuple(Fraction(xi * lam, pairing) for xi in x))
+
+    def __eq__(self, other):
+        return isinstance(other, ContactResult) and (
+            self.is_contact, self.reason, self.reeb, self.kernel
+        ) == (other.is_contact, other.reason, other.reeb, other.kernel)
 
     def reeb_json(self):
         return None if self.reeb is None else coords_json(self.reeb.matrix_coords)
 
 
 def is_contact_form(algebra, form_or_values, trials=INDEX_TRIALS, seed=0):
-    """Kernel-generator contact test; returns the Reeb vector when true.
+    """Kernel-generator contact test; its Reeb vector is built on first read.
 
     Exact: in odd dimension a one-dimensional kernel bounds the index by
     1 and parity bounds it below by 1, so no sampled ``index`` is needed.
@@ -376,19 +367,23 @@ def is_contact_form(algebra, form_or_values, trials=INDEX_TRIALS, seed=0):
     ``trials`` and ``seed`` are not read; they stay only because
     ``bench/run.py`` and the acceptance suite pass ``seed=``.
     """
-    n = algebra.dim
-    if n % 2 == 0:
+    dphi = _dphi_rows(algebra, form_or_values) if algebra.dim % 2 else None
+    return _contact_result(algebra, dphi)
+
+
+def _contact_result(algebra, dphi):
+    """``is_contact_form`` on dφ as ``_dphi_rows`` built it, ``(rows, λ, φ̃)``,
+    or on None in even dimension, where no form is contact."""
+    if dphi is None:
         return ContactResult(False, "even dimension")
-    rows, lam, phi = _dphi_rows(algebra, form_or_values)
-    report = _kernel_report(algebra, *linalg.int_null_space(rows, n))
+    rows, lam, phi = dphi
+    report = _kernel_report(algebra, *linalg.int_null_space(rows, algebra.dim))
     if report.dimension != 1:
-        return ContactResult(False, f"kernel dimension {report.dimension} != 1", kernel=report)
-    x = report.generators[0]
-    pairing = sum(xi * p for xi, p in zip(x, phi) if xi)
+        return ContactResult(False, f"kernel dimension {report.dimension} != 1", report)
+    pairing = sum(xi * p for xi, p in zip(report.generators[0], phi) if xi)
     if pairing == 0:
-        return ContactResult(False, "form vanishes on the kernel generator", kernel=report)
-    reeb = AlgebraElement(algebra, tuple(Fraction(xi * lam, pairing) for xi in x))
-    return ContactResult(True, "contact", reeb=reeb, kernel=report)
+        return ContactResult(False, "form vanishes on the kernel generator", report)
+    return ContactResult(True, "contact", report, (algebra, lam, pairing))
 
 
 def is_contact_form_volume(algebra, form_or_values):
@@ -399,10 +394,15 @@ def is_contact_form_volume(algebra, form_or_values):
     φ ∧ (dφ)^k ≠ 0 directly. The rank is ``linalg.skew_rank``'s, exact
     over Q.
     """
-    n = algebra.dim
-    if n % 2 == 0:
+    if algebra.dim % 2 == 0:
         raise ShapeError("volume-form test requires odd dimension")
-    rows, _, phi = _dphi_rows(algebra, form_or_values)
+    return _bordered_full_rank(_dphi_rows(algebra, form_or_values))
+
+
+def _bordered_full_rank(dphi):
+    """``is_contact_form_volume`` on dφ as ``_dphi_rows`` built it."""
+    rows, _, phi = dphi
+    n = len(rows)
     bordered = [row | {n: -p} if p else row for p, row in zip(phi, rows)]
     bordered.append({j: x for j, x in enumerate(phi) if x})
     return linalg.skew_rank(bordered, n + 1) == n + 1

@@ -24,8 +24,10 @@ from ..algebras import AlgebraElement, build_gA
 from ..forms import (
     KernelReport,
     OneForm,
+    _bordered_full_rank,
+    _contact_result,
+    _dphi_rows,
     is_binary_weights,
-    is_contact_form,
     is_contact_form_volume,
     is_small,
     principal_or_kernel,
@@ -390,7 +392,7 @@ class PairReport:
     conditions: dict
     details: dict = field(default_factory=dict)
     scaled_principal: tuple | None = field(default=None, repr=False, compare=False)  # (g_A, X, D)
-    contact_input: tuple | None = field(default=None, repr=False, compare=False)  # (g_A, form)
+    contact_input: tuple | None = field(default=None, repr=False, compare=False)  # (g_A, dφ)
 
     @cached_property
     def principal(self):
@@ -401,10 +403,11 @@ class PairReport:
 
     @cached_property
     def contact_result(self):
-        """``is_contact_form`` on g_A, run on first read; None on a toral report.
-        ``to_json`` puts its reason, kernel and Reeb vector into the details."""
+        """``is_contact_form`` on g_A, run on first read over the dφ rows the
+        verdict ranked; None on a toral report. ``to_json`` puts its reason,
+        kernel and Reeb vector into the details."""
         if self.contact_input:
-            return is_contact_form(*self.contact_input)
+            return _contact_result(*self.contact_input)
 
     @property
     def all_pass(self):
@@ -443,14 +446,14 @@ def verify_toral_pair(poset, form):
     details = {}
     ext = poset.extremal_data()
     conditions["p1_extremal_count"] = len(ext.ext) in (2, 3)
-    stripped = form.without_diagonal()
-    conditions["f1_small"] = is_small(poset, stripped) and not form.diagonal_support
-    u, d, o = udo_partition(poset, stripped)
+    # is_small, udo_partition and the edge test read the strict support only
+    conditions["f1_small"] = is_small(poset, form) and not form.diagonal_support
+    u, d, o = udo_partition(poset, form)
     conditions["f2_updown_partition"] = (
         not o and poset.is_filter(u) and poset.is_ideal(d)
     )
     details["partition"] = {"up": sorted(u), "down": sorted(d), "other": sorted(o)}
-    conditions["f3_extremal_edges"] = ext.rel_e <= stripped.strict_support
+    conditions["f3_extremal_edges"] = ext.rel_e <= form.strict_support
     gA = build_gA(poset)
     x_hat, ker_a = principal_or_kernel(gA, form)
     gens, scale = (ker_a.generators, ker_a.scale) if ker_a else ([], 1)
@@ -480,7 +483,7 @@ def verify_contact_toral_pair(poset, form):
     and settled by a full rank mod p, so the check runs no kernel
     elimination. ``is_contact_form`` supplies the reason, the trace-zero
     kernel and the Reeb vector, on either verdict only when
-    ``contact_result`` is first read.
+    ``contact_result`` is first read, from the dφ rows the rank read.
     """
     conditions = {}
     details = {}
@@ -490,18 +493,18 @@ def verify_contact_toral_pair(poset, form):
     conditions["cf1_diagonal_at_one"] = form.diagonal_support == {(1, 1)} and (
         form.coefficient(1, 1) != 0
     )
-    stripped = form.subtract_pair(1, 1, form.coefficient(1, 1))
-    conditions["cf2_small"] = is_small(poset, stripped)
-    u, d, o = udo_partition(poset, stripped)
+    conditions["cf2_small"] = is_small(poset, form)
+    u, d, o = udo_partition(poset, form)
     conditions["cf3_updown_partition"] = (
         not o and poset.is_filter(u) and poset.is_ideal(d)
     )
     details["partition"] = {"up": sorted(u), "down": sorted(d), "other": sorted(o)}
-    conditions["cf4_extremal_edges"] = ext.rel_e <= stripped.strict_support
+    conditions["cf4_extremal_edges"] = ext.rel_e <= form.strict_support
     gA = build_gA(poset)
-    # is_contact_form_volume refuses even dimension; is_contact_form names it
-    conditions["contact"] = gA.dim % 2 == 1 and is_contact_form_volume(gA, form)
-    return PairReport("contact", conditions, details, contact_input=(gA, form))
+    # the bordered rank exists in odd dimension only; _contact_result names the even one
+    dphi = _dphi_rows(gA, form) if gA.dim % 2 else None
+    conditions["contact"] = dphi is not None and _bordered_full_rank(dphi)
+    return PairReport("contact", conditions, details, contact_input=(gA, dphi))
 
 
 def verify_block(blk, seed=0):

@@ -285,9 +285,10 @@ def run_script(script, build_form=True):
     """Replay a script: glue step by step and build the inductive form.
 
     The built form starts from the first block's form; each later step
-    adds the block form translated into current labels and subtracts one
-    copy of every merged extremal edge (the related identified sides of
-    the rule), keeping all coefficients at one.
+    adds the block form in current labels and subtracts one copy of every
+    merged extremal edge (the related identified sides of the rule),
+    keeping all coefficients at one: one dict pass over both forms through
+    the step's relabelings, and one validated ``OneForm`` per step.
     """
     steps = script.steps
     first_blk = steps[0].block()
@@ -314,23 +315,21 @@ def run_script(script, build_form=True):
         added = []
         subtracted = []
         if build_form:
-            translated = form.translate(result.q_map, result.poset)
-            block_form = blk.form.translate(result.s_map, result.poset)
-            new_form = translated + block_form
-            added = sorted(block_form.support)
-            rule = RULES[step.rule]
-            for role, wanted in rule.related.items():
-                if not wanted:
-                    continue
-                x = result.merged["c"]
-                other = result.merged[role]
+            coeffs = {}
+            for part, label in ((form, result.q_map), (blk.form, result.s_map)):
+                for (p, q), c in part.coeffs.items():
+                    key = label[p], label[q]
+                    coeffs[key] = coeffs.get(key, 0) + c
+            # s_map is one-to-one, so the block's pairs stay distinct
+            added = sorted((result.s_map[p], result.s_map[q]) for p, q in blk.form.coeffs)
+            for role in (r for r, wanted in RULES[step.rule].related.items() if wanted):
+                x, other = result.merged["c"], result.merged[role]
                 pair = (x, other) if blk.c_is_minimal else (other, x)
-                new_form = new_form.subtract_pair(*pair)
+                coeffs[pair] = coeffs.get(pair, 0) - 1
                 subtracted.append(pair)
-            if any(c not in (0, 1) for c in new_form.coeffs.values()):
-                bad = {k: str(v) for k, v in new_form.coeffs.items() if v not in (0, 1)}
+            if bad := {k: str(v) for k, v in coeffs.items() if v not in (0, 1)}:
                 raise ScriptError(f"built form left coefficients other than one: {bad}")
-            form = new_form
+            form = OneForm(result.poset, coeffs)
         poset = result.poset
         audits.append(
             StepAudit(

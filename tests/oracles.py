@@ -1,15 +1,17 @@
 """Fraction reference helpers that only the tests read: a matrix times a
 vector, skewness, a polynomial at a matrix, exact square roots, the
 restriction of an algebra element to a sub-poset's algebra, the ad
-matrix, kernel membership through ``dphi_matrix``, and the structure
-table of a poset algebra built label by label."""
+matrix, kernel membership through ``dphi_matrix``, the structure
+table of a poset algebra built label by label, and a script's built
+form composed one ``OneForm`` operation at a time."""
 
 from fractions import Fraction
 from math import isqrt
 
 from lieposet.algebras import AlgebraElement, LieAlgebra
-from lieposet.forms import dphi_matrix
+from lieposet.forms import FormError, OneForm, dphi_matrix
 from lieposet.linalg import RatMatrix, ShapeError
+from lieposet.toral.gluing import RULES, ScriptError, glue
 
 
 def mul_vector(m, vec):
@@ -117,3 +119,61 @@ def poset_algebra(poset, kind):
         for s in poset.up_sets[q]:
             add(index[("e", (p, q))], index[("e", (q, s))], index[("e", (p, s))], 1)
     return LieAlgebra(labels, table)
+
+
+def translate_form(form, mapping, new_poset):
+    """The form with each pair's labels sent through ``mapping``, summing collisions."""
+    out = {}
+    for (p, q), c in form.coeffs.items():
+        key = (mapping[p], mapping[q])
+        if key[0] > key[1]:
+            raise FormError(f"translation reverses pair ({p},{q})")
+        out[key] = out.get(key, Fraction(0)) + Fraction(c)
+    return OneForm(new_poset, out)
+
+
+def add_forms(a, b):
+    if a.poset != b.poset:
+        raise FormError("forms live on different posets")
+    out = {k: Fraction(c) for k, c in a.coeffs.items()}
+    for k, c in b.coeffs.items():
+        out[k] = out.get(k, Fraction(0)) + c
+    return OneForm(a.poset, out)
+
+
+def subtract_pair(form, p, q):
+    out = {k: Fraction(c) for k, c in form.coeffs.items()}
+    out[(p, q)] = out.get((p, q), Fraction(0)) - 1
+    return OneForm(form.poset, out)
+
+
+def replay_form(script):
+    """A script's built form, step by step: translate the accumulated form and
+    the block's form into the step's labels, add them, and subtract each
+    merged extremal edge, one ``OneForm`` per operation.
+
+    Returns one ``(form, added, subtracted)`` per step, pairs in that step's
+    labels; a step that leaves a coefficient other than 0 or 1 raises
+    ``ScriptError`` with the message ``run_script`` gives.
+    """
+    first = script.steps[0].block()
+    poset, form = first.poset, first.form
+    steps = [(form, sorted(form.support), [])]
+    for step in script.steps[1:]:
+        blk = step.block()
+        result = glue(poset, blk, step.rule, dict(step.identify))
+        block_form = translate_form(blk.form, result.s_map, result.poset)
+        form = add_forms(translate_form(form, result.q_map, result.poset), block_form)
+        subtracted = []
+        for role, wanted in RULES[step.rule].related.items():
+            if wanted:
+                x, other = result.merged["c"], result.merged[role]
+                pair = (x, other) if blk.c_is_minimal else (other, x)
+                form = subtract_pair(form, *pair)
+                subtracted.append(pair)
+        if any(c not in (0, 1) for c in form.coeffs.values()):
+            bad = {k: str(v) for k, v in form.coeffs.items() if v not in (0, 1)}
+            raise ScriptError(f"built form left coefficients other than one: {bad}")
+        poset = result.poset
+        steps.append((form, sorted(block_form.support), subtracted))
+    return steps

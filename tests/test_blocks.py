@@ -485,6 +485,37 @@ def test_contact_pair_report_builds_kernel_and_reeb_on_read(monkeypatch):
     }
 
 
+def test_contact_pair_report_builds_dphi_once(monkeypatch):
+    # the bordered rank and the report read on to_json share one dφ assembly,
+    # on either verdict; even dimension builds none
+    dphi_rows = forms._dphi_rows
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return dphi_rows(*args)
+
+    monkeypatch.setattr(forms, "_dphi_rows", counted)
+    monkeypatch.setattr(blocks, "_dphi_rows", counted)
+    cases = [(b.poset, b.form) for b in catalog_blocks((1, 14)) if b.kind == "contact"]
+    rng = random.Random(43)
+    for poset in enumerate_posets(6):
+        pairs = sorted(poset.relations) + [(p, p) for p in poset.elements]
+        cases.append((poset, OneForm(poset, {pq: rng.randint(-2, 2) for pq in pairs})))
+    verdicts = {}
+    for poset, form in cases:
+        builds.clear()
+        rep = verify_contact_toral_pair(poset, form)
+        rep.to_json()
+        rep.to_json()
+        odd = build_gA(poset).dim % 2
+        assert len(builds) == odd, poset.covers
+        key = (odd, rep.conditions["contact"])
+        verdicts[key] = verdicts.get(key, 0) + 1
+    # (odd dimension, contact): 44 catalog blocks and 30 random forms are contact
+    assert verdicts == {(0, False): 156, (1, False): 111, (1, True): 74}
+
+
 def test_kernel_full_read_off_g_A_matches_g_elimination():
     # the pair check reads ker dφ on g, and its coordinates, off its one g_A
     # elimination without building g; an exact kernel on g, checked against

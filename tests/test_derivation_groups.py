@@ -84,8 +84,7 @@ def test_parametric_partition_sets():
     for fam in ("contact_pendant_high", "contact_pendant_low"):
         for n in (8, 9):
             blk = block(fam, n)
-            stripped = blk.form.subtract_pair(1, 1, blk.form.coefficient(1, 1))
-            u, d, o = udo_partition(blk.poset, stripped)
+            u, d, o = udo_partition(blk.poset, blk.form)
             assert u == frozenset(range(n // 2 + 1, n + 1)), (fam, n)
             assert d == frozenset(range(1, n // 2 + 1)), (fam, n)
             assert o == frozenset()

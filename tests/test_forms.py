@@ -722,6 +722,51 @@ def test_reeb_vector_sign_with_a_negative_pivot():
     assert is_contact_form(alg, [1, 0, 0]).reeb.vec == (1, 0, 0)
 
 
+def test_reeb_vector_is_built_on_first_read(monkeypatch):
+    from lieposet.algebras import AlgebraElement
+    from lieposet.forms import ContactResult, coords_json
+    from lieposet.toral import block, disconnected_contact_check
+    from lieposet.toral.blocks import catalog_blocks
+
+    built = []
+    init = AlgebraElement.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraElement, "__init__", counted)
+    cases = [(blk.poset, blk.form) for blk in catalog_blocks((1, 8)) if blk.kind == "contact"]
+    rng = random.Random(31)
+    for poset in enumerate_posets(5):
+        pairs = sorted(poset.relations) + [(p, p) for p in poset.elements]
+        coeffs = {pq: rng.choice((-1, Fraction(1, 2), 1, 2)) for pq in pairs}
+        cases.append((poset, OneForm(poset, coeffs)))
+    verdicts = {True: 0, False: 0}
+    for poset, form in cases:
+        gA = build_gA(poset)
+        built.clear()
+        res = is_contact_form(gA, form)
+        assert built == [], poset.covers
+        verdicts[res.is_contact] += 1
+        if not res.is_contact:
+            assert res.reeb is None and res.reeb_json() is None and built == []
+            continue
+        reeb = res.reeb
+        assert built == [reeb] and res.reeb is reeb
+        assert form.evaluate(reeb) == 1
+        expected = _contact_reference(gA, phi_on_basis(gA, form))[1]
+        assert res.reeb_json() == coords_json(gA.to_matrix_coords(expected))
+        assert len(built) == 1
+        twice = OneForm(poset, {pq: 2 * c for pq, c in form.coeffs.items()})
+        assert is_contact_form(gA, form) == res != is_contact_form(gA, twice)
+    assert verdicts == {True: 32, False: 47}  # 20 contact blocks, 12 random forms
+    split = disconnected_contact_check(block("six_a").poset.disjoint_sum(block("chain2").poset))
+    assert split == ContactResult(True, "disjoint sum of two Frobenius posets")
+    assert split != ContactResult(False, "disjoint sum of two Frobenius posets")
+    assert split and split.reeb is None and split.kernel is None
+
+
 def _shifted_diagonal_form(poset, rng, shift):
     """Diagonal coefficients in shift + Z and integral strict ones, of both signs:
     φ is integral on g_A's basis, while the form's denominators are shift's."""
@@ -798,16 +843,14 @@ def test_binary_weights_in_integers_match_ad_weights():
 
 def test_form_graph_contact_chain3():
     phi = OneForm.from_support(CHAIN3, [(1, 1), (1, 3), (2, 3)])
-    stripped = phi.without_diagonal()
-    assert is_small(CHAIN3, stripped)
-    u, d, o = udo_partition(CHAIN3, stripped)
+    assert is_small(CHAIN3, phi)  # the diagonal pair (1, 1) is not read
+    u, d, o = udo_partition(CHAIN3, phi)
     assert u == {3} and d == {1, 2} and o == frozenset()
 
 
 def test_form_graph_fork5():
-    stripped = PHI_FORK5.without_diagonal()
-    assert is_small(FORK5, stripped)
-    u, d, o = udo_partition(FORK5, stripped)
+    assert is_small(FORK5, PHI_FORK5)
+    u, d, o = udo_partition(FORK5, PHI_FORK5)
     assert u == {3, 4, 5} and d == {1, 2} and o == frozenset()
 
 

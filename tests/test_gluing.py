@@ -1,9 +1,11 @@
+import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
 from lieposet.algebras import build_g, build_gA
-from lieposet.forms import index, is_contact_form, kernel
+from lieposet.forms import OneForm, index, is_contact_form, kernel
 from lieposet.posets import Poset, canonical_key
 from lieposet.sweep import reachable_contact_posets
 from lieposet.toral import (
@@ -22,7 +24,8 @@ from lieposet.toral import (
     random_toral_script,
     run_script,
 )
-from oracles import in_kernel, restrict_element
+from oracles import in_kernel, replay_form, restrict_element
+from lieposet.toral.blocks import catalog_blocks, verify_block
 from lieposet.toral.gluing import CONTACT_RULES, _valid_identifications
 
 
@@ -640,3 +643,90 @@ def test_to_final_is_the_composed_relabeling():
             assert audit.to_final == _forward_to_final(audits, i), (seed, i)
             mapped = {(audit.to_final[p], audit.to_final[q]) for p, q in audit.poset.relations}
             assert mapped <= result.poset.relations, (seed, i)
+
+
+def _seeded_scripts():
+    """Seeds 0-199 of ``random_toral_script``, lengths 1-7: even seeds are
+    contact sequences over ``CONTACT_RULES``, odd ones toral scripts."""
+    for seed in range(200):
+        contact = seed % 2 == 0
+        yield random_toral_script(
+            seed, 1 + seed % 7, allow_contact=contact, rule_pool=CONTACT_RULES if contact else None
+        )
+
+
+def test_built_forms_and_audits_match_the_step_composition_oracle():
+    lengths = set()
+    for script in _seeded_scripts():
+        built = run_script(script)
+        steps = replay_form(script)
+        lengths.add(len(steps))
+        assert built.prefix_forms == [form for form, _, _ in steps]
+        assert repr(built.form) == repr(steps[-1][0])
+        for audit, (_, added, subtracted) in zip(built.audits, steps, strict=True):
+            final = audit.to_final
+            assert audit.added == [(final[p], final[q]) for p, q in added]
+            assert audit.subtracted == [(final[p], final[q]) for p, q in subtracted]
+    assert lengths == set(range(1, 8))
+
+
+def test_coefficient_other_than_one_raises_the_oracle_message(monkeypatch):
+    from lieposet.toral import gluing
+
+    catalog_block = gluing._catalog_block
+
+    def heavy_chain2(block_id, n=None):
+        blk = catalog_block(block_id, n)
+        if block_id != "chain2":
+            return blk
+        return dataclasses.replace(blk, form=OneForm(blk.poset, {(1, 2): 2, (1, 1): Fraction(1, 2)}))
+
+    monkeypatch.setattr(gluing, "_catalog_block", heavy_chain2)
+    # D1 merges the edge (1, 3): 1 + 2 - 1 = 2 there, and 1 + 1/2 at (1, 1)
+    script = script_of(("contact_chain3", None), ("chain2", None, "D1", {"c": 1, "a1": 3}))
+    with pytest.raises(ScriptError) as built:
+        run_script(script)
+    with pytest.raises(ScriptError) as oracle:
+        replay_form(script)
+    assert str(built.value) == str(oracle.value)
+    assert str(built.value) == (
+        "built form left coefficients other than one: {(1, 1): '3/2', (1, 3): '2'}"
+    )
+
+
+def _fraction_copy(form):
+    """The form with every coefficient held as a Fraction."""
+    copy = object.__new__(OneForm)
+    copy.poset, copy.coeffs = form.poset, {pq: Fraction(c) for pq, c in form.coeffs.items()}
+    return copy
+
+
+def _assert_prints_as_fractions(form):
+    copy = _fraction_copy(form)
+    text = json.dumps(form.to_json())
+    assert repr(form) == repr(copy) and text == json.dumps(copy.to_json())
+    back = OneForm.from_json(form.poset, json.loads(text))
+    assert back == form == copy and repr(back) == repr(copy)
+    assert json.dumps(back.to_json()) == text
+    for c in [*form.coeffs.values(), *back.coeffs.values()]:
+        assert type(c) is (int if c.denominator == 1 else Fraction), c
+
+
+def test_forms_hold_integral_coefficients_as_ints():
+    pairs = 0
+    for blk in catalog_blocks((5, 14)):  # the verify-catalog pairs
+        _assert_prints_as_fractions(blk.form)
+        copy = dataclasses.replace(blk, form=_fraction_copy(blk.form))
+        assert json.dumps(verify_block(blk).to_json()) == json.dumps(verify_block(copy).to_json())
+        pairs += 1
+    assert pairs == 81
+    for script in _seeded_scripts():
+        _assert_prints_as_fractions(run_script(script).form)
+    chain = Poset.chain(3)
+    form = OneForm(chain, {(1, 1): Fraction(1, 2), (1, 2): Fraction(4, 2), (1, 3): "-3", (2, 3): 1.0})
+    assert form.coeffs == {(1, 1): Fraction(1, 2), (1, 2): 2, (1, 3): -3, (2, 3): 1}
+    assert type(form.coefficient(1, 1)) is Fraction
+    _assert_prints_as_fractions(form)
+    summed = OneForm.from_support(chain, [(1, 2), (1, 2), (2, 3)], {(2, 3): Fraction(6, 3)})
+    assert summed.coeffs == {(1, 2): 2, (2, 3): 2}
+    _assert_prints_as_fractions(summed)
