@@ -4,25 +4,22 @@ Two poset specializations: the incidence algebra under the commutator
 (basis E_pp and E_pq for p < q in the order) and its trace-zero part
 (diagonal differences E_ii - E_{i+1,i+1} plus the strict pairs).
 Elements of either carry a matrix-coordinate view k_{p,q}, whose
-diagonal only ``PosetLieAlgebra.diagonal`` reads off the basis. Both are
+diagonal only ``PosetLieAlgebra.diagonal`` reads off the basis; an
+integer vector X over a scale D becomes an element (``element``) or
+matrix coordinates (``to_matrix_coords``) by one rule each. Both are
 built as integer dφ terms and read their structure table off them; a
 custom algebra's given table compiles to terms instead.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import lcm
 
 from .linalg import ShapeError
-
-JACOBI_EXHAUSTIVE_LIMIT = 40
-JACOBI_SAMPLES = 400
-JACOBI_SEED = 0
 
 
 class JacobiError(ValueError):
@@ -80,12 +77,16 @@ class LieAlgebra:
             vec[k] = c
         return vec
 
-    def element(self, vec):
-        return AlgebraElement(self, tuple(Fraction(x) for x in vec))
+    def element(self, vec, d=1):
+        """The element vec / d: ints over a nonzero int d, or Fractions over 1."""
+        return AlgebraElement(self, tuple(Fraction(x, d) for x in vec))
+
+    def to_matrix_coords(self, vec, d=1):
+        raise ShapeError("matrix coordinates exist only for poset algebras")
 
     def basis_element(self, i):
-        vec = [Fraction(0)] * self.dim
-        vec[i] = Fraction(1)
+        vec = [0] * self.dim
+        vec[i] = 1
         return self.element(vec)
 
     def is_abelian(self):
@@ -102,25 +103,8 @@ class LieAlgebra:
         return {k2: v for k2, v in total.items() if v}
 
     def check_jacobi(self):
-        """First basis triple failing Jacobi, or None; exhaustive up to the
-        limit, seeded random samples above it."""
-        n = self.dim
-        if n <= JACOBI_EXHAUSTIVE_LIMIT:
-            triples = (
-                (i, j, k)
-                for i in range(n)
-                for j in range(i + 1, n)
-                for k in range(j + 1, n)
-            )
-        else:
-            rng = random.Random(JACOBI_SEED)
-            triples = (
-                tuple(sorted(rng.sample(range(n), 3))) for _ in range(JACOBI_SAMPLES)
-            )
-        for t in triples:
-            if self.jacobi_defect(*t):
-                return t
-        return None
+        """First basis triple i < j < k failing Jacobi, or None; exhaustive."""
+        return next((t for t in combinations(range(self.dim), 3) if self.jacobi_defect(*t)), None)
 
 
 @dataclass(frozen=True)
@@ -149,10 +133,7 @@ class AlgebraElement:
 
     @property
     def matrix_coords(self):
-        alg = self.algebra
-        if not isinstance(alg, PosetLieAlgebra):
-            raise ShapeError("matrix coordinates exist only for poset algebras")
-        return alg.to_matrix_coords(self.vec)
+        return self.algebra.to_matrix_coords(self.vec)
 
     def trace(self):
         return sum(
@@ -188,10 +169,12 @@ class PosetLieAlgebra(LieAlgebra):
         a = [0, *vec[: n - 1], 0]
         return [a[p] - a[p - 1] for p in range(1, n + 1)]
 
-    def to_matrix_coords(self, vec):
-        coords = {(p, p): Fraction(k) for p, k in enumerate(self.diagonal(vec), 1) if k}
+    def to_matrix_coords(self, vec, d=1):
+        """The nonzero matrix coordinates of vec / d, one ``Fraction(k, d)`` each;
+        ints over a nonzero int d keep the diagonal in ints."""
+        coords = {(p, p): Fraction(k, d) for p, k in enumerate(self.diagonal(vec), 1) if k}
         strict = zip(self.strict_pairs, vec[self.dim - len(self.strict_pairs) :])
-        return coords | {pq: Fraction(x) for pq, x in strict if x}
+        return coords | {pq: Fraction(x, d) for pq, x in strict if x}
 
     def from_matrix_coords(self, coords):
         coords = {tuple(k): Fraction(v) for k, v in coords.items() if v}

@@ -10,9 +10,12 @@ one lcm of a form's denominators, and ``_dphi_rows`` carries λ to the Reeb vect
 
 Verdicts decide on integer vectors X over one scale D, as the elimination gives
 them: ``KernelReport`` keeps them, and ``principal_or_kernel`` gives x̂ as (X, D).
-Fractions are built at the report only: ``KernelReport.vectors`` on first read
-(``kernel`` presets its legacy view), the Reeb vector on first read, and x̂
-in ``principal_element``. A form holds its integral coefficients as ints.
+Reports read (X, D) through two rules, ``PosetLieAlgebra.to_matrix_coords`` for
+coordinates and ``LieAlgebra.element`` for elements, each making one Fraction per
+nonzero entry: kernel coordinates and JSON, the Reeb vector (X·λ over S) and x̂.
+``KernelReport.vectors``, the Fraction view, feeds no report; ``kernel`` presets
+it with legacy floats that only the sweep's witness loop reads. A form holds its
+integral coefficients as ints.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from math import lcm
 from typing import Callable
 
 from . import linalg
-from .algebras import AlgebraElement, PosetLieAlgebra
+from .algebras import PosetLieAlgebra
 from .linalg import RatMatrix, ShapeError
 from .posets import is_forest, json_int
 
@@ -224,7 +227,7 @@ class KernelReport:
     space: str  # "g", "gA", or "custom"
     generators: list  # integer vectors X in the algebra basis; each kernel vector is X / scale
     scale: int = 1  # D, a Bareiss pivot: nonzero, of either sign
-    to_coords: Callable | None = field(default=None, repr=False, compare=False)
+    to_coords: Callable | None = field(default=None, repr=False, compare=False)  # (X, D) -> coords
 
     @property
     def dimension(self):
@@ -232,16 +235,16 @@ class KernelReport:
 
     @cached_property
     def vectors(self):
-        """The kernel vectors X / D as Fraction lists, built on first read."""
+        """The kernel vectors X / D as Fraction lists, built on first read; no report reads them."""
         d = self.scale
         return [[Fraction(x, d) for x in g] for g in self.generators]
 
     @cached_property
     def coords(self):
-        """Matrix-coordinate dicts (poset algebras) or None entries, built on first read."""
+        """Matrix coordinates of each X over D (poset algebras) or None entries, on first read."""
         if self.to_coords is None:
             return [None] * self.dimension
-        return [self.to_coords(v) for v in self.vectors]
+        return [self.to_coords(x, self.scale) for x in self.generators]
 
     def generator_coords(self):
         if self.dimension != 1:
@@ -338,14 +341,17 @@ class ContactResult:
     def __bool__(self):
         return self.is_contact
 
+    def _scaled_reeb(self):
+        """``(algebra, X·λ, S)`` for the kernel generator X: R = X·λ / S."""
+        algebra, lam, pairing = self.reeb_input
+        return algebra, [xi * lam for xi in self.kernel.generators[0]], pairing
+
     @cached_property
     def reeb(self):
-        """R = X·λ / S for the kernel generator X, built on first read; None
-        unless contact."""
+        """The Reeb vector R, built on first read; None unless contact."""
         if self.reeb_input:
-            algebra, lam, pairing = self.reeb_input
-            x = self.kernel.generators[0]
-            return AlgebraElement(algebra, tuple(Fraction(xi * lam, pairing) for xi in x))
+            algebra, x, s = self._scaled_reeb()
+            return algebra.element(x, s)
 
     def __eq__(self, other):
         return isinstance(other, ContactResult) and (
@@ -353,7 +359,10 @@ class ContactResult:
         ) == (other.is_contact, other.reason, other.reeb, other.kernel)
 
     def reeb_json(self):
-        return None if self.reeb is None else coords_json(self.reeb.matrix_coords)
+        """R's matrix coordinates as JSON, read off (X·λ, S); None unless contact."""
+        if self.reeb_input:
+            algebra, x, s = self._scaled_reeb()
+            return coords_json(algebra.to_matrix_coords(x, s))
 
 
 def is_contact_form(algebra, form_or_values, trials=INDEX_TRIALS, seed=0):
@@ -418,8 +427,7 @@ def _principal(algebra, form_or_values):
 
 def principal_element(algebra, form_or_values):
     """The unique x with φ([x, y]) = φ(y) for all y (Frobenius forms only)."""
-    x, d = _principal(algebra, form_or_values)
-    return AlgebraElement(algebra, tuple(Fraction(v, d) for v in x))
+    return algebra.element(*_principal(algebra, form_or_values))
 
 
 def principal_or_kernel(algebra, form_or_values):

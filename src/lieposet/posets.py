@@ -540,17 +540,6 @@ def is_forest(vertices, edges):
     return True
 
 
-def transitive_reduction(n, relations):
-    """Covering pairs of an arbitrary (closed) strict relation set."""
-    rel = set(relations)
-    up = {p: {q for (a, q) in rel if a == p} for p in range(1, n + 1)}
-    return {
-        (p, q)
-        for p, q in rel
-        if not any(z in up[p] for z in range(1, n + 1) if (z, q) in rel)
-    }
-
-
 __all__ = [
     "CycleError",
     "ExtremalData",
@@ -561,5 +550,4 @@ __all__ = [
     "UnsupportedSizeError",
     "canonical_key",
     "is_forest",
-    "transitive_reduction",
 ]

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Callable
 
 from .. import linalg
-from ..algebras import AlgebraElement, build_gA
+from ..algebras import build_gA
 from ..forms import (
     KernelReport,
     OneForm,
@@ -399,7 +399,7 @@ class PairReport:
         """x̂ = X / D in g_A, built on first read; None unless Frobenius. Not in JSON."""
         if self.scaled_principal:
             gA, x, d = self.scaled_principal
-            return AlgebraElement(gA, tuple(Fraction(v, d) for v in x))
+            return gA.element(x, d)
 
     @cached_property
     def contact_result(self):
@@ -435,6 +435,20 @@ class PairReport:
         }
 
 
+def _pair_shape(poset, form):
+    """The shape conditions both pair verifiers check, in their order: extremal
+    count, small support, up/down partition, extremal edges; then the partition.
+    All four read the strict support only, so a diagonal summand is ignored."""
+    ext = poset.extremal_data()
+    u, d, o = udo_partition(poset, form)
+    return (
+        len(ext.ext) in (2, 3),
+        is_small(poset, form),
+        not o and poset.is_filter(u) and poset.is_ideal(d),
+        ext.rel_e <= form.strict_support,
+    ), {"up": sorted(u), "down": sorted(d), "other": sorted(o)}
+
+
 def verify_toral_pair(poset, form):
     """Itemized check of the Frobenius building-block conditions on g_A, through
     ``principal_or_kernel``: x̂ in the Cartan, certified by a thin solve and a
@@ -442,18 +456,14 @@ def verify_toral_pair(poset, form):
     integers (``principal`` builds it for the spectra) or the trace-zero kernel;
     the kernel on g is read off it as I followed by each trace-zero generator
     lifted into g, and g is not built."""
-    conditions = {}
-    details = {}
-    ext = poset.extremal_data()
-    conditions["p1_extremal_count"] = len(ext.ext) in (2, 3)
-    # is_small, udo_partition and the edge test read the strict support only
-    conditions["f1_small"] = is_small(poset, form) and not form.diagonal_support
-    u, d, o = udo_partition(poset, form)
-    conditions["f2_updown_partition"] = (
-        not o and poset.is_filter(u) and poset.is_ideal(d)
-    )
-    details["partition"] = {"up": sorted(u), "down": sorted(d), "other": sorted(o)}
-    conditions["f3_extremal_edges"] = ext.rel_e <= form.strict_support
+    (count, small, updown, edges), partition = _pair_shape(poset, form)
+    conditions = {
+        "p1_extremal_count": count,
+        "f1_small": small and not form.diagonal_support,
+        "f2_updown_partition": updown,
+        "f3_extremal_edges": edges,
+    }
+    details = {"partition": partition}
     gA = build_gA(poset)
     x_hat, ker_a = principal_or_kernel(gA, form)
     gens, scale = (ker_a.generators, ker_a.scale) if ker_a else ([], 1)
@@ -468,7 +478,7 @@ def verify_toral_pair(poset, form):
     # g's basis (as build_g lays it out) is d_1..d_n, then g_A's strict pairs
     labels = [(p, p) for p in poset.elements] + strict
     details["kernel_full"] = KernelReport(
-        "g", full, scale, lambda v: {pq: x for pq, x in zip(labels, v) if x}
+        "g", full, scale, lambda x, d: {pq: Fraction(v, d) for pq, v in zip(labels, x) if v}
     )
     conditions["frobenius"] = x_hat is not None
     details["kernel_trace_zero"] = ker_a or KernelReport("gA", [])
@@ -485,26 +495,20 @@ def verify_contact_toral_pair(poset, form):
     kernel and the Reeb vector, on either verdict only when
     ``contact_result`` is first read, from the dφ rows the rank read.
     """
-    conditions = {}
-    details = {}
-    conditions["cp1_connected"] = poset.is_connected()
-    ext = poset.extremal_data()
-    conditions["cp2_extremal_count"] = len(ext.ext) in (2, 3)
-    conditions["cf1_diagonal_at_one"] = form.diagonal_support == {(1, 1)} and (
-        form.coefficient(1, 1) != 0
-    )
-    conditions["cf2_small"] = is_small(poset, form)
-    u, d, o = udo_partition(poset, form)
-    conditions["cf3_updown_partition"] = (
-        not o and poset.is_filter(u) and poset.is_ideal(d)
-    )
-    details["partition"] = {"up": sorted(u), "down": sorted(d), "other": sorted(o)}
-    conditions["cf4_extremal_edges"] = ext.rel_e <= form.strict_support
+    (count, small, updown, edges), partition = _pair_shape(poset, form)
+    conditions = {
+        "cp1_connected": poset.is_connected(),
+        "cp2_extremal_count": count,
+        "cf1_diagonal_at_one": form.diagonal_support == {(1, 1)} and form.coefficient(1, 1) != 0,
+        "cf2_small": small,
+        "cf3_updown_partition": updown,
+        "cf4_extremal_edges": edges,
+    }
     gA = build_gA(poset)
     # the bordered rank exists in odd dimension only; _contact_result names the even one
     dphi = _dphi_rows(gA, form) if gA.dim % 2 else None
     conditions["contact"] = dphi is not None and _bordered_full_rank(dphi)
-    return PairReport("contact", conditions, details, contact_input=(gA, dphi))
+    return PairReport("contact", conditions, {"partition": partition}, contact_input=(gA, dphi))
 
 
 def verify_block(blk, seed=0):

@@ -2,8 +2,10 @@
 vector, skewness, a polynomial at a matrix, exact square roots, the
 restriction of an algebra element to a sub-poset's algebra, the ad
 matrix, kernel membership through ``dphi_matrix``, the structure
-table of a poset algebra built label by label, and a script's built
-form composed one ``OneForm`` operation at a time."""
+table of a poset algebra built label by label, a script's built form
+composed one ``OneForm`` operation at a time, the covers of a closed
+relation set, and matrix coordinates of a kernel report built from its
+Fraction vectors X / D."""
 
 from fractions import Fraction
 from math import isqrt
@@ -177,3 +179,33 @@ def replay_form(script):
         poset = result.poset
         steps.append((form, sorted(block_form.support), subtracted))
     return steps
+
+
+def transitive_reduction(n, relations):
+    """Covering pairs of an arbitrary (closed) strict relation set."""
+    rel = set(relations)
+    up = {p: {q for (a, q) in rel if a == p} for p in range(1, n + 1)}
+    return {
+        (p, q)
+        for p, q in rel
+        if not any(z in up[p] for z in range(1, n + 1) if (z, q) in rel)
+    }
+
+
+def kernel_coords(algebra, report):
+    """Matrix coordinates of each kernel vector X / D of a poset-algebra report,
+    read label by label in Fractions: d_p is E_pp, h_i is E_ii - E_{i+1,i+1}
+    and e_pq is E_pq."""
+    out = []
+    for x in report.generators:
+        coords = {}
+        for (kind, at), c in zip(algebra.labels, x):
+            v = Fraction(c, report.scale)
+            if kind == "h":
+                terms = [((at, at), v), ((at + 1, at + 1), -v)]
+            else:
+                terms = [((at, at) if kind == "d" else at, v)]
+            for pq, w in terms:
+                coords[pq] = coords.get(pq, Fraction(0)) + w
+        out.append({pq: w for pq, w in coords.items() if w})
+    return out

@@ -321,7 +321,7 @@ def test_tree_form_reduction_matches_generic_kernel():
         checked += 1
 
 
-def test_jacobi_randomized_above_exhaustive_limit():
+def test_jacobi_exhaustive_at_dim_98():
     blk = block("pendant_chain", 14)
     gA = build_gA(blk.poset)
     assert gA.dim == 98

@@ -9,6 +9,7 @@ from lieposet.algebras import build_custom, build_g, build_gA, footnote_algebra,
 from lieposet.forms import (
     INDEX_TRIALS,
     FormError,
+    KernelReport,
     NotFrobeniusError,
     OneForm,
     ad_weights,
@@ -27,12 +28,14 @@ from lieposet.forms import (
     principal_or_kernel,
     spectrum,
     udo_partition,
+    _contact_result,
     _dphi_rows,
 )
 from lieposet.linalg import ShapeError, char_poly
 from lieposet.posets import Poset
 from lieposet.sweep import enumerate_posets
-from oracles import ad_matrix, in_kernel, is_skew_symmetric, unit
+from lieposet.toral.blocks import verify_contact_toral_pair, verify_toral_pair
+from oracles import ad_matrix, in_kernel, is_skew_symmetric, kernel_coords, unit
 
 CHAIN2 = Poset.chain(2)
 CHAIN3 = Poset.chain(3)
@@ -862,3 +865,62 @@ def test_empty_support_not_small():
 def test_form_graph_interior_detected():
     phi = OneForm.from_support(CHAIN3, [(1, 2), (2, 3)])
     assert udo_partition(CHAIN3, phi)[2] == {2}
+
+
+# 1 < 6, 2 < 5 < 6, 3 < {4, 6}: the legacy float view once printed the
+# 1/3 at (4, 4) of this kernel as 6004799503160661/18014398509481984
+FLOAT_REPRO = Poset.from_covers(6, [(1, 6), (2, 5), (3, 4), (3, 6), (5, 6)])
+FLOAT_REPRO_PHI = [0, 0, 0, 0, 0, 2, -3, -1, 0, 1, -3]
+
+
+def test_kernel_coordinates_of_the_float_reproduction_are_exact():
+    rep = kernel(build_gA(FLOAT_REPRO), FLOAT_REPRO_PHI)
+    assert rep.to_json()["generators"][2]["4,4"] == "1/3"
+    assert rep.coords[2][(4, 4)] == Fraction(1, 3)
+    for coords in rep.coords:
+        assert sum(c for (p, q), c in coords.items() if p == q) == 0
+
+
+def test_kernel_coordinates_match_the_fraction_oracle_at_n6():
+    # three seeded draws on g and g_A of every connected poset with n <= 6,
+    # strict entries uniform in -3..3: 1,782 reports
+    reports = 0
+    for i, poset in enumerate(enumerate_posets(6)):
+        for alg in (build_g(poset), build_gA(poset)):
+            for s in range(3):
+                rng = random.Random(3 * i + s)
+                values = [0 if lab[0] != "e" else rng.randint(-3, 3) for lab in alg.labels]
+                rep = kernel(alg, values)
+                assert rep.coords == kernel_coords(alg, rep), (poset.covers, values)
+                assert all(type(c) is Fraction for coords in rep.coords for c in coords.values())
+                reports += 1
+    assert reports == 1782
+
+
+def test_kernel_json_never_builds_the_fraction_vectors():
+    rng = random.Random(23)
+    seen = {"contact": 0, "kernel": 0, "pair": 0}
+    for poset in enumerate_posets(5):
+        gA = build_gA(poset)
+        pairs = sorted(poset.relations) + [(p, p) for p in poset.elements]
+        form = OneForm(poset, {pq: rng.choice((-1, 0, Fraction(1, 2), 1, 2)) for pq in pairs})
+        reports = []
+        if gA.dim % 2:
+            reports.append(_contact_result(gA, _dphi_rows(gA, form)).kernel)
+            seen["contact"] += 1
+        x_hat, rep = principal_or_kernel(gA, form)
+        if rep is not None:
+            reports.append(rep)
+            seen["kernel"] += 1
+        for pair in (verify_toral_pair(poset, form), verify_contact_toral_pair(poset, form)):
+            pair.to_json()
+            reports += [v for v in pair.details.values() if isinstance(v, KernelReport)]
+            if pair.contact_result is not None and pair.contact_result.kernel is not None:
+                reports.append(pair.contact_result.kernel)
+            seen["pair"] += 1
+        for rep in reports:
+            rep.to_json()
+            if rep.dimension == 1:
+                rep.generator_coords()
+            assert "vectors" not in rep.__dict__, poset.covers
+    assert all(seen.values()), seen

@@ -421,8 +421,8 @@ def test_restriction_property_of_built_kernels():
     result = run_script(script)
     g_final = build_g(result.poset)
     rep = kernel(g_final, result.form)
-    for vec in rep.vectors:
-        elem = g_final.element(vec)
+    for x in rep.generators:
+        elem = g_final.element(x, rep.scale)
         for i, step in enumerate(script.steps):
             blk = step.block()
             g_blk = build_g(blk.poset)

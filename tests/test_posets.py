@@ -11,10 +11,10 @@ from lieposet.posets import (
     Poset,
     PosetError,
     UnsupportedSizeError,
-    transitive_reduction,
 )
 from lieposet.sweep import enumerate_posets
 from lieposet.toral import block, catalog
+from oracles import transitive_reduction
 
 GATE = Poset.from_covers(4, [(1, 2), (2, 3), (2, 4)])  # 1 < 2 < {3,4}
 
