@@ -8,7 +8,6 @@ from .algebras import (
     JacobiError,
     LieAlgebra,
     PosetLieAlgebra,
-    bracket,
     build_custom,
     build_g,
     build_gA,

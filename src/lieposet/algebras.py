@@ -141,10 +141,6 @@ class AlgebraElement:
         )
 
 
-def bracket(a, b):
-    return a.bracket(b)
-
-
 class PosetLieAlgebra(LieAlgebra):
     """Either the full incidence commutator algebra or its trace-zero part."""
 

@@ -18,7 +18,6 @@ from .algebras import build_gA
 from .forms import (
     INDEX_TRIALS,
     FormError,
-    NotFrobeniusError,
     OneForm,
     ad_char_poly,
     index,
@@ -410,9 +409,6 @@ def main(argv=None):
     except (InputError, PosetError, FormError, BlockError, GlueError, ScriptError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotFrobeniusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to the null device,
         # so that the interpreter's final flush cannot raise again

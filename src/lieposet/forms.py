@@ -365,7 +365,7 @@ class ContactResult:
             return coords_json(algebra.to_matrix_coords(x, s))
 
 
-def is_contact_form(algebra, form_or_values, trials=INDEX_TRIALS, seed=0):
+def is_contact_form(algebra, form_or_values, seed=0):
     """Kernel-generator contact test; its Reeb vector is built on first read.
 
     Exact: in odd dimension a one-dimensional kernel bounds the index by
@@ -373,8 +373,8 @@ def is_contact_form(algebra, form_or_values, trials=INDEX_TRIALS, seed=0):
     In integers: ``_dphi_rows`` gives φ̃ = λ·φ(b) with its λ > 0, so for the
     kernel X / D, φ(X / D) = S / (λ·D) with S = Σ X_i·φ̃_i, and the Reeb
     vector, the generator over φ(X / D), is X·λ / S, with φ(R) = 1.
-    ``trials`` and ``seed`` are not read; they stay only because
-    ``bench/run.py`` and the acceptance suite pass ``seed=``.
+    ``seed`` is not read; it stays only because ``bench/run.py`` and the
+    acceptance suite pass ``seed=``.
     """
     dphi = _dphi_rows(algebra, form_or_values) if algebra.dim % 2 else None
     return _contact_result(algebra, dphi)

@@ -10,8 +10,8 @@ of them: A x = b holds exactly when (x, -1) lies in the kernel of
 ``int_solve_scaled`` return integer vectors X over one scale D, the last
 pivot (nonzero, of either sign); the Fraction front ends ``kernel_basis``
 and ``solve`` build each entry once, as X / D. Callers that hold integer
-rows use the ``int_*`` entry points, which take dense lists too; the
-``RatMatrix`` functions clear denominators row by row. ``rank_mod_p`` ranks
+rows use the ``int_*`` entry points; the ``RatMatrix`` functions clear
+denominators row by row into such rows. ``rank_mod_p`` ranks
 skew-symmetric rows over GF(2^61 - 1), two indices at a time; the
 sampled index reads it as it is, and ``skew_rank`` turns it into the
 exact rank over Q that the Frobenius and contact verdicts need, by
@@ -93,25 +93,24 @@ def clear_denominators(xs):
     return d, [x.numerator * (d // x.denominator) for x in xs]
 
 
+def _nonzeros(xs):
+    """An integer row as the dict of its nonzeros."""
+    return {j: x for j, x in enumerate(xs) if x}
+
+
 def _int_rows(m):
-    """Clear denominators row by row; returns plain int rows."""
-    return [clear_denominators(row)[1] for row in m.rows]
+    """Clear denominators row by row; returns ``{col: int}`` rows."""
+    return [_nonzeros(clear_denominators(row)[1]) for row in m.rows]
 
 
-def _sparse(rows):
-    """Integer rows as dicts of their nonzeros; dict rows pass through."""
-    return [r if isinstance(r, dict) else {j: x for j, x in enumerate(r) if x} for r in rows]
-
-
-def _int_echelon(rows, ncols, augmented_from=None):
+def _int_echelon(rows, ncols):
     """Fraction-free (Bareiss) forward elimination on integer rows.
 
     Returns (rows, pivot_cols, sign): ``{col: int}`` rows, and sign the
-    parity of the row swaps. When ``augmented_from`` is given, pivots are
-    only selected among columns < augmented_from (the tail columns ride
-    along as an augmented block). The k-th pivot is the k-th leading
-    minor of the row-permuted input, so a square nonsingular input's
-    determinant is sign times its last pivot.
+    parity of the row swaps. Pivots are only selected among columns
+    < ncols; entries at or past it ride along as an augmented block. The
+    k-th pivot is the k-th leading minor of the row-permuted input, so a
+    square nonsingular input's determinant is sign times its last pivot.
 
     A Bareiss step scales every row below the pivot by pivot/prev. A
     row with no entry in the pivot column skips that: ``scale`` keeps
@@ -124,14 +123,13 @@ def _int_echelon(rows, ncols, augmented_from=None):
     exact integer. Rows left below the last pivot are materialised at
     the end, so pivots, values and sign are those of dense Bareiss.
     """
-    rows = [dict(r) for r in _sparse(rows)]
+    rows = [dict(r) for r in rows]
     scale = [1] * len(rows)
-    pivot_limit = ncols if augmented_from is None else augmented_from
     pivots = []
     sign = 1
     prev = 1
     r = 0
-    for c in range(pivot_limit):
+    for c in range(ncols):
         if r == len(rows):
             break
         piv = best = None
@@ -204,7 +202,7 @@ def _null_space(ech, pivots, ncols):
 
 
 def int_rank(rows, ncols):
-    """Exact rank of integer rows (dicts or lists), by fraction-free elimination."""
+    """Exact rank of integer rows, by fraction-free elimination."""
     return len(_int_echelon(rows, ncols)[1])
 
 
@@ -223,7 +221,7 @@ def int_solve_scaled(aug_rows, ncols):
     gens and D are those ``int_null_space`` gives for A, and x is the
     negated kernel vector of [A | b] that is D at b's column.
     """
-    ech, pivots, _ = _int_echelon(aug_rows, ncols + 1, augmented_from=ncols)
+    ech, pivots, _ = _int_echelon(aug_rows, ncols)
     gens, d = _null_space(ech, pivots, ncols)
     # inconsistent iff some residual row is 0 ... 0 | nonzero
     if any(row.get(ncols) for row in ech[len(pivots):]):
@@ -237,7 +235,7 @@ def rank(m):
 
 
 def rank_mod_p(int_rows, ncols, p=_MODP):
-    """Rank over GF(p) of a square skew-symmetric integer matrix (dict or list rows).
+    """Rank over GF(p) of a square skew-symmetric integer matrix.
 
     Reads only the entries above the diagonal. A live index i of least
     degree and its neighbour j of least degree form a 2 x 2 pivot (Bunch
@@ -252,7 +250,7 @@ def rank_mod_p(int_rows, ncols, p=_MODP):
         raise ShapeError(f"skew rank needs a square matrix, got {len(int_rows)} x {ncols}")
     adj = [{} for _ in range(ncols)]
     for i, r in enumerate(int_rows):
-        for j, x in r.items() if isinstance(r, dict) else enumerate(r):
+        for j, x in r.items():
             if j > i and (v := x % p):
                 adj[i][j] = v
                 adj[j][i] = p - v
@@ -293,7 +291,7 @@ def rank_mod_p(int_rows, ncols, p=_MODP):
 
 
 def skew_rank(int_rows, ncols):
-    """Exact rank over Q of a square skew-symmetric integer matrix (dict or list rows).
+    """Exact rank over Q of a square skew-symmetric integer matrix.
 
     ``rank_mod_p`` never exceeds the rank over Q, so it is exact when it
     is full, or when the product of sum(x^2) over the rows is below p^2:
@@ -306,7 +304,7 @@ def skew_rank(int_rows, ncols):
         return rk
     bound = 1
     for r in int_rows:
-        bound *= sum(x * x for x in (r.values() if isinstance(r, dict) else r)) or 1
+        bound *= sum(x * x for x in r.values()) or 1
         if bound >= _MODP * _MODP:
             return int_rank(int_rows, ncols)
     return rk
@@ -333,7 +331,7 @@ def determinant(m):
     for row in m.rows:
         d, ints = clear_denominators(row)
         scale *= d
-        rows.append(ints)
+        rows.append(_nonzeros(ints))
     ech, pivots, sign = _int_echelon(rows, n)
     if len(pivots) < n:
         return Fraction(0)
@@ -344,7 +342,7 @@ def solve(m, b):
     """One exact solution of ``m x = b``, or None when inconsistent."""
     if len(b) != m.nrows:
         raise ShapeError("right-hand side length mismatch")
-    aug = [clear_denominators(list(row) + [Fraction(bi)])[1] for row, bi in zip(m.rows, b)]
+    aug = [_nonzeros(clear_denominators(row + [Fraction(bi)])[1]) for row, bi in zip(m.rows, b)]
     x, _, d = int_solve_scaled(aug, m.ncols)
     return None if x is None else [Fraction(v, d) for v in x]
 

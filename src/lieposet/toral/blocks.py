@@ -160,14 +160,11 @@ def _tree_form_corank(relations_sorted, support_set):
         p, q = free[a]
         for b in range(a + 1, m):
             r, s = free[b]
-            v = 0
+            # (p, q) < (r, s) and r < s, so s > p: the formula's [s=p] term
+            # never fires above the diagonal
             if q == r and (p, s) in support_set:
-                v -= 1
-            elif s == p and (r, q) in support_set:
-                v += 1
-            if v:
-                rows[a][b] = v
-                rows[b][a] = -v
+                rows[a][b] = -1
+                rows[b][a] = 1
     return m - linalg.skew_rank(rows, m)
 
 

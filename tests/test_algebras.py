@@ -185,6 +185,20 @@ def test_custom_rejects_jacobi_failure():
     with pytest.raises(JacobiError) as err:
         build_custom(3, {(1, 2): {3: 1}, (1, 3): {1: 1}})
     assert err.value.triple == (1, 2, 3)
+    # a nonzero self-bracket fails before any triple is checked
+    with pytest.raises(JacobiError) as err:
+        build_custom(3, {(2, 2): {1: 1}})
+    assert err.value.triple == (2, 2, 2)
+
+
+def test_custom_rejects_malformed_tables():
+    for table in (
+        {(1, 4): {1: 1}},  # key out of range
+        {(1, 2): {4: 1}},  # output index out of range
+        {(1, 2): {3: 1}, (2, 1): {3: 2}},  # [e2, e1] must be -[e1, e2]
+    ):
+        with pytest.raises(ShapeError):
+            build_custom(3, table)
 
 
 def test_ad_matrix_columns_are_brackets():

@@ -535,7 +535,10 @@ def test_kernel_full_read_off_g_A_matches_g_elimination():
         assert full.dimension == len(full.vectors) == dim, (poset.covers, form)
         assert all(in_kernel(g, form, v) for v in full.vectors)
         assert full.coords == [g.to_matrix_coords(v) for v in full.vectors]
-        rows = [clear_denominators([Fraction(x) for x in v])[1] for v in full.vectors]
+        rows = [
+            {j: x for j, x in enumerate(clear_denominators([Fraction(x) for x in v])[1]) if x}
+            for v in full.vectors
+        ]
         assert int_rank(rows, g.dim) == dim
         assert rep.conditions["f4_kernel_shape"] == (dim == 1)
         singular += dim > 1

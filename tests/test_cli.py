@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import lieposet
 from lieposet import sweep
 from lieposet.algebras import build_gA
-from lieposet.cli import analyze, build_parser, main
+from lieposet.cli import SEARCH_SIZE_CAP, analyze, build_parser, main
 from lieposet.forms import INDEX_TRIALS, OneForm, index
 from lieposet.posets import JSON_SIZE_LIMIT, Poset, _canonical_labelling
 from lieposet.sweep import (
@@ -27,7 +27,13 @@ from lieposet.sweep import (
     conjecture_sweep,
     enumerate_posets,
 )
-from lieposet.toral import block, catalog, verify_contact_toral_pair
+from lieposet.toral import (
+    ConstructionScript,
+    block,
+    catalog,
+    run_script,
+    verify_contact_toral_pair,
+)
 from lieposet.toral.gluing import RULES, disconnected_contact_check
 
 GATE = {"n": 4, "covers": [[1, 2], [2, 3], [2, 4]]}
@@ -638,6 +644,10 @@ def test_malformed_inputs_exit_code(tmp_path, capsys):
         # this one used to build pendant_chain(4)
         [contact, {"block": {"id": "pendant_chain", "n": 4.5}, "rule": "A1"}],
         [contact, {"block": {"id": "chain2"}, "rule": "A1", "identify": {"a1": 2.0}}],
+        # no steps, a rule on the first step, and a later step without one
+        [],
+        [contact | {"rule": "C"}],
+        [contact, {"block": {"id": "chain2"}, "identify": {"c": 1}}],
     ]
     inf_form = {"support": [[1, 2]], "coeffs": {"1,2": float("inf")}}
     posets = [
@@ -658,6 +668,7 @@ def test_malformed_inputs_exit_code(tmp_path, capsys):
     fork4_forms = [
         {"support": [[1, 1], [1, 4], [2, 3], [2, 4]], "coeffs": {"1,3": "5"}},
         {"support": [[1, 2], [1, 2]]},
+        {"support": [[9, 9]]},  # a diagonal pair off the poset
     ]
     cases = [["analyze", write(tmp_path, f"poset{i}.json", p)] for i, p in enumerate(posets)]
     for i, form in enumerate(forms):
@@ -678,6 +689,9 @@ def test_malformed_inputs_exit_code(tmp_path, capsys):
         ["analyze", str(not_utf8)],
         ["export-dot", chain3, "--dot-out", str(tmp_path / "missing" / "out.dot")],
         ["analyze", chain3, "--json-out", str(tmp_path / "missing" / "out.json")],
+        # a glue target off the poset
+        ["glue", fork4, "--block", "pendant_chain", "--n", "4", "--rule", "A1",
+         "--identify", "a1=99"],
     ]
     for i, steps in enumerate(scripts):
         cases.append(["build", write(tmp_path, f"script{i}.json", {"steps": steps})])
@@ -690,6 +704,45 @@ def test_malformed_inputs_exit_code(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), (argv, err)
+
+
+def test_analyze_two_disjoint_chains_is_contact(tmp_path):
+    path = write(tmp_path, "two_chains.json", {"n": 4, "covers": [[1, 2], [3, 4]]})
+    out = tmp_path / "report.json"
+    assert main(["analyze", path, "--json-out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["index"]["value"] == 1
+    assert report["contact"]["verdict"] is True
+    criterion = report["contact"]["certificate"]["criterion"]
+    assert criterion == "disjoint sum of exactly two Frobenius components"
+
+
+def test_analyze_above_search_cap_notes_the_skip(tmp_path):
+    path = write(tmp_path, "chain9.json", Poset.chain(SEARCH_SIZE_CAP + 1).to_json())
+    out = tmp_path / "report.json"
+    assert main(["analyze", path, "--json-out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["note"] == f"form search skipped: poset has more than {SEARCH_SIZE_CAP} elements"
+    assert "frobenius_search" not in report and "contact" not in report
+
+
+def test_build_dot_out_writes_the_built_poset(tmp_path, capsys):
+    script = {
+        "steps": [
+            {"block": {"id": "contact_fork"}},
+            {"block": {"id": "six_a"}, "rule": "A1", "identify": {"a1": 5}},
+        ]
+    }
+    dot = tmp_path / "built.dot"
+    assert main(["build", write(tmp_path, "script.json", script), "--dot-out", str(dot)]) == 0
+    built = run_script(ConstructionScript.from_json(script)).poset
+    assert dot.read_text() == built.to_dot()
+    assert f"built poset with {built.n} elements" in capsys.readouterr().out
+
+
+def test_sweep_n6_prints_unreachable_count(capsys):
+    assert main(["sweep", "--max-n", "6"]) == 0
+    assert "unreachable by scripts: 22" in capsys.readouterr().out.splitlines()
 
 
 _MISSING = object()

@@ -536,6 +536,41 @@ def test_prefix_forms_satisfy_contact_conditions():
             assert rep.conditions[name], (poset.n, name, rep.failed())
 
 
+def test_reeb_vector_off_cartan_is_the_contact_blocks_scaled():
+    # R's off-Cartan matrix coordinates on a contact sequence are those of
+    # its first block B, relabelled into the built poset and multiplied by
+    # n / |B|; none of them lies on the built form's support
+    def off_cartan(poset, form):
+        reeb = is_contact_form(build_gA(poset), form).reeb
+        return {pq: c for pq, c in reeb.matrix_coords.items() if pq[0] != pq[1]}
+
+    entries = {}
+    for seed in range(300):
+        script = random_toral_script(
+            seed, 1 + seed % 7, allow_contact=True, rule_pool=CONTACT_RULES, max_dim=200
+        )
+        built = run_script(script)
+        first = script.steps[0].block()
+        to_built = built.audits[0].block_map
+        scale = Fraction(built.poset.n, first.poset.n)
+        got = off_cartan(built.poset, built.form)
+        assert got == {
+            (to_built[p], to_built[q]): c * scale
+            for (p, q), c in off_cartan(first.poset, first.form).items()
+        }, seed
+        assert not got.keys() & built.form.support, seed
+        entries.setdefault(first.id, set()).add(len(got))
+    assert entries == {
+        "contact_chain3": {1},
+        "contact_chain4": {1},
+        "contact_pendant_low": {1},
+        "contact_pendant_low_dual": {1},
+        "contact_fork": {2},
+        "contact_fork_dual": {2},
+        "contact_pendant_high": {2, 3},
+    }
+
+
 def test_reachable_glue_results_pass_the_validating_constructor():
     # glue trusts its union to be closed and p<q-labelled; check it here
     for poset in reachable_contact_posets(6).values():

@@ -286,9 +286,9 @@ def skew_matrices(max_n, entries):
     return st.integers(0, max_n).flatmap(lambda n: difference(n) | symplectic(n))
 
 
-def as_rows(matrix, sparse):
-    """The same matrix as dense lists or as dicts of its nonzeros."""
-    return [{j: x for j, x in enumerate(r) if x} for r in matrix] if sparse else matrix
+def _dict_rows(rows):
+    """Dense integer rows as the dicts of their nonzeros."""
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
 
 
 @settings(max_examples=200, deadline=None)
@@ -299,12 +299,11 @@ def test_rank_mod_p_matches_exact_rank_on_small_matrices(matrix):
     # bound), so no nonzero minor vanishes mod p and the mod-p rank is
     # already exact; an entry that is a multiple of p breaks the bound,
     # and a deficit mod p then takes the exact fallback.
-    n = len(matrix)
-    exact = int_rank(matrix, n)
-    for sparse in (False, True):
-        assert skew_rank(as_rows(matrix, sparse), n) == exact
+    n, rows = len(matrix), _dict_rows(matrix)
+    exact = int_rank(rows, n)
+    assert skew_rank(rows, n) == exact
     if all(abs(x) <= 3 for row in matrix for x in row):
-        assert rank_mod_p(as_rows(matrix, True), n) == exact
+        assert rank_mod_p(rows, n) == exact
 
 
 # zero is drawn by two of the four branches, so about half the entries are zero
@@ -312,34 +311,32 @@ _SPARSE_ENTRY = st.integers(-3, 3) | st.integers(-(1 << 70), 1 << 70) | st.just(
 
 
 @settings(max_examples=150, deadline=None)
-@given(skew_matrices(24, _SPARSE_ENTRY), st.sampled_from([2, 3, 7, _MODP]), st.booleans())
-def test_rank_mod_p_matches_dense_elimination(matrix, p, sparse):
+@given(skew_matrices(24, _SPARSE_ENTRY), st.sampled_from([2, 3, 7, _MODP]))
+def test_rank_mod_p_matches_dense_elimination(matrix, p):
     # small primes make entries cancel, which exercises the deletions
     n = len(matrix)
-    assert rank_mod_p(as_rows(matrix, sparse), n, p) == dense_rank_mod_p(matrix, n, p)
+    assert rank_mod_p(_dict_rows(matrix), n, p) == dense_rank_mod_p(matrix, n, p)
 
 
 def test_rank_mod_p_edge_shapes():
     assert rank_mod_p([], 0) == 0
-    assert rank_mod_p([[0, 0, 0]] * 3, 3) == 0
     assert rank_mod_p([{}, {}, {}], 3) == 0
-    assert rank_mod_p([[0, 1], [-1, 0]], 2) == 2
     assert rank_mod_p([{1: 1}, {0: -1}], 2) == 2
     # odd size: a skew matrix is never of full rank
-    assert rank_mod_p([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]], 3) == 2
+    assert rank_mod_p(_dict_rows([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]), 3) == 2
     # indices 0 and 3 stay isolated
     assert rank_mod_p([{}, {2: 5}, {1: -5}, {}], 4) == 2
     # only the entries above the diagonal are read
-    assert rank_mod_p([[7, 0], [1, 7]], 2) == 0
+    assert rank_mod_p([{0: 7}, {0: 1, 1: 7}], 2) == 0
     # a non-square matrix cannot be skew
     for rows, ncols in (([], 4), ([[], []], 0), ([[1, 2, 3, 4]], 4), ([[0, 1], [-1, 0], [1, 1]], 2)):
         with pytest.raises(ShapeError):
-            rank_mod_p(rows, ncols)
+            rank_mod_p(_dict_rows(rows), ncols)
 
 
 def _skew(n, entries):
-    """n x n skew rows from ``{(i, j): x}`` above the diagonal."""
-    rows = [[0] * n for _ in range(n)]
+    """n x n skew dict rows from ``{(i, j): x}`` above the diagonal."""
+    rows = [{} for _ in range(n)]
     for (i, j), x in entries.items():
         rows[i][j], rows[j][i] = x, -x
     return rows
@@ -350,9 +347,8 @@ def test_rank_mod_p_pivot_order_against_int_rank():
     # neighbour, and drops the indices each 2 x 2 pivot leaves isolated
     cases = [
         [],
-        [[0]],
         [{}],
-        [[0] * 4 for _ in range(4)],
+        [{} for _ in range(4)],
         # all-zero rows among live ones
         _skew(5, {(1, 3): 2, (3, 4): -1}),
         # a star: the first pivot is a leaf and the centre, which leaves the
@@ -382,9 +378,7 @@ def test_rank_mod_p_pivot_order_against_int_rank():
         n = len(rows)
         exact = int_rank(rows, n)
         assert rank_mod_p(rows, n) == exact, rows
-        if rows and isinstance(rows[0], list):
-            assert rank_mod_p(as_rows(rows, True), n) == exact, rows
-    assert [rank_mod_p(c, len(c)) for c in cases[:10]] == [0, 0, 0, 0, 2, 2, 2, 4, 6, 8]
+    assert [rank_mod_p(c, len(c)) for c in cases[:9]] == [0, 0, 0, 2, 2, 2, 4, 6, 8]
 
 
 @settings(max_examples=100, deadline=None)
@@ -393,17 +387,17 @@ def test_rank_mod_p_multiples_of_p_are_zero(small, multiples):
     p = _MODP
     # a lower bound only: [[0, p], [-p, 0]] has rank 2 over Q; its minors
     # reach p, so skew_rank takes the exact fallback
-    assert int_rank([[0, p], [-p, 0]], 2) == 2 and rank_mod_p([[0, p], [-p, 0]], 2) == 0
-    assert skew_rank([{1: p}, {0: -p}], 2) == skew_rank([[0, p], [-p, 0]], 2) == 2
-    assert rank_mod_p([[0, p, 1], [-p, 0, 2 * p], [-1, -2 * p, 0]], 3) == 2
-    assert rank_mod_p([[0, 7], [-7, 0]], 2, p=7) == 0
+    assert int_rank([{1: p}, {0: -p}], 2) == 2 and rank_mod_p([{1: p}, {0: -p}], 2) == 0
+    assert skew_rank([{1: p}, {0: -p}], 2) == 2
+    assert rank_mod_p(_dict_rows([[0, p, 1], [-p, 0, 2 * p], [-1, -2 * p, 0]]), 3) == 2
+    assert rank_mod_p([{1: 7}, {0: -7}], 2, p=7) == 0
     # adding q times a skew matrix changes nothing mod q
     n = min(len(small), len(multiples))
     square = [r[:n] for r in small[:n]]
     for q in (7, p):
         shifted = [[square[i][j] + q * multiples[i][j] for j in range(n)] for i in range(n)]
-        assert rank_mod_p(shifted, n, q) == dense_rank_mod_p(square, n, q)
-    assert rank_mod_p(shifted, n) == int_rank(square, n)
+        assert rank_mod_p(_dict_rows(shifted), n, q) == dense_rank_mod_p(square, n, q)
+    assert rank_mod_p(_dict_rows(shifted), n) == int_rank(_dict_rows(square), n)
 
 
 def dense_int_echelon(rows, ncols, augmented_from=None):
@@ -498,16 +492,12 @@ def bareiss_cases(draw):
     return [[sum(a * b[j] for a, b in zip(m, base)) for j in range(ncols)] for m in mix], ncols
 
 
-def _dict_rows(rows):
-    return [{j: x for j, x in enumerate(r) if x} for r in rows]
-
-
 @settings(max_examples=400, deadline=None)
 @given(bareiss_cases(), st.data())
 def test_sparse_bareiss_is_pivot_identical_to_dense(case, data):
     rows, ncols = case
     aug = data.draw(st.none() | st.integers(0, ncols))
-    ech, pivots, sign = _int_echelon(_dict_rows(rows), ncols, augmented_from=aug)
+    ech, pivots, sign = _int_echelon(_dict_rows(rows), ncols if aug is None else aug)
     dense = [[row.get(j, 0) for j in range(ncols)] for row in ech]
     assert (dense, pivots, sign) == dense_int_echelon(rows, ncols, augmented_from=aug)
     assert all(x for row in ech for x in row.values())
@@ -518,11 +508,11 @@ def _over(xs, d):
 
 
 @settings(max_examples=300, deadline=None)
-@given(bareiss_cases(), st.booleans())
-def test_sparse_kernel_and_solve_match_dense_bit_for_bit(case, as_dicts):
+@given(bareiss_cases())
+def test_sparse_kernel_and_solve_match_dense_bit_for_bit(case):
     # repr tells Fraction(0) from a float 0.0 or -0.0: exact zeros throughout
     rows, ncols = case
-    given_rows = _dict_rows(rows) if as_dicts else rows
+    given_rows = _dict_rows(rows)
     gens, d = int_null_space(given_rows, ncols)
     assert repr([_over(g, d) for g in gens]) == repr(dense_kernel_basis(rows, ncols))
     if ncols:
@@ -534,8 +524,8 @@ def test_sparse_kernel_and_solve_match_dense_bit_for_bit(case, as_dicts):
         a = [r[:-1] for r in rows]
         assert repr([_over(g, d_a) for g in gens_a]) == repr(dense_kernel_basis(a, ncols - 1))
     # a nonzero right-hand side: x = (5, 0), and the kernel of [1 1] is (-1, 1)
-    assert int_solve_scaled([[1, 1, 5]], 2) == ([5, 0], [[-1, 1]], 1)
-    assert int_solve_scaled([{0: 1, 1: 1, 2: 5}], 2)[1:] == int_null_space([[1, 1]], 2)
+    assert int_solve_scaled([{0: 1, 1: 1, 2: 5}], 2) == ([5, 0], [[-1, 1]], 1)
+    assert int_solve_scaled([{0: 1, 1: 1, 2: 5}], 2)[1:] == int_null_space([{0: 1, 1: 1}], 2)
     # an empty back-substitution sum is an exact zero, not the float 0 / pivot
     assert repr(kernel_basis(RatMatrix([[1, 0]]))) == "[[Fraction(0, 1), Fraction(1, 1)]]"
 
@@ -546,7 +536,7 @@ def test_integer_front_ends_are_the_fraction_wrappers_without_floats(case):
     # int_null_space and int_solve_scaled give X over the last pivot D, of
     # either sign; kernel_basis and solve divide by D, exactly
     rows, ncols = case
-    gens, d = int_null_space(rows, ncols)
+    gens, d = int_null_space(_dict_rows(rows), ncols)
     assert d != 0 and all(type(x) is int for g in gens for x in g)
     if not rows:
         return
@@ -554,9 +544,9 @@ def test_integer_front_ends_are_the_fraction_wrappers_without_floats(case):
     assert basis == [_over(g, d) for g in gens]
     assert repr(basis) == repr(dense_kernel_basis(rows, ncols))
     if ncols:
-        x, gens_a, d_a = int_solve_scaled(rows, ncols - 1)
+        x, gens_a, d_a = int_solve_scaled(_dict_rows(rows), ncols - 1)
         fraction_x = solve(RatMatrix([r[:-1] for r in rows]), [r[-1] for r in rows])
-        assert (gens_a, d_a) == int_null_space([r[:-1] for r in rows], ncols - 1)
+        assert (gens_a, d_a) == int_null_space(_dict_rows(r[:-1] for r in rows), ncols - 1)
         assert (x is None) == (fraction_x is None)
         assert x is None or fraction_x == _over(x, d_a)
         assert repr(fraction_x) == repr(dense_solve(rows, ncols - 1)[0])

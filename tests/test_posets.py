@@ -299,6 +299,7 @@ def test_isomorphism_witness_is_order_preserving():
         assert {(f[a], f[b]) for a, b in p.relations} == q.relations
     # both are 2-regular on 12 elements, so refinement alone cannot tell them apart
     assert crown(6).isomorphism_to(crown(3).disjoint_sum(crown(3))) is None
+    assert Poset.chain(3).isomorphism_to(Poset.chain(4)) is None
 
 
 def test_fork_and_dual_fork_not_isomorphic():
