@@ -16,16 +16,12 @@ from .forms import (
     ContactResult,
     FormError,
     KernelReport,
-    NotFrobeniusError,
     OneForm,
     index,
-    is_binary_spectrum,
     is_contact_form,
     is_contact_form_volume,
     is_small,
     kernel,
-    principal_element,
-    spectrum,
     udo_partition,
 )
 from .linalg import ShapeError

@@ -138,7 +138,7 @@ def analyze(poset, form=None, seed=0, trials=INDEX_TRIALS):
             },
         }
         if toral.conditions["frobenius"]:
-            report["spectrum"] = [str(c) for c in ad_char_poly(gA, toral.principal)]
+            report["spectrum"] = [str(c) for c in ad_char_poly(gA, *toral.scaled_principal)]
         report["toral_pair_check"] = toral.to_json()
         report["contact_pair_check"] = contact.to_json()
     elif poset.n > SEARCH_SIZE_CAP:
@@ -256,9 +256,9 @@ def cmd_build(args):
                 "reeb": res.reeb_json(),
             }
             print(f"contact: {res.is_contact} ({res.reason})")
-            if res.reeb is not None:
+            if res.is_contact:
                 print(f"reeb: {out['contact']['reeb']}")
-            if not res.is_contact:
+            else:
                 exit_code = 1
     print(f"built poset with {result.poset.n} elements")
     if result.form:

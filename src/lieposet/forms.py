@@ -9,10 +9,12 @@ one lcm of a form's denominators, and ``_dphi_rows`` carries λ to the Reeb vect
 ``phi_on_basis`` and ``dphi_matrix`` are the Fraction views.
 
 Verdicts decide on integer vectors X over one scale D, as the elimination gives
-them: ``KernelReport`` keeps them, and ``principal_or_kernel`` gives x̂ as (X, D).
-Reports read (X, D) through two rules, ``PosetLieAlgebra.to_matrix_coords`` for
-coordinates and ``LieAlgebra.element`` for elements, each making one Fraction per
-nonzero entry: kernel coordinates and JSON, the Reeb vector (X·λ over S) and x̂.
+them: ``KernelReport`` keeps them, and ``principal_or_kernel``, the one Frobenius
+entry point, gives x̂ as (X, D), whose spectrum ``is_binary_weights`` and
+``ad_char_poly`` read off one weight rule. Reports read (X, D) through two rules,
+``PosetLieAlgebra.to_matrix_coords`` for coordinates and ``LieAlgebra.element``
+for elements, each making one Fraction per nonzero entry: kernel coordinates and
+JSON, and the Reeb vector (X·λ over S).
 ``KernelReport.vectors``, the Fraction view, feeds no report; ``kernel`` presets
 it with legacy floats that only the sweep's witness loop reads. A form holds its
 integral coefficients as ints.
@@ -37,10 +39,6 @@ INDEX_TRIALS = 2
 
 class FormError(ValueError):
     """Invalid one-form input."""
-
-
-class NotFrobeniusError(ValueError):
-    """A principal element was requested for a non-Frobenius form."""
 
 
 def _exact(c):
@@ -417,19 +415,6 @@ def _bordered_full_rank(dphi):
     return linalg.skew_rank(bordered, n + 1) == n + 1
 
 
-def _principal(algebra, form_or_values):
-    """x̂ as ``(X, D)``; ``NotFrobeniusError`` when dφ is singular."""
-    x_hat, report = principal_or_kernel(algebra, form_or_values)
-    if report is not None:
-        raise NotFrobeniusError("dφ is singular; the form is not Frobenius")
-    return x_hat
-
-
-def principal_element(algebra, form_or_values):
-    """The unique x with φ([x, y]) = φ(y) for all y (Frobenius forms only)."""
-    return algebra.element(*_principal(algebra, form_or_values))
-
-
 def principal_or_kernel(algebra, form_or_values):
     """``((X, D), None)`` for a Frobenius form, x̂ = X / D, else ``(None, kernel report)``.
 
@@ -466,8 +451,20 @@ def _strict_weights(algebra, vec):
     return [k[p - 1] - k[q - 1] for p, q in algebra.strict_pairs]
 
 
-def ad_weights(algebra, elem):
-    """Eigenvalues of ad(x) with multiplicity, read off the poset.
+def is_binary_weights(algebra, x, d):
+    """ad(X / D) on g_A has eigenvalues 0 and 1, each dim/2 times; false for odd dim.
+
+    ``ad_char_poly``'s weights, in integers: 0 on each diagonal basis vector
+    and (K_p - K_q) / D on each e_pq, K the diagonal of X."""
+    if getattr(algebra, "kind", None) != "gA":
+        raise ShapeError("binary spectra are read on g_A only")
+    dim, w = algebra.dim, _strict_weights(algebra, x)
+    return dim % 2 == 0 and dim - len(w) + w.count(0) == w.count(d) == dim // 2
+
+
+def ad_char_poly(algebra, x, d):
+    """Characteristic polynomial of ad(X / D), as descending coefficients: the
+    product of (λ - w / D) over the integer weights, tested against ``char_poly``.
 
     Every strict bracket [e_rs, e_pq] lands on a pair of larger span
     q - p, so for any x, diagonal or not, ad(x) is triangular in a basis
@@ -478,38 +475,11 @@ def ad_weights(algebra, elem):
     """
     if not isinstance(algebra, PosetLieAlgebra):
         raise ShapeError("spectra exist only for poset algebras")
-    weights = _strict_weights(algebra, elem.vec)
-    return [Fraction(0)] * (algebra.dim - len(weights)) + weights
-
-
-def is_binary_weights(algebra, x, d):
-    """ad(X / D) on g_A has eigenvalues 0 and 1, each dim/2 times; false for odd dim.
-
-    ``ad_weights`` in integers: 0 on each diagonal basis vector and
-    (K_p - K_q) / D on each e_pq, K the diagonal of X."""
-    if getattr(algebra, "kind", None) != "gA":
-        raise ShapeError("binary spectra are read on g_A only")
-    dim, w = algebra.dim, _strict_weights(algebra, x)
-    return dim % 2 == 0 and dim - len(w) + w.count(0) == w.count(d) == dim // 2
-
-
-def is_binary_spectrum(algebra, form_or_values):
-    """``is_binary_weights`` of x̂; false for odd d, where x̂ does not exist."""
-    return algebra.dim % 2 == 0 and is_binary_weights(algebra, *_principal(algebra, form_or_values))
-
-
-def ad_char_poly(algebra, elem):
-    """Characteristic polynomial of ad(x), as descending coefficients: the
-    product of (λ - w) over ``ad_weights``, tested against ``char_poly``."""
-    coeffs = [Fraction(1)]
-    for w in ad_weights(algebra, elem):
+    coeffs = [Fraction(1)] + [Fraction(0)] * (algebra.dim - len(algebra.strict_pairs))
+    for w in _strict_weights(algebra, x):
+        w = Fraction(w, d)
         coeffs = [a - w * b for a, b in zip(coeffs + [0], [0] + coeffs)]
     return coeffs
-
-
-def spectrum(algebra, form_or_values):
-    """Characteristic polynomial of ad(x̂), as descending coefficients."""
-    return ad_char_poly(algebra, principal_element(algebra, form_or_values))
 
 
 def udo_partition(poset, form):

@@ -374,7 +374,7 @@ def char_poly(m):
     """Monic characteristic polynomial det(xI - M), by Faddeev-LeVerrier.
 
     Returned as descending coefficients ``[1, c_1, ..., c_n]`` of length
-    side + 1. The reference oracle for ``forms.spectrum``, which reads
+    side + 1. The reference oracle for ``forms.ad_char_poly``, which reads
     the eigenvalues of ad off the poset instead.
     """
     if m.nrows != m.ncols:

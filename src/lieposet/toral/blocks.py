@@ -388,15 +388,8 @@ class PairReport:
     kind: str
     conditions: dict
     details: dict = field(default_factory=dict)
-    scaled_principal: tuple | None = field(default=None, repr=False, compare=False)  # (g_A, X, D)
+    scaled_principal: tuple | None = field(default=None, repr=False, compare=False)  # x̂ as (X, D)
     contact_input: tuple | None = field(default=None, repr=False, compare=False)  # (g_A, dφ)
-
-    @cached_property
-    def principal(self):
-        """x̂ = X / D in g_A, built on first read; None unless Frobenius. Not in JSON."""
-        if self.scaled_principal:
-            gA, x, d = self.scaled_principal
-            return gA.element(x, d)
 
     @cached_property
     def contact_result(self):
@@ -450,7 +443,7 @@ def verify_toral_pair(poset, form):
     """Itemized check of the Frobenius building-block conditions on g_A, through
     ``principal_or_kernel``: x̂ in the Cartan, certified by a thin solve and a
     full rank of dφ, or else one exact elimination of [dφ | φ]. It gives x̂ in
-    integers (``principal`` builds it for the spectra) or the trace-zero kernel;
+    integers, kept as ``scaled_principal``, or the trace-zero kernel;
     the kernel on g is read off it as I followed by each trace-zero generator
     lifted into g, and g is not built."""
     (count, small, updown, edges), partition = _pair_shape(poset, form)
@@ -480,7 +473,7 @@ def verify_toral_pair(poset, form):
     conditions["frobenius"] = x_hat is not None
     details["kernel_trace_zero"] = ker_a or KernelReport("gA", [])
     conditions["p2_binary_spectrum"] = x_hat is not None and is_binary_weights(gA, *x_hat)
-    return PairReport("toral", conditions, details, x_hat and (gA, *x_hat))
+    return PairReport("toral", conditions, details, x_hat)
 
 
 def verify_contact_toral_pair(poset, form):

@@ -1,6 +1,7 @@
 import functools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -161,6 +162,53 @@ def test_toral_parametric_families_verify(fam_id, ns):
     for n in ns:
         rep = verify_block(block(fam_id, n))
         assert rep.all_pass, (fam_id, n, rep.failed())
+
+
+def _past_range(fam, n):
+    """A parametric family's poset and form at any n: ``block`` keeps ``n_range``,
+    the family's own build does not."""
+    poset, support = fam.build(n)
+    return poset, OneForm.from_support(poset, support)
+
+
+def test_parametric_families_verify_past_their_catalog_range():
+    # the paper's families are chains of any length; up to 65 elements here
+    checked = 0
+    for fam in catalog():
+        if not fam.parametric:
+            continue
+        verify = verify_toral_pair if fam.kind == "toral" else verify_contact_toral_pair
+        for n in (8, 16, 32) if fam.id.startswith("diamond_stack") else (16, 32, 64):
+            assert n > fam.n_range[1]
+            rep = verify(*_past_range(fam, n))
+            assert rep.all_pass, (fam.id, n, rep.failed())
+            checked += 1
+    assert checked == 24
+
+
+def test_contact_pendant_kernels_match_closed_form_past_criterion_4():
+    # criterion 4 checks the closed-form generators at n = 5..14 only
+    from test_acceptance import (
+        _dual_transport,
+        _pendant_high_generator,
+        _pendant_low_generator,
+        proportional,
+    )
+
+    families = {fam.id: fam for fam in catalog()}
+    for n in [*range(15, 33), 48, 64]:
+        for fam_id, expected in (
+            ("contact_pendant_high", _pendant_high_generator(n)),
+            ("contact_pendant_high_dual", _dual_transport(_pendant_high_generator(n), n)),
+            ("contact_pendant_low", _pendant_low_generator(n)),
+            ("contact_pendant_low_dual", _dual_transport(_pendant_low_generator(n), n)),
+        ):
+            poset, form = _past_range(families[fam_id], n)
+            rep = kernel(build_gA(poset), form)
+            assert rep.dimension == 1, (fam_id, n)
+            coords = rep.generator_coords()
+            assert proportional(coords, expected), (fam_id, n)
+            assert form.evaluate_coords(coords) != 0, (fam_id, n)
 
 
 @pytest.mark.parametrize(
@@ -405,23 +453,25 @@ def test_contact_form_search_samples_nothing(monkeypatch):
 
 
 def _pair_report_matches_separate_calls(poset, form):
-    """The folded toral pair report against the three separate calls."""
+    """The folded toral pair report against kernel and the spectrum of x̂."""
     gA = build_gA(poset)
     rep = verify_toral_pair(poset, form)
     assert repr(rep.details["kernel_trace_zero"]) == repr(kernel(gA, form))
-    try:
-        binary = forms.is_binary_spectrum(gA, form)
-        expected = [str(c) for c in forms.spectrum(gA, form)]
-    except forms.NotFrobeniusError:
-        binary, expected = False, None
+    x_hat, _ = forms.principal_or_kernel(gA, form)
+    binary, expected = False, None
+    if x_hat is not None:
+        poly = forms.ad_char_poly(gA, *x_hat)
+        half = gA.dim // 2
+        binary = poly == [Fraction(comb(half, k) * (-1) ** k) for k in range(half + 1)] + [0] * half
+        expected = [str(c) for c in poly]
     assert rep.conditions["p2_binary_spectrum"] == binary
     assert analyze(poset, form).get("spectrum") == expected
     return rep.conditions["frobenius"]
 
 
 def test_folded_pair_report_matches_kernel_and_spectrum():
-    # one principal_or_kernel stands in for kernel, is_binary_spectrum and
-    # spectrum on every toral catalog block and on seeded random forms
+    # one principal_or_kernel stands in for kernel, the binary-spectrum check and
+    # the spectrum on every toral catalog block and on seeded random forms
     for blk in catalog_blocks():
         if blk.kind == "toral":
             assert _pair_report_matches_separate_calls(blk.poset, blk.form), (blk.id, blk.n)

@@ -10,23 +10,19 @@ from lieposet.forms import (
     INDEX_TRIALS,
     FormError,
     KernelReport,
-    NotFrobeniusError,
     OneForm,
-    ad_weights,
+    ad_char_poly,
     dphi_matrix,
     functional_on_basis,
     index,
     index_failure_bound,
-    is_binary_spectrum,
     is_binary_weights,
     is_contact_form,
     is_contact_form_volume,
     is_small,
     kernel,
     phi_on_basis,
-    principal_element,
     principal_or_kernel,
-    spectrum,
     udo_partition,
     _contact_result,
     _dphi_rows,
@@ -300,8 +296,8 @@ def test_dphi_rows_scaling_keeps_exact_answers():
         m = dphi_matrix(gA, _reference_phi(gA, form))
         assert kernel(gA, form).vectors == linalg.kernel_basis(m)
         if gA.dim % 2 == 0:
-            x_hat = principal_element(gA, form)
-            assert list(x_hat.vec) == linalg.solve(m, phi_on_basis(gA, form))
+            x_hat, _ = principal_or_kernel(gA, form)
+            assert _over(*x_hat) == linalg.solve(m, phi_on_basis(gA, form))
         else:
             values = phi_on_basis(gA, form)
             bordered = [[0] + values] + [[-v] + row for v, row in zip(values, m.rows)]
@@ -452,39 +448,49 @@ def test_every_rank_mod_p_input_is_square_and_skew(monkeypatch):
     assert all(counts.values()), counts
 
 
+def _principal(gA, form):
+    """x̂ as (X, D) for a form that must be Frobenius."""
+    x_hat, report = principal_or_kernel(gA, form)
+    assert report is None
+    return x_hat
+
+
 def test_principal_element_chain2():
     gA = build_gA(CHAIN2)
     phi = OneForm.from_support(CHAIN2, [(1, 2)])
-    x_hat = principal_element(gA, phi)
-    assert x_hat.matrix_coords == {(1, 1): Fraction(1, 2), (2, 2): Fraction(-1, 2)}
-    assert char_poly(ad_matrix(gA, x_hat)) == [1, -1, 0]  # λ² - λ
-    assert is_binary_spectrum(gA, phi)
+    x_hat = _principal(gA, phi)
+    assert gA.element(*x_hat).matrix_coords == {(1, 1): Fraction(1, 2), (2, 2): Fraction(-1, 2)}
+    assert char_poly(ad_matrix(gA, _over(*x_hat))) == [1, -1, 0]  # λ² - λ
+    assert ad_char_poly(gA, *x_hat) == [1, -1, 0]
+    assert is_binary_weights(gA, *x_hat)
 
 
 def test_principal_element_not_frobenius():
     gA = build_gA(CHAIN4)
-    with pytest.raises(NotFrobeniusError):
-        principal_element(gA, PHI_CHAIN4)  # contact, kernel dim 1
+    x_hat, report = principal_or_kernel(gA, PHI_CHAIN4)  # contact, kernel dim 1
+    assert x_hat is None and report.dimension == 1
 
 
 def test_principal_element_defining_property():
     gA = build_gA(SIX_A)
-    x_hat = principal_element(gA, PHI_SIX_A)
+    x_hat = gA.element(*_principal(gA, PHI_SIX_A))
     for j in range(gA.dim):
         b = gA.basis_element(j)
         assert PHI_SIX_A.evaluate(x_hat.bracket(b)) == PHI_SIX_A.evaluate(b)
 
 
 def test_binary_spectrum_six_a():
-    assert is_binary_spectrum(build_gA(SIX_A), PHI_SIX_A)
+    gA = build_gA(SIX_A)
+    assert is_binary_weights(gA, *_principal(gA, PHI_SIX_A))
 
 
 def test_binary_spectrum_odd_dimension_false():
-    gA = build_gA(CHAIN2)
-    # dim 2 is even; use a custom odd-dim Frobenius-free criterion instead:
+    # odd dim: no x̂ exists, and no element of g_A has a binary spectrum
     g_odd = build_gA(CHAIN3)
     phi = OneForm.from_support(CHAIN3, [(1, 3), (2, 3)])
-    assert not is_binary_spectrum(g_odd, phi)
+    x_hat, report = principal_or_kernel(g_odd, phi)
+    assert x_hat is None and report.dimension % 2 == 1
+    assert not is_binary_weights(g_odd, [1] + [0] * (g_odd.dim - 1), 1)
 
 
 def test_spectrum_invariance_across_frobenius_forms():
@@ -493,7 +499,7 @@ def test_spectrum_invariance_across_frobenius_forms():
     from itertools import combinations
 
     pairs = sorted(SIX_A.relations)
-    reference = spectrum(gA, PHI_SIX_A)
+    reference = ad_char_poly(gA, *_principal(gA, PHI_SIX_A))
     alternates = 0
     for support in combinations(pairs, SIX_A.n - 1):
         if set(support) == PHI_SIX_A.strict_support:
@@ -503,7 +509,7 @@ def test_spectrum_invariance_across_frobenius_forms():
             continue
         if kernel(gA, phi).dimension != 0:
             continue
-        assert spectrum(gA, phi) == reference
+        assert ad_char_poly(gA, *_principal(gA, phi)) == reference
         alternates += 1
         if alternates >= 3:
             break
@@ -521,7 +527,7 @@ def _poly_from_roots(roots):
     return coeffs
 
 
-def test_ad_weights_match_faddeev_for_non_diagonal_elements():
+def test_ad_char_poly_matches_faddeev_for_non_diagonal_elements():
     rng = random.Random(17)
     checked = 0
     for poset in enumerate_posets(5, connected_only=False):
@@ -531,9 +537,10 @@ def test_ad_weights_match_faddeev_for_non_diagonal_elements():
                 vec = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(alg.dim)]
                 if strict:
                     vec[rng.choice(strict)] = Fraction(rng.randint(1, 6), rng.randint(1, 4))
-                x = alg.element(vec)
-                expected = char_poly(ad_matrix(alg, x))
-                assert _poly_from_roots(ad_weights(alg, x)) == expected, (poset.covers, alg.kind)
+                expected = char_poly(ad_matrix(alg, vec))
+                d = lcm(*(v.denominator for v in vec))
+                x = [int(v * d) for v in vec]
+                assert ad_char_poly(alg, x, d) == expected, (poset.covers, alg.kind)
                 checked += 1
     assert checked == 2 * 2 * 87
 
@@ -547,22 +554,24 @@ def test_spectrum_matches_faddeev_on_searched_frobenius_forms():
         if form is None:
             continue
         gA = build_gA(poset)
-        reference = char_poly(ad_matrix(gA, principal_element(gA, form)))
+        x_hat = _principal(gA, form)
+        reference = char_poly(ad_matrix(gA, _over(*x_hat)))
         half = gA.dim // 2
         binary = reference == _poly_from_roots([0] * half + [1] * half)
-        assert spectrum(gA, form) == reference, poset.covers
-        assert is_binary_spectrum(gA, form) == binary, poset.covers
+        assert ad_char_poly(gA, *x_hat) == reference, poset.covers
+        assert is_binary_weights(gA, *x_hat) == binary, poset.covers
         forms += 1
     assert forms == 71
 
 
 def test_spectrum_of_custom_algebra_is_shape_error():
     alg = build_custom(2, {(1, 2): {2: 1}})  # [e1, e2] = e2, Frobenius for e2*
-    assert principal_element(alg, [0, 1]).vec == (1, 0)
+    x_hat = _principal(alg, [0, 1])
+    assert _over(*x_hat) == [1, 0]
     with pytest.raises(ShapeError):
-        is_binary_spectrum(alg, [0, 1])
+        is_binary_weights(alg, *x_hat)
     with pytest.raises(ShapeError):
-        spectrum(alg, [0, 1])
+        ad_char_poly(alg, *x_hat)
 
 
 def _over(x, d):
@@ -577,7 +586,6 @@ def test_principal_or_kernel_routes_each_form():
     # x̂ comes back as integers X over the pivot D
     x_hat, report = principal_or_kernel(alg, [0, p])
     assert _over(*x_hat) == [1, 0] and report is None
-    assert principal_element(alg, [0, p]).vec == (1, 0)
     x_hat, report = principal_or_kernel(alg, [0, 1])
     assert _over(*x_hat) == [1, 0] and report is None
     x_hat, report = principal_or_kernel(alg, [1, 0])  # dφ = 0
@@ -813,8 +821,8 @@ def test_rational_form_carries_its_lambda_to_rows_and_reeb():
     }
 
 
-def test_binary_weights_in_integers_match_ad_weights():
-    # the integer rule against the Fraction ad_weights, on x̂ = X / D of every
+def test_binary_weights_in_integers_match_ad_char_poly():
+    # the integer rule against the Fraction ad_char_poly, on x̂ = X / D of every
     # small Frobenius form at n <= 6 and of a seeded random form on each poset
     from lieposet.toral.blocks import derive_small_frobenius_form
 
@@ -833,9 +841,9 @@ def test_binary_weights_in_integers_match_ad_weights():
             x, d = x_hat
             # x̂ itself, then two elements that are not x̂: 2·x̂ and a random one
             drawn = [rng.randint(-2, 2) * d for _ in x]
+            half = gA.dim // 2
             for vec in (x, [2 * v for v in x], drawn):
-                w = ad_weights(gA, gA.element([Fraction(v, d) for v in vec]))
-                binary = w.count(0) == w.count(1) == gA.dim // 2
+                binary = ad_char_poly(gA, vec, d) == _poly_from_roots([0] * half + [1] * half)
                 assert is_binary_weights(gA, vec, d) == binary, poset.covers
                 assert is_binary_weights(gA, [-v for v in vec], -d) == binary
                 found[binary] += 1
