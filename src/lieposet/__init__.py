@@ -4,7 +4,6 @@ contact), the toral building-block catalog with gluing rules, and a CLI
 workbench."""
 
 from .algebras import (
-    AlgebraElement,
     JacobiError,
     LieAlgebra,
     PosetLieAlgebra,

@@ -3,20 +3,19 @@
 Two poset specializations: the incidence algebra under the commutator
 (basis E_pp and E_pq for p < q in the order) and its trace-zero part
 (diagonal differences E_ii - E_{i+1,i+1} plus the strict pairs).
-Elements of either carry a matrix-coordinate view k_{p,q}, whose
-diagonal only ``PosetLieAlgebra.diagonal`` reads off the basis; an
-integer vector X over a scale D becomes an element (``element``) or
-matrix coordinates (``to_matrix_coords``) by one rule each. Both are
-built as integer dφ terms and read their structure table off them; a
-custom algebra's given table compiles to terms instead.
+A vector of either is an integer X over a scale D, as elimination gives
+it; ``PosetLieAlgebra.to_matrix_coords`` reads X / D as matrix
+coordinates k_{p,q}, whose diagonal only ``PosetLieAlgebra.diagonal``
+reads off the basis. Both are built as integer dφ terms and read their
+structure table off them; a custom algebra's given table compiles to
+terms instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import lcm
 
 from .linalg import ShapeError
@@ -61,34 +60,6 @@ class LieAlgebra:
             return self.table.get((i, j), {})
         return {k: -c for k, c in self.table.get((j, i), {}).items()}
 
-    def bracket_vec(self, u, v):
-        out = {}
-        nz_u = [(i, c) for i, c in enumerate(u) if c]
-        nz_v = [(j, c) for j, c in enumerate(v) if c]
-        for i, cu in nz_u:
-            for j, cv in nz_v:
-                if i == j:
-                    continue
-                f = cu * cv
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k] = out.get(k, Fraction(0)) + f * c
-        vec = [Fraction(0)] * self.dim
-        for k, c in out.items():
-            vec[k] = c
-        return vec
-
-    def element(self, vec, d=1):
-        """The element vec / d: ints over a nonzero int d, or Fractions over 1."""
-        return AlgebraElement(self, tuple(Fraction(x, d) for x in vec))
-
-    def to_matrix_coords(self, vec, d=1):
-        raise ShapeError("matrix coordinates exist only for poset algebras")
-
-    def basis_element(self, i):
-        vec = [0] * self.dim
-        vec[i] = 1
-        return self.element(vec)
-
     def is_abelian(self):
         return not self.dphi_terms[1]
 
@@ -105,40 +76,6 @@ class LieAlgebra:
     def check_jacobi(self):
         """First basis triple i < j < k failing Jacobi, or None; exhaustive."""
         return next((t for t in combinations(range(self.dim), 3) if self.jacobi_defect(*t)), None)
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    algebra: LieAlgebra
-    vec: tuple
-
-    def __add__(self, other):
-        self._same(other)
-        return AlgebraElement(self.algebra, tuple(a + b for a, b in zip(self.vec, other.vec)))
-
-    def __rmul__(self, scalar):
-        c = Fraction(scalar)
-        return AlgebraElement(self.algebra, tuple(c * a for a in self.vec))
-
-    def is_zero(self):
-        return all(x == 0 for x in self.vec)
-
-    def _same(self, other):
-        if other.algebra is not self.algebra and other.algebra.labels != self.algebra.labels:
-            raise ShapeError("elements live in different algebras")
-
-    def bracket(self, other):
-        self._same(other)
-        return AlgebraElement(self.algebra, tuple(self.algebra.bracket_vec(self.vec, other.vec)))
-
-    @property
-    def matrix_coords(self):
-        return self.algebra.to_matrix_coords(self.vec)
-
-    def trace(self):
-        return sum(
-            (c for (p, q), c in self.matrix_coords.items() if p == q), Fraction(0)
-        )
 
 
 class PosetLieAlgebra(LieAlgebra):
@@ -171,27 +108,6 @@ class PosetLieAlgebra(LieAlgebra):
         coords = {(p, p): Fraction(k, d) for p, k in enumerate(self.diagonal(vec), 1) if k}
         strict = zip(self.strict_pairs, vec[self.dim - len(self.strict_pairs) :])
         return coords | {pq: Fraction(x, d) for pq, x in strict if x}
-
-    def from_matrix_coords(self, coords):
-        coords = {tuple(k): Fraction(v) for k, v in coords.items() if v}
-        for (p, q) in coords:
-            if p != q and (p, q) not in self.poset.relations:
-                raise ShapeError(f"pair ({p},{q}) is not a relation of the host poset")
-        diag = [coords.get((p, p), Fraction(0)) for p in self.poset.elements]
-        if self.kind == "gA":
-            *diag, trace = accumulate(diag)  # a_i = k_11 + ... + k_ii; a_n is the trace
-            if trace:
-                raise ShapeError("matrix coordinates have nonzero trace in the trace-zero algebra")
-        return diag + [coords.get(pq, Fraction(0)) for pq in self.strict_pairs]
-
-    def element_from_coords(self, coords):
-        return self.element(self.from_matrix_coords(coords))
-
-    def identity_element(self):
-        """The identity matrix as an element (full algebra only)."""
-        if self.kind != "g":
-            raise ShapeError("the identity matrix is not trace-zero")
-        return self.element_from_coords({(p, p): 1 for p in self.poset.elements})
 
 
 def _poset_algebra(poset, kind):

@@ -1,16 +1,18 @@
 """Fraction reference helpers that only the tests read: a matrix times a
-vector, skewness, a polynomial at a matrix, exact square roots, the
-restriction of an algebra element to a sub-poset's algebra, the ad
-matrix, kernel membership through ``dphi_matrix``, the structure
-table of a poset algebra built label by label, a script's built form
-composed one ``OneForm`` operation at a time, the covers of a closed
-relation set, and matrix coordinates of a kernel report built from its
-Fraction vectors X / D."""
+vector, skewness, a polynomial at a matrix, exact square roots, vectors as
+Fraction lists in the algebra basis (the bracket of two, a vector read
+off matrix coordinates, matrix coordinates restricted to a sub-poset's
+algebra, the ad matrix, kernel membership through ``dphi_matrix``), the
+structure table of a poset algebra built label by label, a script's
+built form composed one ``OneForm`` operation at a time, the covers of a
+closed relation set, and matrix coordinates of a kernel report built
+from its Fraction vectors X / D."""
 
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 
-from lieposet.algebras import AlgebraElement, LieAlgebra
+from lieposet.algebras import LieAlgebra
 from lieposet.forms import FormError, OneForm, dphi_matrix
 from lieposet.linalg import RatMatrix, ShapeError
 from lieposet.toral.gluing import RULES, ScriptError, glue
@@ -50,16 +52,42 @@ def integer_sqrt_exact(q):
     return None
 
 
-def restrict_element(elem, label_map, target_algebra):
-    """Restriction of an element to a sub-poset's full algebra g.
+def bracket(algebra, u, v):
+    """[u, v] as a Fraction list, summed over ``bracket_basis``."""
+    out = [Fraction(0)] * algebra.dim
+    for i, cu in enumerate(u):
+        for j, cv in enumerate(v):
+            if cu and cv:
+                for k, c in algebra.bracket_basis(i, j).items():
+                    out[k] += cu * cv * c
+    return out
+
+
+def vector_from_coords(algebra, coords):
+    """The Fraction vector of a poset algebra with these matrix coordinates; a pair
+    off the poset, or a nonzero trace on g_A, raises ``ShapeError``."""
+    coords = {tuple(k): Fraction(v) for k, v in coords.items() if v}
+    for p, q in coords:
+        if p != q and (p, q) not in algebra.poset.relations:
+            raise ShapeError(f"pair ({p},{q}) is not a relation of the host poset")
+    diag = [coords.get((p, p), Fraction(0)) for p in algebra.poset.elements]
+    if algebra.kind == "gA":
+        *diag, trace = accumulate(diag)  # a_i = k_11 + ... + k_ii; a_n is the trace
+        if trace:
+            raise ShapeError("matrix coordinates have nonzero trace in the trace-zero algebra")
+    return diag + [coords.get(pq, Fraction(0)) for pq in algebra.strict_pairs]
+
+
+def restrict_element(coords, label_map, target_algebra):
+    """Restriction of matrix coordinates to a sub-poset's full algebra g, as a vector.
 
     ``label_map`` sends the target poset's labels to the host labels;
     matrix coordinates at pairs inside the image are kept.
     """
     inv = {v: k for k, v in label_map.items()}
-    out = {(inv[p], inv[q]): c for (p, q), c in elem.matrix_coords.items() if p in inv and q in inv}
+    out = {(inv[p], inv[q]): c for (p, q), c in coords.items() if p in inv and q in inv}
     if target_algebra.kind == "g":
-        return target_algebra.element_from_coords(out)
+        return vector_from_coords(target_algebra, out)
     raise ShapeError("restriction targets the full incidence algebra")
 
 
@@ -69,22 +97,20 @@ def unit(dim, j):
     return vec
 
 
-def ad_matrix(algebra, elem):
+def ad_matrix(algebra, vec):
     """Matrix of [a, -]; column j holds the coordinates of [a, b_j]."""
-    vec = elem.vec if isinstance(elem, AlgebraElement) else elem
     m = RatMatrix.zeros(algebra.dim, algebra.dim)
     for j in range(algebra.dim):
-        col = algebra.bracket_vec(vec, unit(algebra.dim, j))
+        col = bracket(algebra, vec, unit(algebra.dim, j))
         for k, c in enumerate(col):
             if c:
                 m.rows[k][j] = c
     return m
 
 
-def in_kernel(algebra, form_or_values, elem):
+def in_kernel(algebra, form_or_values, vec):
     """Membership test: dφ x = 0, read off the Fraction reference ``dphi_matrix``
     rather than ``_dphi_rows``, so tests check kernels against another assembly."""
-    vec = elem.vec if isinstance(elem, AlgebraElement) else elem
     rows = dphi_matrix(algebra, form_or_values).rows
     return not any(sum(c * x for c, x in zip(row, vec) if x) for row in rows)
 

@@ -27,7 +27,7 @@ from lieposet.toral import (
 from lieposet.sweep import enumerate_posets
 from lieposet.toral import blocks
 from lieposet.toral.blocks import search_contact_form, verify_block
-from oracles import in_kernel
+from oracles import in_kernel, vector_from_coords
 
 
 def test_catalog_listing():
@@ -253,7 +253,7 @@ def test_six_block_kernel_conditions():
         assert all(p == q for p, q in coords)
         diag = [coords[(p, p)] for p in b.poset.elements]
         assert all(v == diag[0] for v in diag)
-        assert in_kernel(g, b.form, g.identity_element())
+        assert in_kernel(g, b.form, vector_from_coords(g, {(p, p): 1 for p in b.poset.elements}))
 
 
 def test_contact_kernel_generators_have_diagonal_head():
@@ -582,13 +582,11 @@ def test_kernel_full_read_off_g_A_matches_g_elimination():
         full = rep.details["kernel_full"]
         g = build_g(poset)
         dim = kernel(g, form).dimension
-        assert full.dimension == len(full.vectors) == dim, (poset.covers, form)
-        assert all(in_kernel(g, form, v) for v in full.vectors)
-        assert full.coords == [g.to_matrix_coords(v) for v in full.vectors]
-        rows = [
-            {j: x for j, x in enumerate(clear_denominators([Fraction(x) for x in v])[1]) if x}
-            for v in full.vectors
-        ]
+        vectors = [[Fraction(x, full.scale) for x in v] for v in full.generators]
+        assert full.dimension == len(vectors) == dim, (poset.covers, form)
+        assert all(in_kernel(g, form, v) for v in vectors)
+        assert full.coords == [g.to_matrix_coords(v) for v in vectors]
+        rows = [{j: x for j, x in enumerate(clear_denominators(v)[1]) if x} for v in vectors]
         assert int_rank(rows, g.dim) == dim
         assert rep.conditions["f4_kernel_shape"] == (dim == 1)
         singular += dim > 1

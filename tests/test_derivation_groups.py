@@ -12,16 +12,16 @@ from fractions import Fraction
 from lieposet.algebras import build_g
 from lieposet.forms import udo_partition
 from lieposet.toral import block
+from oracles import bracket, unit, vector_from_coords
 
 
 def bracket_functional(poset, form, p, q):
     """Coefficients of B ↦ φ([E_{p,q}, B]) in matrix coordinates of B."""
     g = build_g(poset)
-    x = g.element_from_coords({(p, q): 1})
+    x = vector_from_coords(g, {(p, q): 1})
     out = {}
     for j in range(g.dim):
-        b = g.basis_element(j)
-        val = form.evaluate(x.bracket(b))
+        val = form.evaluate_coords(g.to_matrix_coords(bracket(g, x, unit(g.dim, j))))
         if val:
             lab = g.labels[j]
             key = (lab[1], lab[1]) if lab[0] == "d" else lab[1]

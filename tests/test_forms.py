@@ -31,7 +31,15 @@ from lieposet.linalg import ShapeError, char_poly
 from lieposet.posets import Poset
 from lieposet.sweep import enumerate_posets
 from lieposet.toral.blocks import verify_contact_toral_pair, verify_toral_pair
-from oracles import ad_matrix, in_kernel, is_skew_symmetric, kernel_coords, unit
+from oracles import (
+    ad_matrix,
+    bracket,
+    in_kernel,
+    is_skew_symmetric,
+    kernel_coords,
+    unit,
+    vector_from_coords,
+)
 
 CHAIN2 = Poset.chain(2)
 CHAIN3 = Poset.chain(3)
@@ -138,7 +146,7 @@ def test_kernel_split_full_vs_trace_zero():
         full = kernel(g, phi)
         intrinsic = kernel(gA, phi)
         assert full.dimension == intrinsic.dimension + 1
-        assert in_kernel(g, phi, g.identity_element())
+        assert in_kernel(g, phi, vector_from_coords(g, {(p, p): 1 for p in poset.elements}))
     for _ in range(5):
         pairs = sorted(SIX_A.relations)
         support = [pq for pq in pairs if rng.random() < 0.5] or pairs[:2]
@@ -199,12 +207,14 @@ def test_index_failure_bound_is_exact():
         assert index_failure_bound(algebra) == 0
 
 
+def _evaluate(form, algebra, vec, d=1):
+    """φ(vec / d) through the matrix coordinates of vec / d."""
+    return form.evaluate_coords(algebra.to_matrix_coords(vec, d))
+
+
 def _reference_phi(algebra, form):
     """φ on the basis through each basis vector's matrix coordinates."""
-    return [
-        form.evaluate_coords(algebra.to_matrix_coords(unit(algebra.dim, j)))
-        for j in range(algebra.dim)
-    ]
+    return [_evaluate(form, algebra, unit(algebra.dim, j)) for j in range(algebra.dim)]
 
 
 def _random_form(poset, rng, denominators=(1,)):
@@ -316,11 +326,11 @@ def test_contact_chain4():
     res = is_contact_form(gA, PHI_CHAIN4)
     assert res.is_contact
     # Reeb vector: B / φ(B) with φ(B) = k11 for the golden generator
-    coords = res.reeb.matrix_coords
+    coords = gA.to_matrix_coords(*res.reeb)
     assert_proportional(
         coords, {(1, 1): 1, (2, 2): -1, (3, 3): -1, (4, 4): 1, (1, 2): 2}
     )
-    assert PHI_CHAIN4.evaluate(res.reeb) == 1
+    assert PHI_CHAIN4.evaluate_coords(coords) == 1
 
 
 def test_contact_footnote_fails():
@@ -459,7 +469,7 @@ def test_principal_element_chain2():
     gA = build_gA(CHAIN2)
     phi = OneForm.from_support(CHAIN2, [(1, 2)])
     x_hat = _principal(gA, phi)
-    assert gA.element(*x_hat).matrix_coords == {(1, 1): Fraction(1, 2), (2, 2): Fraction(-1, 2)}
+    assert gA.to_matrix_coords(*x_hat) == {(1, 1): Fraction(1, 2), (2, 2): Fraction(-1, 2)}
     assert char_poly(ad_matrix(gA, _over(*x_hat))) == [1, -1, 0]  # λ² - λ
     assert ad_char_poly(gA, *x_hat) == [1, -1, 0]
     assert is_binary_weights(gA, *x_hat)
@@ -473,10 +483,10 @@ def test_principal_element_not_frobenius():
 
 def test_principal_element_defining_property():
     gA = build_gA(SIX_A)
-    x_hat = gA.element(*_principal(gA, PHI_SIX_A))
+    x_hat = _over(*_principal(gA, PHI_SIX_A))
     for j in range(gA.dim):
-        b = gA.basis_element(j)
-        assert PHI_SIX_A.evaluate(x_hat.bracket(b)) == PHI_SIX_A.evaluate(b)
+        b = unit(gA.dim, j)
+        assert _evaluate(PHI_SIX_A, gA, bracket(gA, x_hat, b)) == _evaluate(PHI_SIX_A, gA, b)
 
 
 def test_binary_spectrum_six_a():
@@ -675,7 +685,7 @@ def _contact_reference(alg, values):
     pairing = sum(c * v for c, v in zip(basis[0], values))
     if pairing == 0:
         return "form vanishes on the kernel generator", None, basis
-    return "contact", tuple(c / pairing for c in basis[0]), basis
+    return "contact", [c / pairing for c in basis[0]], basis
 
 
 def _assert_contact_matches_reference(alg, form_or_values):
@@ -685,10 +695,10 @@ def _assert_contact_matches_reference(alg, form_or_values):
     reason, reeb, basis = _contact_reference(alg, values)
     res = is_contact_form(alg, form_or_values)
     assert (res.is_contact, res.reason) == (reeb is not None, reason)
-    assert (None if res.reeb is None else res.reeb.vec) == reeb
-    assert res.kernel.vectors == basis
-    # the integer path builds exact Fractions only, never a float zero
-    assert all(type(x) is Fraction for v in res.kernel.vectors for x in v)
+    assert (None if res.reeb is None else _over(*res.reeb)) == reeb
+    assert [_over(x, res.kernel.scale) for x in res.kernel.generators] == basis
+    # the integer path keeps ints only, never a float zero
+    assert all(type(x) is int for v in res.kernel.generators for x in v)
     return res
 
 
@@ -701,6 +711,19 @@ def test_contact_integer_pairing_matches_fraction_reference_on_catalog():
             assert _assert_contact_matches_reference(build_gA(blk.poset), blk.form), blk.id
             checked += 1
     assert checked == 44
+
+
+def test_contact_results_of_separate_builds_compare_equal():
+    # equality reads the verdict, the kernel and R, not which g_A object built them
+    from lieposet.toral.blocks import catalog_blocks
+
+    contact = [blk for blk in catalog_blocks() if blk.kind == "contact"]
+    for blk in contact:
+        res = is_contact_form(build_gA(blk.poset), blk.form)
+        assert res.is_contact and res == is_contact_form(build_gA(blk.poset), blk.form), blk.id
+        twice = OneForm(blk.poset, {pq: 2 * c for pq, c in blk.form.coeffs.items()})
+        assert res != is_contact_form(build_gA(blk.poset), twice), blk.id
+    assert len(contact) == 44
 
 
 def test_contact_integer_pairing_matches_fraction_reference_on_random_forms():
@@ -730,23 +753,17 @@ def test_reeb_vector_sign_with_a_negative_pivot():
     for values, d in (([1, 0, 0], -1), ([2, 1, 1], -4), ([-1, 1, 1], -2)):
         assert linalg.int_null_space(_dphi_rows(alg, values)[0], 3)[1] == d
         assert _assert_contact_matches_reference(alg, values).is_contact
-    assert is_contact_form(alg, [1, 0, 0]).reeb.vec == (1, 0, 0)
+    res = is_contact_form(alg, [1, 0, 0])
+    assert res.reeb == ([-1, 0, 0], -1)  # (1, 0, 0)
+    with pytest.raises(ShapeError):
+        res.reeb_json()  # a custom algebra has no matrix coordinates
 
 
-def test_reeb_vector_is_built_on_first_read(monkeypatch):
-    from lieposet.algebras import AlgebraElement
+def test_reeb_vector_is_the_integer_pair_x_lambda_over_s():
     from lieposet.forms import ContactResult, coords_json
     from lieposet.toral import block, disconnected_contact_check
     from lieposet.toral.blocks import catalog_blocks
 
-    built = []
-    init = AlgebraElement.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(AlgebraElement, "__init__", counted)
     cases = [(blk.poset, blk.form) for blk in catalog_blocks((1, 8)) if blk.kind == "contact"]
     rng = random.Random(31)
     for poset in enumerate_posets(5):
@@ -756,19 +773,16 @@ def test_reeb_vector_is_built_on_first_read(monkeypatch):
     verdicts = {True: 0, False: 0}
     for poset, form in cases:
         gA = build_gA(poset)
-        built.clear()
         res = is_contact_form(gA, form)
-        assert built == [], poset.covers
         verdicts[res.is_contact] += 1
         if not res.is_contact:
-            assert res.reeb is None and res.reeb_json() is None and built == []
+            assert res.reeb is None and res.reeb_json() is None
             continue
-        reeb = res.reeb
-        assert built == [reeb] and res.reeb is reeb
-        assert form.evaluate(reeb) == 1
+        x, s = res.reeb  # R = X·λ / S in ints
+        assert all(type(v) is int for v in (*x, s)), poset.covers
+        assert _evaluate(form, gA, x, s) == 1 and in_kernel(gA, form, x)
         expected = _contact_reference(gA, phi_on_basis(gA, form))[1]
         assert res.reeb_json() == coords_json(gA.to_matrix_coords(expected))
-        assert len(built) == 1
         twice = OneForm(poset, {pq: 2 * c for pq, c in form.coeffs.items()})
         assert is_contact_form(gA, form) == res != is_contact_form(gA, twice)
     assert verdicts == {True: 32, False: 47}  # 20 contact blocks, 12 random forms
@@ -812,7 +826,7 @@ def test_rational_form_carries_its_lambda_to_rows_and_reeb():
         reasons[res.reason] = reasons.get(res.reason, 0) + 1
         if res.is_contact:
             # the Reeb vector is X·λ / S for the kernel X / D and S = Σ X_i·φ̃_i
-            assert form.evaluate(res.reeb) == 1 and in_kernel(gA, form, res.reeb)
+            assert _evaluate(form, gA, *res.reeb) == 1 and in_kernel(gA, form, res.reeb[0])
     assert reasons == {
         "contact": 24,
         "form vanishes on the kernel generator": 15,

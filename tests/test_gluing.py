@@ -422,11 +422,11 @@ def test_restriction_property_of_built_kernels():
     g_final = build_g(result.poset)
     rep = kernel(g_final, result.form)
     for x in rep.generators:
-        elem = g_final.element(x, rep.scale)
+        coords = g_final.to_matrix_coords(x, rep.scale)
         for i, step in enumerate(script.steps):
             blk = step.block()
             g_blk = build_g(blk.poset)
-            restricted = restrict_element(elem, result.audits[i].block_map, g_blk)
+            restricted = restrict_element(coords, result.audits[i].block_map, g_blk)
             assert in_kernel(g_blk, blk.form, restricted), (i, step.block_id)
 
 
@@ -541,8 +541,9 @@ def test_reeb_vector_off_cartan_is_the_contact_blocks_scaled():
     # its first block B, relabelled into the built poset and multiplied by
     # n / |B|; none of them lies on the built form's support
     def off_cartan(poset, form):
-        reeb = is_contact_form(build_gA(poset), form).reeb
-        return {pq: c for pq, c in reeb.matrix_coords.items() if pq[0] != pq[1]}
+        contact = is_contact_form(build_gA(poset), form)
+        coords = contact.kernel.to_coords(*contact.reeb)
+        return {pq: c for pq, c in coords.items() if pq[0] != pq[1]}
 
     entries = {}
     for seed in range(300):
