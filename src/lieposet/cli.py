@@ -85,7 +85,7 @@ def _load_poset(path):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def analyze(poset, form=None, seed=0, trials=INDEX_TRIALS):
+def analyze(poset, form=None, seed=0):
     """Full analysis report as a JSON-ready dict; no bare verdicts."""
     ext = poset.extremal_data()
     gA = build_gA(poset)
@@ -102,15 +102,15 @@ def analyze(poset, form=None, seed=0, trials=INDEX_TRIALS):
         },
         "algebra": {"dim_g": gA.dim + 1, "dim_gA": gA.dim},
         "index": {
-            "value": index(gA, trials=trials, seed=seed),
-            "trials": trials,
+            "value": index(gA, seed=seed),
+            "trials": INDEX_TRIALS,
             "seed": seed,
-            "failure_bound": str(index_failure_bound(gA, trials)),
+            "failure_bound": str(index_failure_bound(gA)),
         },
     }
     ind = report["index"]["value"]
     if not poset.is_connected():
-        split = disconnected_contact_check(poset, trials=trials, seed=seed)
+        split = disconnected_contact_check(poset, seed=seed)
         report["contact"] = {
             "verdict": split.is_contact,
             "certificate": {
@@ -163,21 +163,18 @@ def analyze(poset, form=None, seed=0, trials=INDEX_TRIALS):
     return report
 
 
-def _print_report(report, out=None):
-    out = out if out is not None else sys.stdout
+def _print_report(report):
     p = report["poset"]
     print(
         f"poset: n={p['n']} height={p['height']} |Rel|={p['relations']} "
-        f"Ext={p['ext']} connected={p['connected']}",
-        file=out,
+        f"Ext={p['ext']} connected={p['connected']}"
     )
     a = report["algebra"]
-    print(f"algebra: dim g={a['dim_g']} dim gA={a['dim_gA']}", file=out)
-    print(f"index: {report['index']['value']} (sampled)", file=out)
+    print(f"algebra: dim g={a['dim_g']} dim gA={a['dim_gA']}")
+    print(f"index: {report['index']['value']} (sampled)")
     for key in ("frobenius_form", "contact_form", "contact", "frobenius_search"):
         if key in report:
-            entry = report[key]
-            print(f"{key}: {entry['verdict']}", file=out)
+            print(f"{key}: {report[key]['verdict']}")
 
 
 def cmd_analyze(args):
@@ -188,7 +185,7 @@ def cmd_analyze(args):
             form = OneForm.from_json(poset, _load_json(args.form, "one-form"))
         except FormError as exc:
             raise InputError(f"{args.form}: {exc}") from exc
-    report = analyze(poset, form, seed=args.seed, trials=args.trials)
+    report = analyze(poset, form, seed=args.seed)
     _print_report(report)
     _emit_json(args, report)
     return 0
@@ -245,7 +242,7 @@ def cmd_build(args):
             print(
                 "warning: not a contact sequence; analysis proceeds on the raw output"
             )
-            ind = index(gA, seed=args.seed, trials=args.trials)
+            ind = index(gA, seed=args.seed)
             out["index"] = ind
             print(f"index: {ind}")
         else:
@@ -297,7 +294,7 @@ def cmd_glue(args):
 def cmd_sweep(args):
     if not 1 <= args.max_n <= SWEEP_MAX_N:
         raise InputError(f"--max-n must be between 1 and {SWEEP_MAX_N}, got {args.max_n}")
-    report = conjecture_sweep(args.max_n, seed=args.seed, trials=args.trials)
+    report = conjecture_sweep(args.max_n, seed=args.seed)
     print(
         f"sweep: {report['connected_posets_checked']} connected posets up to "
         f"n={args.max_n}, {report['contact_found']} contact (empirical)"
@@ -333,9 +330,8 @@ def _add_common(parser):
 
 
 def _add_sampling(parser):
-    """Flags of the commands that call the sampled ``index``."""
+    """The seed flag of the commands that call the sampled ``index``."""
     parser.add_argument("--seed", type=int, default=0, help="index sampling seed")
-    parser.add_argument("--trials", type=int, default=INDEX_TRIALS, help="index sampling trials")
 
 
 def build_parser():
@@ -401,8 +397,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "trials" in args and args.trials < 1:
-            raise InputError(f"--trials must be at least 1, got {args.trials}")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code

@@ -12,7 +12,7 @@ import random
 from itertools import combinations
 
 from .algebras import build_gA
-from .forms import INDEX_TRIALS, index, kernel
+from .forms import index, kernel
 from .posets import Poset, canonical_key
 from .toral.blocks import catalog_blocks
 from .toral.gluing import (
@@ -72,7 +72,7 @@ def _twin_pairs(poset):
     return [pair for twins in classes.values() for pair in combinations(twins, 2)]
 
 
-def classify_contact(poset, seed=0, trials=INDEX_TRIALS):
+def classify_contact(poset, seed=0):
     """(verdict, reason, witness-or-None); empirical, never a proof.
 
     A witness is φ on g_A's basis as a list of ints.
@@ -80,8 +80,8 @@ def classify_contact(poset, seed=0, trials=INDEX_TRIALS):
     The index check comes after the first witness kernel: in odd
     dimension a one-dimensional exact kernel of dφ bounds the index by 1
     and parity bounds it below by 1, so it certifies index 1. The sampled
-    ``index`` decides only the posets whose first kernel has dimension
-    other than 1.
+    ``index`` (``forms.INDEX_TRIALS`` draws from ``seed``) decides only
+    the posets whose first kernel has dimension other than 1.
     """
     d = poset.n - 1 + len(poset.relations)  # dim g_A, known before g_A is built
     if d == 0:
@@ -89,7 +89,7 @@ def classify_contact(poset, seed=0, trials=INDEX_TRIALS):
     if d % 2 == 0:
         return False, "even dimension", None
     if not poset.is_connected():
-        res = disconnected_contact_check(poset, trials=trials, seed=seed)
+        res = disconnected_contact_check(poset, seed=seed)
         return res.is_contact, res.reason, None
     if ext_hasse_has_cycle(poset):
         return False, "extremal Hasse diagram contains a cycle", None
@@ -102,7 +102,7 @@ def classify_contact(poset, seed=0, trials=INDEX_TRIALS):
         for i in strict_idx:
             values[i] = rng.randint(1, 1 << 16)
         rep = kernel(gA, values)
-        if attempt == 0 and rep.dimension != 1 and index(gA, trials=trials, seed=seed) != 1:
+        if attempt == 0 and rep.dimension != 1 and index(gA, seed=seed) != 1:
             return False, "index is not one", None
         if rep.dimension != 1:
             continue
@@ -160,14 +160,17 @@ def reachable_contact_posets(max_n):
     return seen
 
 
-def conjecture_sweep(max_n, seed=0, trials=INDEX_TRIALS):
-    """Flag contact posets up to max_n and check script reachability."""
+def conjecture_sweep(max_n, seed=0):
+    """Flag contact posets up to max_n and check script reachability.
+
+    ``seed`` seeds every poset's witness draws and its sampled ``index``.
+    """
     posets = enumerate_posets(max_n, connected_only=True)
     reachable = reachable_contact_posets(max_n)
     contact = []
     unreachable = []
     for poset in posets:
-        verdict, reason, witness = classify_contact(poset, seed=seed, trials=trials)
+        verdict, reason, witness = classify_contact(poset, seed=seed)
         if not verdict:
             continue
         entry = {

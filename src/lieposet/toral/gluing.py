@@ -30,7 +30,7 @@ from functools import cache
 from itertools import product
 
 from ..algebras import build_gA
-from ..forms import INDEX_TRIALS, ContactResult, OneForm, index
+from ..forms import ContactResult, OneForm, index
 from ..posets import Poset, is_forest, json_int
 from .blocks import block, family
 
@@ -149,7 +149,7 @@ def _row_block(row, n):
     return block(row.id, n)
 
 
-def _catalog_block(block_id, n=None):
+def _catalog_block(block_id, n):
     """``blocks.block(block_id, n)``, built once per catalog row and size."""
     return _row_block(family(block_id, n), n)
 
@@ -266,7 +266,6 @@ class ScriptResult:
     poset: Poset
     form: OneForm | None
     audits: list
-    prefix_forms: list  # built form after each step (step labels), or None
 
     def audit_json(self):
         return {
@@ -308,7 +307,6 @@ def run_script(script, build_form=True):
             block_map={p: p for p in poset.elements},
         )
     ]
-    prefix_forms = [form]
     for idx, step in enumerate(steps[1:], start=2):
         blk = step.block()
         result = glue(poset, blk, step.rule, dict(step.identify))
@@ -342,9 +340,8 @@ def run_script(script, build_form=True):
                 relabel=result.q_map,
             )
         )
-        prefix_forms.append(form)
     _finalize_audit_labels(audits)
-    return ScriptResult(poset, form, audits, prefix_forms)
+    return ScriptResult(poset, form, audits)
 
 
 def _finalize_audit_labels(audits):
@@ -389,10 +386,12 @@ def ext_hasse_has_cycle(poset):
     return not is_forest(ext.ext, ext.rel_e)
 
 
-def disconnected_contact_check(poset, trials=INDEX_TRIALS, seed=0):
+def disconnected_contact_check(poset, seed=0):
     """Disconnected posets are contact iff exactly two Frobenius components.
 
-    Returns a ContactResult, true exactly when the poset is contact.
+    Returns a ContactResult, true exactly when the poset is contact. Each
+    component's index is the sampled ``index`` at ``forms.INDEX_TRIALS``
+    draws from ``seed``.
     """
     comps = poset.connected_components()
     if len(comps) == 1:
@@ -401,7 +400,7 @@ def disconnected_contact_check(poset, trials=INDEX_TRIALS, seed=0):
         return ContactResult(False, f"{len(comps)} components")
     for comp in comps:
         sub = poset.induced_subposet(sorted(comp))
-        if index(build_gA(sub), trials=trials, seed=seed) != 0:
+        if index(build_gA(sub), seed=seed) != 0:
             return ContactResult(False, "a component is not Frobenius")
     return ContactResult(True, "disjoint sum of two Frobenius posets")
 

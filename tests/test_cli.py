@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 import lieposet
 from lieposet import sweep
 from lieposet.algebras import build_gA
-from lieposet.cli import SEARCH_SIZE_CAP, analyze, build_parser, main
-from lieposet.forms import INDEX_TRIALS, OneForm, index
+from lieposet.cli import SEARCH_SIZE_CAP, main
+from lieposet.forms import INDEX_TRIALS, OneForm, index, index_failure_bound
 from lieposet.posets import JSON_SIZE_LIMIT, Poset, _canonical_labelling
 from lieposet.sweep import (
     canonical_key,
@@ -34,7 +35,7 @@ from lieposet.toral import (
     run_script,
     verify_contact_toral_pair,
 )
-from lieposet.toral.gluing import RULES, disconnected_contact_check
+from lieposet.toral.gluing import RULES
 
 GATE = {"n": 4, "covers": [[1, 2], [2, 3], [2, 4]]}
 CYCLE7 = {
@@ -86,23 +87,21 @@ def test_analyze_index_failure_bound(tmp_path):
     assert main(["analyze", path, "--json-out", str(out)]) == 0
     entry = json.loads(out.read_text())["index"]
     assert entry == {"value": 1, "trials": 2, "seed": 0, "failure_bound": f"4/{p * p}"}
-    assert main(["analyze", path, "--trials", "3", "--json-out", str(out)]) == 0
-    assert json.loads(out.read_text())["index"]["failure_bound"] == f"8/{p**3}"
+    chain3 = Poset.from_covers(3, [(1, 2), (2, 3)])
+    assert index_failure_bound(build_gA(chain3), 3) == Fraction(8, p**3)
 
 
 def test_trial_defaults_are_index_trials():
-    # every default trial count, the --trials flag's included, is forms.INDEX_TRIALS
-    for fn in (
-        analyze,
-        index,
-        classify_contact,
-        conjecture_sweep,
-        disconnected_contact_check,
-    ):
+    # the trial count is a parameter of the sampling pair alone, and
+    # defaults there to forms.INDEX_TRIALS
+    for fn in (index, index_failure_bound):
         assert inspect.signature(fn).parameters["trials"].default == INDEX_TRIALS, fn
-    parser = build_parser()
-    for argv in (["analyze", "p.json"], ["build", "s.json"], ["sweep", "--max-n", "3"]):
-        assert parser.parse_args(argv).trials == INDEX_TRIALS, argv
+    for module in (lieposet, sweep, lieposet.toral, lieposet.cli):
+        for name, fn in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(fn):
+                continue
+            if fn not in (index, index_failure_bound):
+                assert "trials" not in inspect.signature(fn).parameters, (module.__name__, name)
 
 
 def test_analyze_with_form_certificates(tmp_path):
@@ -600,11 +599,16 @@ def _single_error_line(capsys):
 
 
 def test_trials_below_one_exit_code(tmp_path, capsys):
-    # --trials 0 used to print "index: 5" for the 3-chain, whose index is 1
+    # the trial count is fixed at forms.INDEX_TRIALS: no command takes
+    # --trials, so argparse refuses it with exit 2 and no traceback
     path = write(tmp_path, "chain3.json", {"n": 3, "covers": [[1, 2], [2, 3]]})
-    for trials in ("0", "-2"):
-        assert main(["analyze", path, "--trials", trials]) == 2
-        assert _single_error_line(capsys)
+    for argv in (["analyze", path], ["build", path], ["sweep", "--max-n", "3"]):
+        with pytest.raises(SystemExit) as refused:
+            main(argv + ["--trials", "2"])
+        assert refused.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert not captured.out and "Traceback" not in captured.err, argv
+        assert "unrecognized arguments: --trials 2" in captured.err, argv
     # verify-catalog samples nothing, so it has no --trials flag to set
     with pytest.raises(SystemExit) as refused:
         main(["verify-catalog", "--trials", "0"])
@@ -850,7 +854,7 @@ def _argv(data, tmp):
     else:
         return data.draw(st.sampled_from(_BAD_ARGV))
     if command in ("analyze", "build", "sweep") and data.draw(st.booleans()):
-        argv += ["--seed", data.draw(_SMALL), "--trials", data.draw(st.integers(-1, 3).map(str))]
+        argv += ["--seed", data.draw(_SMALL)]
     if data.draw(st.booleans()):
         out = data.draw(st.sampled_from(["out.json", "missing/out.json"]))
         argv += ["--json-out", os.path.join(tmp, out)]

@@ -522,10 +522,10 @@ def test_prefix_forms_satisfy_contact_conditions():
         ("six_a", None, "A1", {"a1": 5}),
         ("chain2", None, "C", {"c": 1}),
     )
-    result = run_script(script)
-    for audit, form in zip(result.audits, result.prefix_forms):
-        poset = audit.poset
-        rep = verify_contact_toral_pair(poset, form)
+    for k in range(1, len(script.steps) + 1):
+        prefix = run_script(ConstructionScript(script.steps[:k]))
+        poset = prefix.poset
+        rep = verify_contact_toral_pair(poset, prefix.form)
         for name in (
             "cf1_diagonal_at_one",
             "cf2_small",
@@ -697,7 +697,10 @@ def test_built_forms_and_audits_match_the_step_composition_oracle():
         built = run_script(script)
         steps = replay_form(script)
         lengths.add(len(steps))
-        assert built.prefix_forms == [form for form, _, _ in steps]
+        prefix_forms = [
+            run_script(ConstructionScript(script.steps[:k])).form for k in range(1, len(steps) + 1)
+        ]
+        assert prefix_forms == [form for form, _, _ in steps]
         assert repr(built.form) == repr(steps[-1][0])
         for audit, (_, added, subtracted) in zip(built.audits, steps, strict=True):
             final = audit.to_final
@@ -711,7 +714,7 @@ def test_coefficient_other_than_one_raises_the_oracle_message(monkeypatch):
 
     catalog_block = gluing._catalog_block
 
-    def heavy_chain2(block_id, n=None):
+    def heavy_chain2(block_id, n):
         blk = catalog_block(block_id, n)
         if block_id != "chain2":
             return blk
