@@ -126,6 +126,8 @@ def analyze(poset, form=None, seed=0):
     if form is not None:
         toral = verify_toral_pair(poset, form)
         contact = verify_contact_toral_pair(poset, form)
+        if gA.dim % 2:  # the toral check's [dφ | φ] elimination gave dφ's kernel
+            contact.contact_input += (toral.details["kernel_trace_zero"],)
         rep = toral.details["kernel_trace_zero"].to_json()
         report["form"] = form.to_json()
         report["kernel"] = rep

@@ -352,13 +352,14 @@ def is_contact_form(algebra, form_or_values, seed=0):
     return _contact_result(algebra, dphi)
 
 
-def _contact_result(algebra, dphi):
+def _contact_result(algebra, dphi, report=None):
     """``is_contact_form`` on dφ as ``_dphi_rows`` built it, ``(rows, λ, φ̃)``,
-    or on None in even dimension, where no form is contact."""
+    or on None in even dimension, where no form is contact. ``report`` is dφ's
+    kernel when an elimination already gave it, as ``principal_or_kernel`` does."""
     if dphi is None:
         return ContactResult(False, "even dimension")
     rows, lam, phi = dphi
-    report = _kernel_report(algebra, *linalg.int_null_space(rows, algebra.dim))
+    report = report or _kernel_report(algebra, *linalg.int_null_space(rows, algebra.dim))
     if report.dimension != 1:
         return ContactResult(False, f"kernel dimension {report.dimension} != 1", report)
     x = report.generators[0]

@@ -87,7 +87,12 @@ def _linear_extension_order(n, pairs):
 
 
 class Poset:
-    """Immutable finite poset; construct via ``from_covers`` or ``from_closed``."""
+    """Immutable finite poset; construct via ``from_covers`` or ``from_closed``.
+
+    ``relabeling`` maps each input label to its label here, as a fresh dict on
+    every read; it is stored only when the constructor relabelled."""
+
+    _relabeling = None
 
     def __init__(self, n, relations, relabeling=None, _validated=False):
         if n < 1:
@@ -106,7 +111,8 @@ class Poset:
                         raise PosetError(f"relations are not transitively closed at ({p},{s})")
         self.n = n
         self.relations = relations
-        self.relabeling = dict(relabeling) if relabeling else {p: p for p in range(1, n + 1)}
+        if relabeling:
+            self._relabeling = dict(relabeling)
 
     @classmethod
     def from_covers(cls, n, covers):
@@ -159,6 +165,10 @@ class Poset:
     def elements(self):
         return range(1, self.n + 1)
 
+    @property
+    def relabeling(self):
+        return dict(self._relabeling or {p: p for p in self.elements})
+
     def related(self, p, q):
         return p == q or (p, q) in self.relations or (q, p) in self.relations
 
@@ -186,11 +196,11 @@ class Poset:
 
     @cached_property
     def minimal_elements(self):
-        return frozenset(p for p in self.elements if not self.down_sets[p])
+        return frozenset(self.elements) - {q for _, q in self.relations}
 
     @cached_property
     def maximal_elements(self):
-        return frozenset(p for p in self.elements if not self.up_sets[p])
+        return frozenset(self.elements) - {p for p, _ in self.relations}
 
     def extremal_data(self):
         ext = self.minimal_elements | self.maximal_elements
@@ -414,9 +424,6 @@ class Poset:
         back = {label: q for q, label in theirs.items()}
         return {p: back[label] for p, label in mine.items()}
 
-    def is_isomorphic_to(self, other):
-        return self.isomorphism_to(other) is not None
-
     # ----- serialization --------------------------------------------------
 
     def to_json(self):
@@ -450,9 +457,11 @@ class Poset:
 
 
 def canonical_key(poset):
-    """``(n, relations)`` under the canonical labelling; two posets get
-    the same key exactly when they are isomorphic."""
-    return poset.n, _canonical_labelling(poset)[0]
+    """``(n, bits)``, the least relation tuple of ``_canonical_labelling`` packed
+    one-to-one into an int, bit (p - 1)·n + q - 1 per relation (p, q); two
+    posets get the same key exactly when they are isomorphic."""
+    n = poset.n
+    return n, sum(1 << ((p - 1) * n + q - 1) for p, q in _canonical_labelling(poset)[0])
 
 
 def _canonical_labelling(poset):

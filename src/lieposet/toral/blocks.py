@@ -389,7 +389,8 @@ class PairReport:
     conditions: dict
     details: dict = field(default_factory=dict)
     scaled_principal: tuple | None = field(default=None, repr=False, compare=False)  # x̂ as (X, D)
-    contact_input: tuple | None = field(default=None, repr=False, compare=False)  # (g_A, dφ)
+    # (g_A, dφ), then dφ's kernel report if an elimination already gave it
+    contact_input: tuple | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def contact_result(self):

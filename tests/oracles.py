@@ -5,8 +5,8 @@ off matrix coordinates, matrix coordinates restricted to a sub-poset's
 algebra, the ad matrix, kernel membership through ``dphi_matrix``), the
 structure table of a poset algebra built label by label, a script's
 built form composed one ``OneForm`` operation at a time, the covers of a
-closed relation set, and matrix coordinates of a kernel report built
-from its Fraction vectors X / D."""
+closed relation set, matrix coordinates of a kernel report built
+from its Fraction vectors X / D, and poset isomorphism as a truth value."""
 
 from fractions import Fraction
 from itertools import accumulate
@@ -235,3 +235,8 @@ def kernel_coords(algebra, report):
                 coords[pq] = coords.get(pq, Fraction(0)) + w
         out.append({pq: w for pq, w in coords.items() if w})
     return out
+
+
+def is_isomorphic(a, b):
+    """True when some order isomorphism maps poset a onto b."""
+    return a.isomorphism_to(b) is not None

@@ -17,10 +17,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lieposet
-from lieposet import sweep
+from lieposet import linalg, sweep
 from lieposet.algebras import build_gA
-from lieposet.cli import SEARCH_SIZE_CAP, main
-from lieposet.forms import INDEX_TRIALS, OneForm, index, index_failure_bound
+from lieposet.cli import SEARCH_SIZE_CAP, analyze, main
+from lieposet.forms import INDEX_TRIALS, OneForm, index, index_failure_bound, is_contact_form
 from lieposet.posets import JSON_SIZE_LIMIT, Poset, _canonical_labelling
 from lieposet.sweep import (
     canonical_key,
@@ -32,6 +32,7 @@ from lieposet.toral import (
     ConstructionScript,
     block,
     catalog,
+    catalog_blocks,
     run_script,
     verify_contact_toral_pair,
 )
@@ -115,6 +116,29 @@ def test_analyze_with_form_certificates(tmp_path):
     assert report["contact_form"]["verdict"] is True
     assert report["contact_form"]["certificate"]["reeb"]
     assert report["contact_pair_check"]["all_pass"] is True
+
+
+def test_analyze_eliminates_dphi_once_per_contact_block(monkeypatch):
+    # in odd dimension the toral check's [dφ | φ] elimination gives the kernel
+    # the contact report reads, so each contact block runs one elimination
+    echelon = linalg._int_echelon
+    runs = []
+
+    def counted(*args):
+        runs.append(args[1])
+        return echelon(*args)
+
+    monkeypatch.setattr(linalg, "_int_echelon", counted)
+    blocks = [blk for blk in catalog_blocks((1, 14)) if blk.kind == "contact"]
+    assert len(blocks) == 44
+    for blk in blocks:
+        runs.clear()
+        report = analyze(blk.poset, blk.form)
+        assert len(runs) == 1, blk.id
+        res = is_contact_form(build_gA(blk.poset), blk.form)
+        assert report["kernel"] == res.kernel.to_json(), blk.id
+        assert report["contact_form"]["certificate"] == {"reason": res.reason, "reeb": res.reeb_json()}
+        assert report["contact_pair_check"]["details"]["kernel_trace_zero"] == report["kernel"]
 
 
 def test_analyze_parse_error_exit_code(tmp_path, capsys):
@@ -334,8 +358,8 @@ def test_canonical_key_iso_invariant():
             Poset.from_covers(poset.n, [(perm[p - 1], perm[q - 1]) for p, q in poset.covers])
         )
     for left in posets:
-        n, rels = canonical_key(left)
-        assert n == left.n and all(p < q for p, q in rels)
+        assert canonical_key(left)[0] == left.n
+        assert all(p < q for p, q in _canonical_labelling(left)[0])
         for right in relabeled:
             same_key = canonical_key(left) == canonical_key(right)
             assert same_key == _brute_isomorphic(left, right)
@@ -379,19 +403,24 @@ def test_twin_pruned_enumeration_matches_unpruned_loop():
 
 
 def test_canonical_labelling_attains_the_key_and_reverses_twins():
-    # the key is the relations under the returned labelling; the search
-    # individualises the last element of a twin class first, so twins
-    # a < b are labelled in reverse (a wrong twin choice keeps valid keys)
+    # the key packs the relations under the returned labelling into one int;
+    # the search individualises the last element of a twin class first, so
+    # twins a < b are labelled in reverse (a wrong twin choice keeps valid keys)
     reversed_pairs = 0
+    tuples, keys = set(), set()
     for poset in enumerate_posets(7, connected_only=False):
         key, labelling = _canonical_labelling(poset)
         assert sorted(labelling.values()) == list(poset.elements)
-        assert (poset.n, key) == canonical_key(poset)
+        n, packed = canonical_key(poset)
+        assert n == poset.n and packed == sum(1 << ((p - 1) * n + q - 1) for p, q in key)
         assert tuple(sorted((labelling[p], labelling[q]) for p, q in poset.relations)) == key
+        tuples.add((n, key))
+        keys.add((n, packed))
         for a, b in sweep._twin_pairs(poset):
             assert labelling[a] > labelling[b], (poset, a, b)
             reversed_pairs += 1
     assert reversed_pairs > 0
+    assert len(keys) == len(tuples) == 2045 + 318 + 63 + 16 + 5 + 2 + 1
 
 
 def test_classify_contact_rejects_before_building_gA(monkeypatch):
@@ -427,6 +456,21 @@ def test_classify_contact_rejects_before_building_gA(monkeypatch):
         "no witness": 6,
         "index not one": 8,
     }
+
+
+def test_classify_contact_gates_cache_no_down_or_up_sets():
+    # the parity gate reads |Rel| and the extremal-cycle gate reads the
+    # extremal elements off the relations, so a poset that was never an
+    # enumeration parent (n = 6 when enumerating to 6) and that a gate
+    # rejects caches neither map
+    gated = 0
+    for poset in enumerate_posets(6):
+        if poset.n == 6:
+            reason = classify_contact(poset)[1]
+            if reason in ("even dimension", "extremal Hasse diagram contains a cycle"):
+                assert not {"down_sets", "up_sets"} & set(vars(poset)), (poset, reason)
+                gated += 1
+    assert gated == 162
 
 
 def test_classify_contact_chain3():

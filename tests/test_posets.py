@@ -14,7 +14,7 @@ from lieposet.posets import (
 )
 from lieposet.sweep import enumerate_posets
 from lieposet.toral import block, catalog
-from oracles import transitive_reduction
+from oracles import is_isomorphic, transitive_reduction
 
 GATE = Poset.from_covers(4, [(1, 2), (2, 3), (2, 4)])  # 1 < 2 < {3,4}
 
@@ -69,6 +69,18 @@ def test_relabeling_recorded_when_convention_violated():
     p = Poset.from_covers(3, [(3, 1), (1, 2)])
     assert p.relations == {(1, 2), (2, 3), (1, 3)}
     assert p.relabeling == {3: 1, 1: 2, 2: 3}
+    p.relabeling[3] = 3  # each read is a fresh dict
+    assert p.relabeling == {3: 1, 1: 2, 2: 3}
+
+
+def test_kept_labels_store_no_relabeling():
+    # a poset that keeps its labels stores its size and relations only
+    # and reads the identity
+    p = Poset.from_closed(3, {(1, 2), (1, 3)})
+    assert set(vars(p)) == {"n", "relations"}
+    assert p.relabeling == {1: 1, 2: 2, 3: 3}
+    p.relabeling[1] = 2
+    assert p.relabeling == {1: 1, 2: 2, 3: 3}
 
 
 def test_extremal_data_gate():
@@ -270,8 +282,8 @@ def test_beta0_equals_component_count_randomized():
 def test_isomorphism_chains():
     a = Poset.chain(3)
     b = Poset.from_covers(3, [(1, 3), (3, 2)])  # relabeled chain
-    assert a.is_isomorphic_to(b)
-    assert not a.is_isomorphic_to(Poset.antichain(3))
+    assert is_isomorphic(a, b)
+    assert not is_isomorphic(a, Poset.antichain(3))
 
 
 def crown(k):
@@ -314,7 +326,7 @@ def test_fork_and_dual_fork_not_isomorphic():
             found = True
             break
     assert not found
-    assert not fork.is_isomorphic_to(dual_fork)
+    assert not is_isomorphic(fork, dual_fork)
 
 
 def test_isomorphism_size_cap():
@@ -379,7 +391,7 @@ def test_disjoint_sum_associative_up_to_iso():
     a, b, c = Poset.chain(2), GATE, Poset.antichain(2)
     left = a.disjoint_sum(b).disjoint_sum(c)
     right = a.disjoint_sum(b.disjoint_sum(c))
-    assert left.is_isomorphic_to(right)
+    assert is_isomorphic(left, right)
 
 
 @settings(max_examples=30, deadline=None)
