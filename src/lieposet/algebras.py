@@ -195,7 +195,3 @@ def build_custom(dim, brackets):
 def footnote_algebra():
     """Three-dimensional solvable algebra with [e1,e2]=e2 and [e1,e3]=e3."""
     return build_custom(3, {(1, 2): {2: 1}, (1, 3): {3: 1}})
-
-
-def sl2():
-    return build_custom(3, {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}})

@@ -80,9 +80,6 @@ class RatMatrix:
             [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.rows]
         )
 
-    def is_zero(self):
-        return all(x == 0 for row in self.rows for x in row)
-
 
 def clear_denominators(xs):
     """(d, [d * x]) for the least d > 0 that makes every d * x an int.

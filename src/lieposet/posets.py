@@ -265,7 +265,7 @@ class Poset:
 
         Elements are decided in order of their down-set size, ties by
         label, each first left out and then put in, so the sequence is
-        deterministic; ``sweep.enumerate_posets`` relies on this order.
+        deterministic; ``sweep.iter_posets`` relies on this order.
         """
         order = sorted(self.elements, key=lambda p: len(self.down_sets[p]))
         down = self.down_sets

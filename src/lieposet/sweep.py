@@ -4,6 +4,11 @@ Enumerates connected posets up to isomorphism by repeatedly attaching a
 new maximal element over an order ideal, classifies each as contact or
 not by randomized witnesses (never a proof), and compares the contact
 ones against everything reachable by contact-sequence gluing.
+
+The enumeration is a stream (``iter_posets``): the sweep classifies each
+poset as it is yielded and keeps only its JSON entry, so memory follows
+one level's keys and the parents of the next level, not the whole
+enumeration.
 """
 
 from __future__ import annotations
@@ -28,23 +33,38 @@ SWEEP_MAX_N = 8
 WITNESS_ATTEMPTS = 60
 
 
-def enumerate_posets(max_n, connected_only=True):
-    """Isomorphism representatives of posets with up to max_n elements.
+def iter_posets(max_n, connected_only=True):
+    """Isomorphism representatives of posets with up to max_n elements, as
+    ``(poset, canonical_key(poset))`` pairs, streamed level by level.
 
     Each child of a parent adds a new maximal element over one of the
     parent's ideals; the first child seen in each isomorphism class is
-    kept. An ideal holding a but not b, for twins a < b of the parent
-    (equal down-set and up-set), is skipped: swapping a and b is an
-    automorphism of the parent, and ``Poset.ideals`` yields the swapped
-    ideal first (a is decided before b, "out" before "in"), so the child
-    is isomorphic to an earlier one and never a representative.
+    kept and yielded at once. An ideal holding a but not b, for twins
+    a < b of the parent (equal down-set and up-set), is skipped: swapping
+    a and b is an automorphism of the parent, and ``Poset.ideals`` yields
+    the swapped ideal first (a is decided before b, "out" before "in"), so
+    the child is isomorphic to an earlier one and never a representative.
+
+    Only the level being built keeps its keys, and only levels below
+    max_n keep their representatives, as the next level's parents. A
+    parent is dropped once its children are listed, and with it its
+    cached down-sets and up-sets.
     """
     if max_n > SWEEP_MAX_N:
         raise ValueError(f"enumeration supports at most {SWEEP_MAX_N} elements")
-    levels = {1: [Poset.from_covers(1, [])]}
+    return _stream_levels(max_n, connected_only)
+
+
+def _stream_levels(max_n, connected_only):
+    level = [Poset.from_covers(1, [])]
+    if max_n >= 1:
+        yield level[0], canonical_key(level[0])
     for n in range(2, max_n + 1):
-        seen = {}
-        for parent in levels[n - 1]:
+        seen = set()
+        children = []
+        level.reverse()
+        while level:
+            parent = level.pop()
             twin_pairs = _twin_pairs(parent)
             for ideal in parent.ideals():
                 if any(a in ideal and b not in ideal for a, b in twin_pairs):
@@ -52,15 +72,19 @@ def enumerate_posets(max_n, connected_only=True):
                 # n lies above a down-closed set, so the union stays closed
                 child = Poset.from_closed(n, parent.relations | {(i, n) for i in ideal})
                 key = canonical_key(child)
-                if key not in seen:
-                    seen[key] = child
-        levels[n] = list(seen.values())
-    out = []
-    for n in range(1, max_n + 1):
-        for poset in levels[n]:
-            if not connected_only or poset.is_connected():
-                out.append(poset)
-    return out
+                if key in seen:
+                    continue
+                seen.add(key)
+                if n < max_n:
+                    children.append(child)
+                if not connected_only or child.is_connected():
+                    yield child, key
+        level = children
+
+
+def enumerate_posets(max_n, connected_only=True):
+    """The posets of ``iter_posets`` as one list, in its order."""
+    return [poset for poset, _ in iter_posets(max_n, connected_only)]
 
 
 def _twin_pairs(poset):
@@ -165,11 +189,12 @@ def conjecture_sweep(max_n, seed=0):
 
     ``seed`` seeds every poset's witness draws and its sampled ``index``.
     """
-    posets = enumerate_posets(max_n, connected_only=True)
-    reachable = reachable_contact_posets(max_n)
+    reachable = set(reachable_contact_posets(max_n))  # the keys, not their posets
+    checked = 0
     contact = []
     unreachable = []
-    for poset in posets:
+    for poset, key in iter_posets(max_n):
+        checked += 1
         verdict, reason, witness = classify_contact(poset, seed=seed)
         if not verdict:
             continue
@@ -178,11 +203,11 @@ def conjecture_sweep(max_n, seed=0):
             "reason": reason,
         }
         contact.append(entry)
-        if canonical_key(poset) not in reachable:
+        if key not in reachable:
             unreachable.append(entry)
     return {
         "max_n": max_n,
-        "connected_posets_checked": len(posets),
+        "connected_posets_checked": checked,
         "contact_found": len(contact),
         "contact": contact,
         "unreachable_by_scripts": unreachable,

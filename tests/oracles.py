@@ -1,20 +1,24 @@
-"""Fraction reference helpers that only the tests read: a matrix times a
-vector, skewness, a polynomial at a matrix, exact square roots, vectors as
-Fraction lists in the algebra basis (the bracket of two, a vector read
-off matrix coordinates, matrix coordinates restricted to a sub-poset's
-algebra, the ad matrix, kernel membership through ``dphi_matrix``), the
-structure table of a poset algebra built label by label, a script's
-built form composed one ``OneForm`` operation at a time, the covers of a
-closed relation set, matrix coordinates of a kernel report built
-from its Fraction vectors X / D, and poset isomorphism as a truth value."""
+"""Fraction reference helpers that only the tests read: sl2 as a custom
+algebra, a matrix times a vector, zero and skew matrices, a polynomial at
+a matrix, exact square roots, vectors as Fraction lists in the algebra
+basis (the bracket of two, a vector read off matrix coordinates, matrix
+coordinates restricted to a sub-poset's algebra, the ad matrix, kernel
+membership through ``dphi_matrix``), the structure table of a poset
+algebra built label by label, a script's built form composed one
+``OneForm`` operation at a time, the covers of a closed relation set,
+matrix coordinates of a kernel report built from its Fraction vectors
+X / D, poset isomorphism as a truth value, and the conjecture sweep as a
+loop over the listed enumeration."""
 
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 
-from lieposet.algebras import LieAlgebra
+from lieposet.algebras import LieAlgebra, build_custom
 from lieposet.forms import FormError, OneForm, dphi_matrix
 from lieposet.linalg import RatMatrix, ShapeError
+from lieposet.posets import canonical_key
+from lieposet.sweep import classify_contact, enumerate_posets, reachable_contact_posets
 from lieposet.toral.gluing import RULES, ScriptError, glue
 
 
@@ -22,6 +26,10 @@ def mul_vector(m, vec):
     if len(vec) != m.ncols:
         raise ShapeError("vector length mismatch")
     return [sum(a * Fraction(x) for a, x in zip(row, vec)) for row in m.rows]
+
+
+def is_zero(m):
+    return all(x == 0 for row in m.rows for x in row)
 
 
 def is_skew_symmetric(m):
@@ -50,6 +58,10 @@ def integer_sqrt_exact(q):
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None
+
+
+def sl2():
+    return build_custom(3, {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}})
 
 
 def bracket(algebra, u, v):
@@ -240,3 +252,27 @@ def kernel_coords(algebra, report):
 def is_isomorphic(a, b):
     """True when some order isomorphism maps poset a onto b."""
     return a.isomorphism_to(b) is not None
+
+
+def listed_sweep(max_n, seed=0):
+    """``conjecture_sweep`` as a loop over the whole listed enumeration: list
+    the posets, then the reach keys, then classify and key each poset."""
+    posets = enumerate_posets(max_n)
+    reachable = reachable_contact_posets(max_n)
+    contact = []
+    unreachable = []
+    for poset in posets:
+        verdict, reason, _ = classify_contact(poset, seed=seed)
+        if verdict:
+            entry = {"poset": poset.to_json(), "reason": reason}
+            contact.append(entry)
+            if canonical_key(poset) not in reachable:
+                unreachable.append(entry)
+    return {
+        "max_n": max_n,
+        "connected_posets_checked": len(posets),
+        "contact_found": len(contact),
+        "contact": contact,
+        "unreachable_by_scripts": unreachable,
+        "note": "empirical sweep; witnesses are randomized, nothing here is a proof",
+    }

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import io
 import json
@@ -6,6 +7,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import permutations
@@ -27,6 +29,7 @@ from lieposet.sweep import (
     classify_contact,
     conjecture_sweep,
     enumerate_posets,
+    iter_posets,
 )
 from lieposet.toral import (
     ConstructionScript,
@@ -37,6 +40,7 @@ from lieposet.toral import (
     verify_contact_toral_pair,
 )
 from lieposet.toral.gluing import RULES
+from oracles import listed_sweep
 
 GATE = {"n": 4, "covers": [[1, 2], [2, 3], [2, 4]]}
 CYCLE7 = {
@@ -402,6 +406,38 @@ def test_twin_pruned_enumeration_matches_unpruned_loop():
     assert [(p.n, p.relations) for p in pruned] == [(p.n, p.relations) for p in unpruned]
 
 
+def test_iter_posets_pairs_match_the_list_and_its_keys():
+    pairs = list(iter_posets(7, connected_only=False))
+    listed = enumerate_posets(7, connected_only=False)
+    assert [(p.n, p.relations) for p, _ in pairs] == [(p.n, p.relations) for p in listed]
+    assert all(key == canonical_key(p) for p, key in pairs)
+    with pytest.raises(ValueError):
+        iter_posets(sweep.SWEEP_MAX_N + 1)  # refused before the first poset is asked for
+
+
+def test_iter_posets_drops_parents_two_levels_back():
+    # a level-n poset's parents are at level n - 1, so once the first
+    # level-n poset is out nothing at level n - 2 or below is still held
+    refs = {}
+    for poset, _ in iter_posets(6, connected_only=False):
+        if poset.n not in refs:
+            gc.collect()
+            held = [r for m, rs in refs.items() if m <= poset.n - 2 for r in rs if r() is not None]
+            assert not held, (poset.n, len(held))
+        refs.setdefault(poset.n, []).append(weakref.ref(poset))
+    assert sorted(refs) == [1, 2, 3, 4, 5, 6]
+
+
+def test_iter_posets_frees_a_dropped_last_level_poset_mid_stream():
+    stream = iter_posets(5, connected_only=False)
+    poset = next(p for p, _ in stream if p.n == 5)
+    ref = weakref.ref(poset)
+    del poset
+    following, _ = next(stream)
+    gc.collect()
+    assert following.n == 5 and ref() is None
+
+
 def test_canonical_labelling_attains_the_key_and_reverses_twins():
     # the key packs the relations under the returned labelling into one int;
     # the search individualises the last element of a twin class first, so
@@ -606,6 +642,13 @@ def test_sweep_n6_seed0_totals():
         len(report["unreachable_by_scripts"]),
     )
     assert totals == (297, 82, 22)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_streamed_sweep_equals_the_listed_loop(seed):
+    # the whole report, contact order included, against the loop that lists
+    # every poset before classifying any
+    assert conjecture_sweep(6, seed=seed) == listed_sweep(6, seed=seed)
 
 
 def test_closed_stdout_pipe_exit_code():
