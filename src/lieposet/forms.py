@@ -14,8 +14,10 @@ entry point, gives x̂ as (X, D), whose spectrum ``is_binary_weights`` and
 ``ad_char_poly`` read off one weight rule, and ``ContactResult`` keeps the Reeb
 vector as (X·λ, S). Reports read (X, D) only through
 ``PosetLieAlgebra.to_matrix_coords``, one Fraction per nonzero entry: kernel
-coordinates and JSON, and the Reeb vector's JSON. ``kernel`` also sets a
-report's ``vectors`` to legacy floats that only the sweep's witness loop reads.
+coordinates and JSON, and the Reeb vector's JSON. ``kernel`` also records, as
+ints, where each generator's back-substitution sum is empty; the sweep's
+witness loop (``sweep._pairing``) reads those sets to reproduce the known float
+defect. No float is made in this module.
 A form holds its integral coefficients as ints.
 """
 
@@ -255,26 +257,21 @@ def _kernel_report(algebra, gens, d):
 
 
 def kernel(algebra, form_or_values):
-    """Exact kernel of dφ, with legacy ``vectors`` for the sweep's witness loop.
+    """Exact kernel of dφ, with ``empty_sums`` for the sweep's known defect.
 
-    Known defect, kept so that the sweep's totals stay as they were: a
-    pivot entry of a generator that back-substitution leaves as an empty
-    sum (no later nonzero unknown in its echelon row) is the float
-    ``0 / pivot``, 0.0 or -0.0, and the pairing the sweep sums over the
-    vector turns into a float. ROADMAP item 1 deletes this loop.
+    ``report.empty_sums`` holds one set per generator: the pivot columns whose
+    back-substitution sum is empty (no later nonzero unknown in the echelon
+    row). ``sweep._pairing`` turns its pairing float at them, as the legacy
+    float zeros there did. ROADMAP item 1 deletes these sets.
     """
     n = algebra.dim
     ech, pivots, _ = linalg._int_echelon(_dphi_rows(algebra, form_or_values)[0], n)
     gens, d = linalg._null_space(ech, pivots, n)
-    zero, vectors = Fraction(0), []
-    for g in gens:
-        v = [Fraction(x, d) if x else zero for x in g]
-        for row, c in zip(ech, pivots):
-            if not g[c] and not [j for j in row if c < j < n and g[j]]:
-                v[c] = 0 / row[c]
-        vectors.append(v)
     report = _kernel_report(algebra, gens, d)
-    report.vectors = vectors
+    report.empty_sums = [
+        {c for row, c in zip(ech, pivots) if not g[c] and not any(g[j] for j in row if c < j < n)}
+        for g in gens
+    ]
     return report
 
 

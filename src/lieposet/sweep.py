@@ -14,6 +14,7 @@ enumeration.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from .algebras import build_gA
@@ -106,6 +107,11 @@ def classify_contact(poset, seed=0):
     and parity bounds it below by 1, so it certifies index 1. The sampled
     ``index`` (``forms.INDEX_TRIALS`` draws from ``seed``) decides only
     the posets whose first kernel has dimension other than 1.
+
+    Known defect, kept so that the sweep's totals stay as they were: the
+    pairing of φ with the kernel generator is ``_pairing``'s float sum, whose
+    round-off reads as nonzero on some non-contact posets. ROADMAP item 1
+    removes it.
     """
     d = poset.n - 1 + len(poset.relations)  # dim g_A, known before g_A is built
     if d == 0:
@@ -130,19 +136,44 @@ def classify_contact(poset, seed=0):
             return False, "index is not one", None
         if rep.dimension != 1:
             continue
-        gen = rep.vectors[0]
-        phi_b = sum(values[i] * gen[i] for i in strict_idx)
-        if phi_b != 0:
+        x, scale, empty = rep.generators[0], rep.scale, rep.empty_sums[0]
+        if _pairing(values, x, scale, empty, strict_idx) != 0:
             return True, "random regular form is contact", values
         # the kernel generator's diagonal freedom can fix a vanishing pairing
         for i in diag_idx:
-            if gen[i]:
+            if x[i]:
                 values[i] = 1
-                check = sum(values[k] * gen[k] for k in range(d))
-                if check == 0:
+                if _pairing(values, x, scale, empty, range(d)) == 0:
                     values[i] = 2
                 return True, "regular form completed on the diagonal", values
     return False, "no contact witness found (empirical)", None
+
+
+def _pairing(values, x, scale, empty, indices):
+    """Python's ``sum(values[i] * v[i] for i in indices)`` over the legacy
+    kernel vector v of the known defect, bit for bit, from the integer
+    generator X over its scale D: v[i] is X[i] / D, but a float zero (the
+    empty sum over its pivot, 0.0 or -0.0) at each index of ``empty``, the
+    generator's empty back-substitution sums (``forms.kernel``).
+
+    That sum is the exact Fraction num / D, num = Σ values[i]·X[i], up to the
+    first index in ``empty``. There it becomes the float ``num / D`` (0.0
+    when num is 0, as ``float(Fraction(0))`` is), and each later nonzero term
+    adds ``values[i] * X[i] / D``, the correctly rounded int true division
+    that ``float(Fraction)`` makes. Zero terms change nothing: the float sum
+    starts other than -0.0 (short of underflow, far past any 1 / D here),
+    and an exact cancellation rounds to 0.0.
+    """
+    num = 0
+    for k, i in enumerate(indices):
+        if i in empty:
+            total = num / scale if num else 0.0
+            for j in indices[k + 1:]:
+                if term := values[j] * x[j]:
+                    total += term / scale
+            return total
+        num += values[i] * x[i]
+    return Fraction(num, scale)
 
 
 def reachable_contact_posets(max_n):

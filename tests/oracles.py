@@ -7,19 +7,34 @@ membership through ``dphi_matrix``), the structure table of a poset
 algebra built label by label, a script's built form composed one
 ``OneForm`` operation at a time, the covers of a closed relation set,
 matrix coordinates of a kernel report built from its Fraction vectors
-X / D, poset isomorphism as a truth value, and the conjecture sweep as a
-loop over the listed enumeration."""
+X / D, poset isomorphism as a truth value, the conjecture sweep as a
+loop over the listed enumeration, dense Bareiss with its back-substitution,
+kernel and solve (the oracles of the sparse elimination, and in legacy mode
+of the known defect's float zeros), and ``classify_contact`` on that legacy
+kernel."""
 
+import random
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 
-from lieposet.algebras import LieAlgebra, build_custom
-from lieposet.forms import FormError, OneForm, dphi_matrix
+from lieposet.algebras import LieAlgebra, build_custom, build_gA
+from lieposet.forms import FormError, OneForm, _dphi_rows, dphi_matrix, index
 from lieposet.linalg import RatMatrix, ShapeError
 from lieposet.posets import canonical_key
-from lieposet.sweep import classify_contact, enumerate_posets, reachable_contact_posets
-from lieposet.toral.gluing import RULES, ScriptError, glue
+from lieposet.sweep import (
+    WITNESS_ATTEMPTS,
+    classify_contact,
+    enumerate_posets,
+    reachable_contact_posets,
+)
+from lieposet.toral.gluing import (
+    RULES,
+    ScriptError,
+    disconnected_contact_check,
+    ext_hasse_has_cycle,
+    glue,
+)
 
 
 def mul_vector(m, vec):
@@ -276,3 +291,124 @@ def listed_sweep(max_n, seed=0):
         "unreachable_by_scripts": unreachable,
         "note": "empirical sweep; witnesses are randomized, nothing here is a proof",
     }
+
+
+def dense_rows(rows, ncols):
+    """``{col: int}`` rows as dense lists."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def dense_int_echelon(rows, ncols, augmented_from=None):
+    """Dense Bareiss with the same pivot rule; the oracle for the sparse one."""
+    rows = [r[:] for r in rows]
+    pivot_limit = ncols if augmented_from is None else augmented_from
+    pivots = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(pivot_limit):
+        if r == len(rows):
+            break
+        piv = None
+        best = None
+        for i in range(r, len(rows)):
+            v = rows[i][c]
+            if v:
+                if best is None or abs(v) < best:
+                    piv, best = i, abs(v)
+                    if best == 1:
+                        break
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        prc = rows[r][c]
+        for i in range(r + 1, len(rows)):
+            ric = rows[i][c]
+            ri, rr = rows[i], rows[r]
+            if ric:
+                for j in range(c + 1, ncols):
+                    ri[j] = (ri[j] * prc - ric * rr[j]) // prev
+                ri[c] = 0
+            elif prc != prev:
+                for j in range(c + 1, ncols):
+                    ri[j] = (ri[j] * prc) // prev
+        prev = prc
+        pivots.append(c)
+        r += 1
+    return rows, pivots, sign
+
+
+def dense_back_substitute(ech, pivots, x, ncols, rhs=False, legacy=False):
+    # legacy: an empty sum stays the int 0, so 0 / pivot is the float 0.0
+    # or -0.0 of the known defect, which the sweep's pairing still reproduces
+    zero = 0 if legacy else Fraction(0)
+    for k in range(len(pivots) - 1, -1, -1):
+        c = pivots[k]
+        row = ech[k]
+        s = sum(row[j] * x[j] for j in range(c + 1, ncols) if row[j] and x[j])
+        x[c] = ((Fraction(row[ncols]) if rhs else zero) - s) / row[c]
+    return x
+
+
+def dense_kernel_basis(rows, ncols, legacy=False):
+    ech, pivots, _ = dense_int_echelon(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            basis.append(dense_back_substitute(ech, pivots, v, ncols, legacy=legacy))
+    return basis
+
+
+def dense_solve(aug_rows, ncols):
+    ech, pivots, _ = dense_int_echelon(aug_rows, ncols + 1, augmented_from=ncols)
+    if any(row[ncols] for row in ech[len(pivots):]):
+        return None, len(pivots)
+    x = dense_back_substitute(ech, pivots, [Fraction(0)] * ncols, ncols, rhs=True)
+    return x, len(pivots)
+
+
+def legacy_classify_contact(poset, seed=0):
+    """``classify_contact`` with its witness loop as it read the known defect
+    before ``sweep._pairing``: each draw's kernel is the dense oracle's legacy
+    basis (Fraction entries, with the float 0 / pivot at each empty
+    back-substitution sum), and both pairings are Python sums over that
+    vector. The gates, draws and attempt order are ``classify_contact``'s."""
+    d = poset.n - 1 + len(poset.relations)
+    if d == 0:
+        return False, "zero-dimensional algebra", None
+    if d % 2 == 0:
+        return False, "even dimension", None
+    if not poset.is_connected():
+        res = disconnected_contact_check(poset, seed=seed)
+        return res.is_contact, res.reason, None
+    if ext_hasse_has_cycle(poset):
+        return False, "extremal Hasse diagram contains a cycle", None
+    gA = build_gA(poset)
+    rng = random.Random(seed)
+    strict_idx = [i for i, lab in enumerate(gA.labels) if lab[0] == "e"]
+    diag_idx = [i for i, lab in enumerate(gA.labels) if lab[0] == "h"]
+    for attempt in range(WITNESS_ATTEMPTS):
+        values = [0] * d
+        for i in strict_idx:
+            values[i] = rng.randint(1, 1 << 16)
+        basis = dense_kernel_basis(dense_rows(_dphi_rows(gA, values)[0], d), d, legacy=True)
+        if attempt == 0 and len(basis) != 1 and index(gA, seed=seed) != 1:
+            return False, "index is not one", None
+        if len(basis) != 1:
+            continue
+        gen = basis[0]
+        phi_b = sum(values[i] * gen[i] for i in strict_idx)
+        if phi_b != 0:
+            return True, "random regular form is contact", values
+        for i in diag_idx:
+            if gen[i]:
+                values[i] = 1
+                check = sum(values[k] * gen[k] for k in range(d))
+                if check == 0:
+                    values[i] = 2
+                return True, "regular form completed on the diagonal", values
+    return False, "no contact witness found (empirical)", None

@@ -416,7 +416,8 @@ def test_searched_contact_forms_pass_the_volume_oracle():
     form on exactly 73, and each passes ``is_contact_form_volume`` too.
     73 is the float-free contact total of ROADMAP item 1: the seed-0
     sweep still reports 82 (``test_sweep_n6_seed0_totals``), 9 of them
-    round-off false positives of the float zeros in its kernel vectors.
+    round-off false positives of its float witness pairing
+    (``sweep._pairing``, which turns float at an empty back-substitution sum).
     """
     found = _searched_contact_forms_n6()
     assert len(found) == 73

@@ -40,7 +40,7 @@ from lieposet.toral import (
     verify_contact_toral_pair,
 )
 from lieposet.toral.gluing import RULES
-from oracles import listed_sweep
+from oracles import legacy_classify_contact, listed_sweep
 
 GATE = {"n": 4, "covers": [[1, 2], [2, 3], [2, 4]]}
 CYCLE7 = {
@@ -557,6 +557,41 @@ def test_classify_contact_larger_first_kernel_defers_to_sampled_index(monkeypatc
     assert not verdict and reason == "index is not one" and calls["index"] == 1
 
 
+# 1 < 2 < {3, 4, 5} at seed 0: the exact pairing of attempt 39 (from 0) is
+# 0, and the legacy vector's float zeros make it 1.455e-11, a contact verdict
+FLOAT_FLIP = Poset.from_covers(5, [(1, 2), (2, 3), (2, 4), (2, 5)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_classify_contact_matches_the_legacy_witness_loop(seed):
+    # the integer pairing against the loop that sums over the legacy
+    # Fraction/float vectors of the dense oracle: every verdict, reason
+    # and witness on the 297 connected posets with n <= 6
+    posets = enumerate_posets(6)
+    assert len(posets) == 297 and FLOAT_FLIP in posets
+    for poset in posets:
+        assert classify_contact(poset, seed) == legacy_classify_contact(poset, seed), poset.covers
+
+
+def test_classify_contact_float_branch_on_1_2_345():
+    gA = build_gA(FLOAT_FLIP)
+    strict = [i for i, lab in enumerate(gA.labels) if lab[0] == "e"]
+    rng = random.Random(0)
+    for attempt in range(40):
+        values = [0] * gA.dim
+        for i in strict:
+            values[i] = rng.randint(1, 1 << 16)
+        rep = sweep.kernel(gA, values)
+        if rep.dimension == 1:
+            x = rep.generators[0]
+            pairing = sweep._pairing(values, x, rep.scale, rep.empty_sums[0], strict)
+            assert not pairing or attempt == 39, attempt
+    # attempt 39 has a one-dimensional kernel, and its exact pairing is 0
+    assert rep.dimension == 1 and sum(values[i] * x[i] for i in strict) == 0
+    assert repr(pairing) == "1.4551915228366852e-11"
+    assert classify_contact(FLOAT_FLIP, 0) == (True, "random regular form is contact", values)
+
+
 def test_verify_catalog_flags_corrupted_entry(tmp_path, monkeypatch):
     # tamper with one block's form and expect a named condition failure
     import dataclasses
@@ -633,8 +668,9 @@ def test_sweep_n4_all_reachable():
 def test_sweep_n6_seed0_totals():
     # pins every seed-0 verdict through n = 6, so a kernel change that flips
     # one fails here; the totals include the round-off false positives of
-    # the float zeros in kernel vectors, and fixing that defect (ROADMAP
-    # item 1) moves them to 73 contact and 13 unreachable
+    # the float pairing (sweep._pairing at forms.kernel's empty sums), and
+    # fixing that defect (ROADMAP item 1) moves them to 73 contact and 13
+    # unreachable
     report = conjecture_sweep(6, seed=0)
     totals = (
         report["connected_posets_checked"],

@@ -306,7 +306,8 @@ def test_dphi_rows_scaling_keeps_exact_answers():
         form = _random_form(poset, rng, denominators=(2, 3, 5))
         gA = build_gA(poset)
         m = dphi_matrix(gA, _reference_phi(gA, form))
-        assert kernel(gA, form).vectors == linalg.kernel_basis(m)
+        rep = kernel(gA, form)
+        assert repr([_over(g, rep.scale) for g in rep.generators]) == repr(linalg.kernel_basis(m))
         if gA.dim % 2 == 0:
             x_hat, _ = principal_or_kernel(gA, form)
             assert _over(*x_hat) == linalg.solve(m, phi_on_basis(gA, form))
@@ -319,7 +320,9 @@ def test_dphi_rows_scaling_keeps_exact_answers():
     # rational structure constants scale the assembled entries as well
     alg = build_custom(3, {(1, 2): {2: Fraction(1, 2)}, (1, 3): {3: Fraction(1, 3)}})
     values = functional_on_basis(alg, [1, Fraction(2, 3), 5])
-    assert kernel(alg, values).vectors == linalg.kernel_basis(dphi_matrix(alg, values))
+    rep = kernel(alg, values)
+    exact = [_over(g, rep.scale) for g in rep.generators]
+    assert repr(exact) == repr(linalg.kernel_basis(dphi_matrix(alg, values)))
     assert index(alg) == 1
 
 

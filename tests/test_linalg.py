@@ -25,9 +25,18 @@ from lieposet.linalg import (
     solve,
 )
 from lieposet.posets import Poset
-from lieposet.sweep import enumerate_posets
+from lieposet.sweep import _pairing, enumerate_posets
 from lieposet.toral import catalog_blocks
-from oracles import integer_sqrt_exact, is_zero, mul_vector, poly_eval_matrix
+from oracles import (
+    dense_int_echelon,
+    dense_kernel_basis,
+    dense_rows,
+    dense_solve,
+    integer_sqrt_exact,
+    is_zero,
+    mul_vector,
+    poly_eval_matrix,
+)
 
 
 def naive_rref(rows):
@@ -400,79 +409,6 @@ def test_rank_mod_p_multiples_of_p_are_zero(small, multiples):
     assert rank_mod_p(_dict_rows(shifted), n) == int_rank(_dict_rows(square), n)
 
 
-def dense_int_echelon(rows, ncols, augmented_from=None):
-    """Dense Bareiss with the same pivot rule; the oracle for the sparse one."""
-    rows = [r[:] for r in rows]
-    pivot_limit = ncols if augmented_from is None else augmented_from
-    pivots = []
-    sign = 1
-    prev = 1
-    r = 0
-    for c in range(pivot_limit):
-        if r == len(rows):
-            break
-        piv = None
-        best = None
-        for i in range(r, len(rows)):
-            v = rows[i][c]
-            if v:
-                if best is None or abs(v) < best:
-                    piv, best = i, abs(v)
-                    if best == 1:
-                        break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
-        prc = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            ric = rows[i][c]
-            ri, rr = rows[i], rows[r]
-            if ric:
-                for j in range(c + 1, ncols):
-                    ri[j] = (ri[j] * prc - ric * rr[j]) // prev
-                ri[c] = 0
-            elif prc != prev:
-                for j in range(c + 1, ncols):
-                    ri[j] = (ri[j] * prc) // prev
-        prev = prc
-        pivots.append(c)
-        r += 1
-    return rows, pivots, sign
-
-
-def dense_back_substitute(ech, pivots, x, ncols, rhs=False, legacy=False):
-    # legacy: an empty sum stays the int 0, so 0 / pivot is the float 0.0
-    # or -0.0 of the known defect that forms.kernel keeps for the sweep
-    zero = 0 if legacy else Fraction(0)
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        row = ech[k]
-        s = sum(row[j] * x[j] for j in range(c + 1, ncols) if row[j] and x[j])
-        x[c] = ((Fraction(row[ncols]) if rhs else zero) - s) / row[c]
-    return x
-
-
-def dense_kernel_basis(rows, ncols, legacy=False):
-    ech, pivots, _ = dense_int_echelon(rows, ncols)
-    basis = []
-    for f in range(ncols):
-        if f not in pivots:
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            basis.append(dense_back_substitute(ech, pivots, v, ncols, legacy=legacy))
-    return basis
-
-
-def dense_solve(aug_rows, ncols):
-    ech, pivots, _ = dense_int_echelon(aug_rows, ncols + 1, augmented_from=ncols)
-    if any(row[ncols] for row in ech[len(pivots):]):
-        return None, len(pivots)
-    x = dense_back_substitute(ech, pivots, [Fraction(0)] * ncols, ncols, rhs=True)
-    return x, len(pivots)
-
-
 @st.composite
 def bareiss_cases(draw):
     """Integer matrices up to 8 x 8: small or 16-bit entries, often sparse,
@@ -569,13 +505,8 @@ def _sweep_posets():
     return posets, frobenius
 
 
-def _dense(rows, ncols):
-    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
-
-
 def _exact_dot(row, v):
-    # a float entry is a zero from the known defect; read it as exactly 0
-    return sum(x * Fraction(v[j]) for j, x in row.items())
+    return sum(x * v[j] for j, x in row.items())
 
 
 def _draw_form(data, posets, diagonal):
@@ -589,26 +520,48 @@ def _draw_form(data, posets, diagonal):
     return gA, values
 
 
+def _assert_kernel_matches_legacy_oracle(gA, values):
+    """``forms.kernel`` against the dense oracle on dφ of one draw: the exact
+    vectors X / D, the recorded empty sums at the legacy floats' positions,
+    and ``sweep._pairing`` equal, repr and all, to the legacy Python sums
+    over the strict indices, over every index, and over every index with
+    the diagonal filled in. True when a float is there."""
+    rows, d = _dphi_rows(gA, values)[0], gA.dim
+    rep = kernel(gA, values)
+    exact = [_over(g, rep.scale) for g in rep.generators]
+    assert repr(exact) == repr(dense_kernel_basis(dense_rows(rows, d), d))
+    legacy = dense_kernel_basis(dense_rows(rows, d), d, legacy=True)
+    floats = [{i for i, x in enumerate(v) if isinstance(x, float)} for v in legacy]
+    assert rep.empty_sums == floats
+    assert all(x == 0 for v in legacy for x in v if isinstance(x, float))
+    strict = [i for i, lab in enumerate(gA.labels) if lab[0] == "e"]
+    completed = [v or 1 for v in values]  # as the diagonal completion sets h_i
+    for x, empty, v in zip(rep.generators, rep.empty_sums, legacy):
+        for phi, indices in ((values, strict), (values, range(d)), (completed, range(d))):
+            want = sum(phi[i] * v[i] for i in indices)
+            assert repr(_pairing(phi, x, rep.scale, empty, indices)) == repr(want)
+    return any(floats)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_int_kernel_basis_matches_dense_at_sweep_size(data):
-    # forms.kernel's legacy vectors on dφ of connected posets with n <= 6
-    # (g_A of dimension up to 20) match the oracle's legacy float pattern
+    # forms.kernel on dφ of connected posets with n <= 6 (g_A of dimension
+    # up to 20) matches the dense oracle: exactly, and at the legacy floats
     gA, values = _draw_form(data, _sweep_posets()[0], diagonal=False)
     rows, d = _dphi_rows(gA, values)[0], gA.dim
-    basis = kernel(gA, values).vectors
-    assert repr(basis) == repr(dense_kernel_basis(_dense(rows, d), d, legacy=True))
-    assert len(basis) == d - int_rank(rows, d)
-    for v in basis:
-        assert all(x == 0 for x in v if isinstance(x, float))
-        assert all(_exact_dot(row, v) == 0 for row in rows)
+    _assert_kernel_matches_legacy_oracle(gA, values)
+    rep = kernel(gA, values)
+    assert rep.dimension == d - int_rank(rows, d)
+    for g in rep.generators:
+        assert all(_exact_dot(row, _over(g, rep.scale)) == 0 for row in rows)
 
 
 def test_int_kernel_basis_matches_dense_on_witnesses_of_1_2_345():
     # the 60 witness draws of classify_contact at seed 0 on 1<2<{3,4,5},
     # the poset whose pairing the float 0 / pivot entries flip: lazily
-    # scaled rows and forms.kernel's float pattern must both match the
-    # dense oracle's legacy mode
+    # scaled rows, the recorded empty sums and the pairing must all match
+    # the dense oracle's legacy mode
     gA = build_gA(Poset.from_covers(5, [(1, 2), (2, 3), (2, 4), (2, 5)]))
     d = gA.dim
     strict = [i for i, lab in enumerate(gA.labels) if lab[0] == "e"]
@@ -618,10 +571,7 @@ def test_int_kernel_basis_matches_dense_on_witnesses_of_1_2_345():
         values = [0] * d
         for i in strict:
             values[i] = rng.randint(1, 1 << 16)
-        rows = _dphi_rows(gA, values)[0]
-        basis = kernel(gA, values).vectors
-        assert repr(basis) == repr(dense_kernel_basis(_dense(rows, d), d, legacy=True))
-        with_floats += any(isinstance(x, float) for v in basis for x in v)
+        with_floats += _assert_kernel_matches_legacy_oracle(gA, values)
     assert d == 11 and with_floats == 55
 
 
@@ -634,9 +584,9 @@ def test_int_solve_matches_dense_on_frobenius_forms(data):
     aug = [row | {d: p} if p else row for row, p in zip(rows, phi)]
     x, gens, scale = int_solve_scaled(aug, d)
     x = x and _over(x, scale)
-    dense_x, dense_rank = dense_solve(_dense(aug, d + 1), d)
+    dense_x, dense_rank = dense_solve(dense_rows(aug, d + 1), d)
     assert repr(x) == repr(dense_x)
     assert d - len(gens) == dense_rank
-    assert repr([_over(g, scale) for g in gens]) == repr(dense_kernel_basis(_dense(rows, d), d))
+    assert repr([_over(g, scale) for g in gens]) == repr(dense_kernel_basis(dense_rows(rows, d), d))
     if not gens:
         assert all(_exact_dot(row, x) == p for row, p in zip(rows, phi))
