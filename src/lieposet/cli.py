@@ -66,7 +66,7 @@ def _load_json(path, what):
     try:
         with open(path) as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
-    except (OSError, ValueError) as exc:  # ValueError covers json.JSONDecodeError
+    except (OSError, ValueError, RecursionError) as exc:  # JSONDecodeError, deep nesting
         raise InputError(f"cannot read {what} from {path}: {exc}") from exc
 
 

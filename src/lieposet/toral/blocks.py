@@ -86,21 +86,27 @@ def _roles_for(poset):
 # ----- spanning-tree form search ---------------------------------------------
 
 
-def _least_tree_support(poset, accept):
-    """Lexicographically smallest spanning-tree support passing ``accept``.
+def _least_tree_form(poset, diagonal, verdict):
+    """φ_S + ``diagonal`` for the lexicographically smallest spanning-tree
+    support S whose form ``verdict(gA, form)`` accepts, or None.
 
     A candidate support S orients every edge from an ideal D to the
     filter U = complement, so the search walks the ideals and, for each,
     the spanning trees of the bipartite relation graph D x U that contain
     all extremal relations, in lexicographic order. Every such tree is a
     candidate exactly once, so the result does not depend on the order
-    of the ideals. Returns a sorted tuple of pairs, or None.
+    of the ideals. g_A is built once and every verdict reads it.
     """
     n = poset.n
     need = n - 1
     if len(poset.relations) < need:
         return None
+    gA = build_gA(poset)
     rel_e = poset.extremal_data().rel_e
+
+    def accept(support):
+        return verdict(gA, OneForm.from_support(poset, support + diagonal))
+
     best = None
     for ideal in poset.ideals():
         d_set = set(ideal)
@@ -116,56 +122,39 @@ def _least_tree_support(poset, accept):
         found = _first_spanning_tree(poset.elements, edges, rel_e, need, accept, best)
         if found is not None and (best is None or found < best):
             best = found
-    return best
+    return None if best is None else OneForm.from_support(poset, list(best) + diagonal)
 
 
 def derive_small_frobenius_form(poset):
-    """Lexicographically smallest spanning-tree support that makes a
-    Frobenius toral one-form.
+    """Lexicographically smallest spanning-tree form φ_S that is Frobenius
+    on g_A, or None.
 
-    A candidate is accepted when the exact corank of its reduced dφ
-    (``_tree_form_corank``) is 0, so both acceptance and rejection are
-    exact; with a trivial trace-zero kernel the full incidence kernel is
-    spanned by the identity matrix, which settles the kernel-shape
-    condition for free. Returns None if no support qualifies.
+    S is accepted when dφ_S has full rank (``linalg.skew_rank``, which a
+    full rank mod p settles), the rule ``principal_or_kernel`` certifies
+    x̂ by; so both acceptance and rejection are exact. With a trivial
+    trace-zero kernel the full incidence kernel is spanned by the
+    identity matrix, which settles the kernel-shape condition for free.
     """
     if (poset.n - 1 + len(poset.relations)) % 2 == 1:
         return None
-    rels = sorted(poset.relations)
-
-    def frobenius(support):
-        return _tree_form_corank(rels, set(support)) == 0
-
-    best = _least_tree_support(poset, frobenius)
-    return None if best is None else OneForm.from_support(poset, best)
+    return _least_tree_form(
+        poset, [], lambda gA, form: linalg.skew_rank(_dphi_rows(gA, form)[0], gA.dim) == gA.dim
+    )
 
 
-def _tree_form_corank(relations_sorted, support_set):
-    """Trace-zero kernel dimension of dφ for a 0/1 spanning-tree form.
+def search_contact_form(poset):
+    """Lexicographically smallest contact form E*_{1,1} + φ_S, or None.
 
-    For such forms, dφ in the split basis (diagonal differences, strict
-    pairs) is [[0, B], [-B^T, C]] where B vanishes off the support
-    columns and its support block is an invertible tree incidence
-    matrix, so the kernel reduces exactly to the kernel of C restricted
-    to the non-support relation pairs:
-    C[(p,q),(r,s)] = -[q=r][(p,s) in S] + [s=p][(r,q) in S].
-    Its rank is ``linalg.skew_rank``'s, exact over Q.
+    The same spanning-tree search as the Frobenius one; S is accepted
+    when ``is_contact_form_volume`` accepts E*_{1,1} + φ_S, one exact
+    rank of the bordered skew matrix per candidate. Nothing is sampled,
+    so the result is exact. The search is exhaustive, with no cap on the
+    number of supports tried; callers bound the poset size instead (the
+    CLI's ``SEARCH_SIZE_CAP``).
     """
-    free = [pq for pq in relations_sorted if pq not in support_set]
-    m = len(free)
-    if m == 0:
-        return 0
-    rows = [{} for _ in range(m)]
-    for a in range(m):
-        p, q = free[a]
-        for b in range(a + 1, m):
-            r, s = free[b]
-            # (p, q) < (r, s) and r < s, so s > p: the formula's [s=p] term
-            # never fires above the diagonal
-            if q == r and (p, s) in support_set:
-                rows[a][b] = -1
-                rows[b][a] = 1
-    return m - linalg.skew_rank(rows, m)
+    if (poset.n - 1 + len(poset.relations)) % 2 == 0 or not poset.is_connected():
+        return None
+    return _least_tree_form(poset, [(1, 1)], is_contact_form_volume)
 
 
 def _first_spanning_tree(vertices, edges, required, need, accept, bound):
@@ -508,26 +497,3 @@ def verify_block(blk, seed=0):
     if blk.kind == "toral":
         return verify_toral_pair(blk.poset, blk.form)
     return verify_contact_toral_pair(blk.poset, blk.form)
-
-
-def search_contact_form(poset):
-    """Lexicographically smallest contact form E*_{1,1} + φ_S, or None.
-
-    The same spanning-tree search as the Frobenius one, over
-    every support S oriented from an ideal to its complementary filter
-    and covering all extremal relations; S is accepted when
-    ``is_contact_form_volume`` accepts E*_{1,1} + φ_S, one exact rank of
-    the bordered skew matrix per candidate. Nothing is sampled, so the
-    result is exact. The search is exhaustive, with no cap on the number
-    of supports tried; callers bound the poset size instead (the CLI's
-    ``SEARCH_SIZE_CAP``).
-    """
-    gA = build_gA(poset)
-    if gA.dim % 2 == 0 or not poset.is_connected():
-        return None
-
-    def contact(support):
-        return is_contact_form_volume(gA, OneForm.from_support(poset, list(support) + [(1, 1)]))
-
-    best = _least_tree_support(poset, contact)
-    return None if best is None else OneForm.from_support(poset, list(best) + [(1, 1)])

@@ -66,7 +66,7 @@ RULES = {
     "H": RuleSpec("H", frozenset({"c", "a1", "a2"}), {"a1": False, "a2": False}, 2),
 }
 
-CONTACT_RULES = frozenset({"A1", "A2", "C", "D1", "D2", "F"})
+CONTACT_RULES = frozenset(name for name, rule in RULES.items() if rule.index_delta == 0)
 
 
 @dataclass

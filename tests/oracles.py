@@ -10,16 +10,24 @@ matrix coordinates of a kernel report built from its Fraction vectors
 X / D, poset isomorphism as a truth value, the conjecture sweep as a
 loop over the listed enumeration, dense Bareiss with its back-substitution,
 kernel and solve (the oracles of the sparse elimination, and in legacy mode
-of the known defect's float zeros), and ``classify_contact`` on that legacy
-kernel."""
+of the known defect's float zeros), ``classify_contact`` on that legacy
+kernel, and both spanning-tree form searches by exhaustion."""
 
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import isqrt
 
 from lieposet.algebras import LieAlgebra, build_custom, build_gA
-from lieposet.forms import FormError, OneForm, _dphi_rows, dphi_matrix, index
+from lieposet.forms import (
+    FormError,
+    OneForm,
+    _dphi_rows,
+    dphi_matrix,
+    index,
+    is_contact_form,
+    kernel,
+)
 from lieposet.linalg import RatMatrix, ShapeError
 from lieposet.posets import canonical_key
 from lieposet.sweep import (
@@ -412,3 +420,35 @@ def legacy_classify_contact(poset, seed=0):
                     values[i] = 2
                 return True, "regular form completed on the diagonal", values
     return False, "no contact witness found (empirical)", None
+
+
+def exhaustive_tree_form(poset, contact):
+    """``search_contact_form`` (``contact``) or ``derive_small_frobenius_form``
+    as a scan of ``combinations(sorted(relations), n - 1)`` in lexicographic
+    order: the first spanning tree with no interior vertex, whose sources
+    form an ideal, that contains Rel_E and whose form passes a Bareiss
+    verdict, ``is_contact_form`` on E*_{11} + φ_S or an empty ``kernel`` of
+    dφ_S. Returns the form or None."""
+    n = poset.n
+    rel_e = poset.extremal_data().rel_e
+    gA = build_gA(poset)
+    for support in combinations(sorted(poset.relations), n - 1):
+        sources = {p for p, _ in support}
+        if sources & {q for _, q in support} or not poset.is_ideal(sources):
+            continue
+        if not rel_e <= set(support):
+            continue
+        reached = {1}
+        for _ in range(n):
+            reached |= {b for pq in support for a, b in (pq, pq[::-1]) if a in reached}
+        if len(reached) < n:  # n - 1 edges that connect all n vertices form a tree
+            continue
+        if contact:
+            form = OneForm.from_support(poset, [*support, (1, 1)])
+            if is_contact_form(gA, form).is_contact:
+                return form
+        else:
+            form = OneForm.from_support(poset, support)
+            if kernel(gA, form).dimension == 0:
+                return form
+    return None

@@ -27,7 +27,7 @@ from lieposet.toral import (
 from lieposet.sweep import enumerate_posets
 from lieposet.toral import blocks
 from lieposet.toral.blocks import search_contact_form, verify_block
-from oracles import in_kernel, vector_from_coords
+from oracles import exhaustive_tree_form, in_kernel, vector_from_coords
 
 
 def test_catalog_listing():
@@ -334,39 +334,21 @@ def test_derive_form_none_for_odd_dimension():
     assert derive_small_frobenius_form(Poset.chain(3)) is None
 
 
-def test_tree_form_reduction_matches_generic_kernel():
-    # the search's reduced corank equals the kernel dimension computed
-    # through the full algebra, on 0/1 spanning-tree forms
-    import random
-
-    from lieposet.forms import is_small, udo_partition
-    from lieposet.toral.blocks import _tree_form_corank
-
-    rng = random.Random(21)
-    checked = 0
-    while checked < 30:
-        n = rng.randint(3, 6)
-        covers = [
-            (p, q)
-            for p in range(1, n + 1)
-            for q in range(p + 1, n + 1)
-            if rng.random() < 0.4
-        ]
-        poset = Poset.from_covers(n, covers)
-        rels = sorted(poset.relations)
-        if len(rels) < n - 1:
+def test_both_searches_equal_the_exhaustive_oracle():
+    # every poset with 2 <= n <= 6, disconnected ones included: each search
+    # against a lexicographic scan of all (n - 1)-subsets of the relations
+    # with Bareiss verdicts, so every candidate a search rejects before its
+    # result is rejected by the oracle too
+    searches = {"frobenius": derive_small_frobenius_form, "contact": search_contact_form}
+    found = dict.fromkeys(searches, 0)
+    for poset in enumerate_posets(6, connected_only=False):
+        if poset.n < 2:
             continue
-        support = rng.sample(rels, n - 1)
-        phi = OneForm.from_support(poset, support)
-        if not is_small(poset, phi):
-            continue
-        u, d, o = udo_partition(poset, phi)
-        if o or not poset.is_filter(u) or not poset.is_ideal(d):
-            continue
-        reduced = _tree_form_corank(rels, set(support))
-        exact = kernel(build_gA(poset), phi).dimension
-        assert reduced == exact, (poset.covers, support)
-        checked += 1
+        for name, search in searches.items():
+            form = search(poset)
+            assert form == exhaustive_tree_form(poset, name == "contact"), (name, poset.covers)
+            found[name] += form is not None
+    assert found == {"frobenius": 71, "contact": 73}
 
 
 def test_jacobi_exhaustive_at_dim_98():

@@ -833,6 +833,30 @@ def test_malformed_inputs_exit_code(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error:"), (argv, err)
 
 
+def test_deeply_nested_json_exit_code(tmp_path):
+    # 100,000 nested brackets used to end in a RecursionError traceback and
+    # exit 1, the code of a verification failure
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    chain3 = write(tmp_path, "chain3.json", {"n": 3, "covers": [[1, 2], [2, 3]]})
+    src = str(Path(lieposet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for argv in (
+        ["analyze", str(nested)],
+        ["analyze", chain3, "--form", str(nested)],
+        ["build", str(nested)],
+        ["glue", str(nested), "--block", "chain2", "--rule", "A1"],
+        ["export-dot", str(nested)],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lieposet.cli", *argv], capture_output=True, text=True, env=env
+        )
+        err = proc.stderr.strip().splitlines()
+        assert proc.returncode == 2, (argv, proc.returncode)
+        assert "Traceback" not in proc.stderr, argv
+        assert len(err) == 1 and err[0].startswith("error:"), (argv, err)
+
 def test_analyze_two_disjoint_chains_is_contact(tmp_path):
     path = write(tmp_path, "two_chains.json", {"n": 4, "covers": [[1, 2], [3, 4]]})
     out = tmp_path / "report.json"

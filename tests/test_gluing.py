@@ -291,6 +291,11 @@ def test_index_formula_contact_script():
     assert index(build_gA(result.poset), seed=3) == 1
 
 
+def test_contact_rules_are_the_index_preserving_rules():
+    # read off the delta table, and equal to the acceptance suite's tuple
+    assert CONTACT_RULES == {"A1", "A2", "C", "D1", "D2", "F"}
+
+
 def test_index_delta_rule_b():
     # rule B adds one to the index over a Frobenius block
     q = block("pendant_chain", 4).poset
