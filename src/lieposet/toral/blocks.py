@@ -49,10 +49,6 @@ class BuildingBlock:
     roles: dict  # {"c": label, "a1": label, "a2": label or absent}
     n: int | None = None
 
-    @property
-    def c_is_minimal(self):
-        return self.roles["c"] in self.poset.minimal_elements
-
     def role_side(self, role):
         """'min' or 'max' side of the extremal element filling the role."""
         return "min" if self.roles[role] in self.poset.minimal_elements else "max"
@@ -97,8 +93,7 @@ def _least_tree_form(poset, diagonal, verdict):
     candidate exactly once, so the result does not depend on the order
     of the ideals. g_A is built once and every verdict reads it.
     """
-    n = poset.n
-    need = n - 1
+    need = poset.n - 1
     if len(poset.relations) < need:
         return None
     gA = build_gA(poset)
@@ -110,8 +105,6 @@ def _least_tree_form(poset, diagonal, verdict):
     best = None
     for ideal in poset.ideals():
         d_set = set(ideal)
-        if not d_set or len(d_set) == n:
-            continue
         if any(p not in d_set or q in d_set for p, q in rel_e):
             continue
         edges = sorted(

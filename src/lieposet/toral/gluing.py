@@ -1,12 +1,12 @@
 """Vertex-identification gluing of building blocks and construction scripts.
 
 A glue step merges extremal vertices of a block into extremal vertices
-of the accumulated poset (minimal with minimal, maximal with maximal),
-validated against the twelve-rule table. Listing a step's candidates
-draws distinct targets from the minimal or maximal elements on each
-role's side, so a candidate is valid by construction except for the
-rule's relatedness condition, the only check the listing makes. Scripts
-replay ordered steps, build the inductive one-form (add the block form,
+of the accumulated poset (minimal with minimal, maximal with maximal)
+under the twelve-rule table. One predicate, ``_violation``, decides
+whether a step is admissible: ``glue`` raises its message, and the
+listing of a step's candidates, drawn from the minimal or maximal
+elements on each role's side, keeps those it passes. Scripts replay
+ordered steps, build the inductive one-form (add the block form,
 subtract each merged extremal edge once), and keep a full audit in final
 labels: each step's spec and poset, its relabeling and its map to the
 final labels.
@@ -74,50 +74,46 @@ class GlueResult:
     poset: Poset
     q_map: dict  # old accumulated label -> new label
     s_map: dict  # block-intrinsic label -> new label
-    merged: dict  # role -> new label, for the identified roles
 
 
-def _validate_glue(q_poset, blk, rule_name, identify):
-    rule = RULES.get(rule_name)
-    if rule is None:
-        raise GlueError(f"unknown gluing rule {rule_name!r}")
-    identify = dict(identify or {})
-    if set(identify) != set(rule.identified):
-        raise GlueError(
-            f"rule {rule_name} identifies roles {sorted(rule.identified)}, "
-            f"got {sorted(identify)}"
-        )
+def _violation(q_poset, blk, rule, identify):
+    """The first rule-table condition a glue step breaks, as the message
+    ``glue`` raises, or None when ``glue`` accepts the step."""
+    if set(identify) != rule.identified:
+        return f"rule {rule.name} identifies roles {sorted(rule.identified)}, got {sorted(identify)}"
     if "a2" in rule.identified and "a2" not in blk.roles:
-        raise GlueError(f"rule {rule_name} needs a block with three extremal elements")
-    targets = list(identify.values())
-    if len(set(targets)) != len(targets):
-        raise GlueError("identification targets must be distinct")
+        return f"rule {rule.name} needs a block with three extremal elements"
+    if len(set(identify.values())) != len(identify):
+        return "identification targets must be distinct"
     for role, target in identify.items():
-        if role not in blk.roles:
-            raise GlueError(f"block {blk.id} has no role {role}")
         if target not in range(1, q_poset.n + 1):
-            raise GlueError(f"target {target} not in the accumulated poset")
+            return f"target {target} not in the accumulated poset"
         side = blk.role_side(role)
         pool = q_poset.minimal_elements if side == "min" else q_poset.maximal_elements
         if target not in pool:
-            raise GlueError(
-                f"rule {rule_name}: role {role} is {side}imal in the block but "
+            return (
+                f"rule {rule.name}: role {role} is {side}imal in the block but "
                 f"target {target} is not {side}imal in the accumulated poset"
             )
     # every rule with a relatedness condition identifies c
     for role, wanted in rule.related.items():
         if q_poset.related(identify["c"], identify[role]) != wanted:
             kind = "related" if wanted else "unrelated"
-            raise GlueError(
-                f"rule {rule_name}: target of {role} must be {kind} to the "
+            return (
+                f"rule {rule.name}: target of {role} must be {kind} to the "
                 f"target of c in the accumulated poset"
             )
-    return rule, identify
+    return None
 
 
 def glue(q_poset, blk, rule_name, identify):
     """Merge a block into the accumulated poset under a table rule."""
-    rule, identify = _validate_glue(q_poset, blk, rule_name, identify)
+    rule = RULES.get(rule_name)
+    if rule is None:
+        raise GlueError(f"unknown gluing rule {rule_name!r}")
+    identify = dict(identify or {})
+    if (message := _violation(q_poset, blk, rule, identify)) is not None:
+        raise GlueError(message)
     s_provisional = {}
     nxt = q_poset.n + 1
     inverse_roles = {label: role for role, label in blk.roles.items()}
@@ -139,8 +135,7 @@ def glue(q_poset, blk, rule_name, identify):
     relabel = new_poset.relabeling
     q_map = {p: relabel[p] for p in q_poset.elements}
     s_map = {p: relabel[s_provisional[p]] for p in blk.poset.elements}
-    merged = {role: relabel[target] for role, target in identify.items()}
-    return GlueResult(new_poset, q_map, s_map, merged)
+    return GlueResult(new_poset, q_map, s_map)
 
 
 @cache
@@ -309,7 +304,8 @@ def run_script(script, build_form=True):
     ]
     for idx, step in enumerate(steps[1:], start=2):
         blk = step.block()
-        result = glue(poset, blk, step.rule, dict(step.identify))
+        identify = dict(step.identify)
+        result = glue(poset, blk, step.rule, identify)
         added = []
         subtracted = []
         if build_form:
@@ -321,8 +317,8 @@ def run_script(script, build_form=True):
             # s_map is one-to-one, so the block's pairs stay distinct
             added = sorted((result.s_map[p], result.s_map[q]) for p, q in blk.form.coeffs)
             for role in (r for r, wanted in RULES[step.rule].related.items() if wanted):
-                x, other = result.merged["c"], result.merged[role]
-                pair = (x, other) if blk.c_is_minimal else (other, x)
+                x, other = result.q_map[identify["c"]], result.q_map[identify[role]]
+                pair = (x, other) if blk.role_side("c") == "min" else (other, x)
                 coeffs[pair] = coeffs.get(pair, 0) - 1
                 subtracted.append(pair)
             if bad := {k: str(v) for k, v in coeffs.items() if v not in (0, 1)}:
@@ -437,27 +433,16 @@ _RANDOM_CONTACT_POOL = (
 def _valid_identifications(q_poset, blk, rule_name):
     """Every identification ``glue`` accepts under a rule, in lexicographic order.
 
-    Each role draws its target from the accumulated poset's minimal or
-    maximal elements on that role's side, and no target repeats, so a
-    candidate is valid by construction except for the rule's relatedness
-    condition, which is the one check made here.
+    Each role draws its candidate targets from the accumulated poset's
+    minimal or maximal elements on that role's side (none for a role the
+    block lacks), and ``_violation`` keeps the admissible ones.
     """
     rule = RULES[rule_name]
-    if "a2" in rule.identified and "a2" not in blk.roles:
-        return []
     roles = sorted(rule.identified)
     sides = {"min": sorted(q_poset.minimal_elements), "max": sorted(q_poset.maximal_elements)}
-    out = []
-    for targets in product(*(sides[blk.role_side(role)] for role in roles)):
-        if len(set(targets)) < len(targets):
-            continue
-        identify = dict(zip(roles, targets))
-        if all(
-            q_poset.related(identify["c"], identify[role]) == wanted
-            for role, wanted in rule.related.items()
-        ):
-            out.append(identify)
-    return out
+    pools = (sides[blk.role_side(role)] if role in blk.roles else () for role in roles)
+    candidates = (dict(zip(roles, targets)) for targets in product(*pools))
+    return [c for c in candidates if _violation(q_poset, blk, rule, c) is None]
 
 
 def random_toral_script(

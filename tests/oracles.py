@@ -11,7 +11,8 @@ X / D, poset isomorphism as a truth value, the conjecture sweep as a
 loop over the listed enumeration, dense Bareiss with its back-substitution,
 kernel and solve (the oracles of the sparse elimination, and in legacy mode
 of the known defect's float zeros), ``classify_contact`` on that legacy
-kernel, and both spanning-tree form searches by exhaustion."""
+kernel, both spanning-tree form searches by exhaustion, and whether the
+stabilizer of a functional meets the Cartan."""
 
 import random
 from fractions import Fraction
@@ -28,7 +29,7 @@ from lieposet.forms import (
     is_contact_form,
     kernel,
 )
-from lieposet.linalg import RatMatrix, ShapeError
+from lieposet.linalg import RatMatrix, ShapeError, int_null_space
 from lieposet.posets import canonical_key
 from lieposet.sweep import (
     WITNESS_ATTEMPTS,
@@ -224,14 +225,15 @@ def replay_form(script):
     steps = [(form, sorted(form.support), [])]
     for step in script.steps[1:]:
         blk = step.block()
-        result = glue(poset, blk, step.rule, dict(step.identify))
+        identify = dict(step.identify)
+        result = glue(poset, blk, step.rule, identify)
         block_form = translate_form(blk.form, result.s_map, result.poset)
         form = add_forms(translate_form(form, result.q_map, result.poset), block_form)
         subtracted = []
         for role, wanted in RULES[step.rule].related.items():
             if wanted:
-                x, other = result.merged["c"], result.merged[role]
-                pair = (x, other) if blk.c_is_minimal else (other, x)
+                x, other = result.q_map[identify["c"]], result.q_map[identify[role]]
+                pair = (x, other) if blk.role_side("c") == "min" else (other, x)
                 form = subtract_pair(form, *pair)
                 subtracted.append(pair)
         if any(c not in (0, 1) for c in form.coeffs.values()):
@@ -452,3 +454,13 @@ def exhaustive_tree_form(poset, contact):
             if kernel(gA, form).dimension == 0:
                 return form
     return None
+
+
+def stabilizer_meets_cartan(gA, values):
+    """Whether the stabilizer of the functional ``values`` on g_A meets the
+    Cartan: None unless ker dφ is one-dimensional, else whether its spanning
+    vector X has a nonzero h-coordinate."""
+    gens, _ = int_null_space(_dphi_rows(gA, values)[0], gA.dim)
+    if len(gens) != 1:
+        return None
+    return any(x for (kind, _), x in zip(gA.labels, gens[0]) if kind == "h")

@@ -82,6 +82,8 @@ def test_analyze_singleton(tmp_path):
     report = json.loads(out.read_text())
     assert report["index"]["value"] == 0
     assert report["algebra"]["dim_gA"] == 0
+    # g_A = 0 is Frobenius, and the search finds the empty form
+    assert report["frobenius_search"] == {"verdict": True, "certificate": {"support": []}}
 
 
 def test_analyze_index_failure_bound(tmp_path):
@@ -264,6 +266,39 @@ def test_glue_repeated_role_exit_code(tmp_path, capsys):
     argv = ["glue", ppath, "--block", "pendant_chain", "--n", "4", "--rule", "A1"]
     assert main(argv + ["--identify", "a1=1,a1=4"]) == 2
     assert _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "block_id,rule,identify,message",
+    [
+        ("chain2", "Q", "a1=3", "unknown gluing rule 'Q'"),
+        ("chain2", "A1", "c=1", "rule A1 identifies roles ['a1'], got ['c']"),
+        ("chain2", "A2", "a2=3", "rule A2 needs a block with three extremal elements"),
+        ("six_a", "D1", "c=3,a1=3", "identification targets must be distinct"),
+        ("six_a", "A1", "a1=9", "target 9 not in the accumulated poset"),
+        (
+            "six_a",
+            "A1",
+            "a1=1",
+            "rule A1: role a1 is maximal in the block but target 1 is not "
+            "maximal in the accumulated poset",
+        ),
+        (
+            "six_a",
+            "E1",
+            "c=1,a1=3",
+            "rule E1: target of a1 must be unrelated to the target of c in the "
+            "accumulated poset",
+        ),
+    ],
+)
+def test_glue_rejections_print_one_error_line(tmp_path, capsys, block_id, rule, identify, message):
+    # every rule-table violation, on the fork 1 < 2 < {3, 4}
+    ppath = write(tmp_path, "fork.json", {"n": 4, "covers": [[1, 2], [2, 3], [2, 4]]})
+    argv = ["glue", ppath, "--block", block_id, "--rule", rule, "--identify", identify]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_size_for_fixed_block_exit_code(tmp_path, capsys):

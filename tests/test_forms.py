@@ -39,6 +39,7 @@ from oracles import (
     is_zero,
     kernel_coords,
     sl2,
+    stabilizer_meets_cartan,
     unit,
     vector_from_coords,
 )
@@ -576,7 +577,7 @@ def test_spectrum_matches_faddeev_on_searched_frobenius_forms():
         assert ad_char_poly(gA, *x_hat) == reference, poset.covers
         assert is_binary_weights(gA, *x_hat) == binary, poset.covers
         forms += 1
-    assert forms == 71
+    assert forms == 72  # the one-element poset's empty form included
 
 
 def test_spectrum_of_custom_algebra_is_shape_error():
@@ -866,7 +867,7 @@ def test_binary_weights_in_integers_match_ad_char_poly():
                 assert is_binary_weights(gA, vec, d) == binary, poset.covers
                 assert is_binary_weights(gA, [-v for v in vec], -d) == binary
                 found[binary] += 1
-    assert found == {True: 101, False: 202}  # 71 small forms, 30 random Frobenius ones
+    assert found == {True: 103, False: 194}  # 72 small forms, 27 random Frobenius ones
     with pytest.raises(ShapeError):
         is_binary_weights(build_g(CHAIN2), [0, 1, 0], 1)
 
@@ -951,3 +952,26 @@ def test_kernel_json_never_builds_the_fraction_vectors():
                 rep.generator_coords()
             assert "vectors" not in rep.__dict__, poset.covers
     assert all(seen.values()), seen
+
+
+def test_stabilizer_meets_cartan_agrees_with_the_volume_test():
+    # on every odd-d connected poset with n <= 7, one seeded φ: wherever
+    # ker dφ is one-dimensional, φ is contact exactly when the kernel's
+    # spanning vector has a nonzero Cartan part. The rule is for generic φ:
+    # draws in -3..3 hit coincidences, X meeting the Cartan with φ(X) = 0
+    # (6 disagreements), that draws in -1000..1000 avoid here
+    agree, no_bit, bad = 0, 0, []
+    for i, poset in enumerate(enumerate_posets(7)):
+        if (poset.n - 1 + len(poset.relations)) % 2 == 0:
+            continue
+        gA = build_gA(poset)
+        rng = random.Random(i)
+        phi = [rng.randint(-1000, 1000) for _ in range(gA.dim)]
+        bit = stabilizer_meets_cartan(gA, phi)
+        if bit is None:
+            no_bit += 1
+        elif bit == is_contact_form_volume(gA, phi):
+            agree += 1
+        else:
+            bad.append(sorted(poset.covers))
+    assert (agree, no_bit, bad) == (627, 328, [])
