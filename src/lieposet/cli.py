@@ -79,10 +79,16 @@ def _write_text(path, text):
 
 
 def _load_poset(path):
+    """The poset of a JSON file, refused when a cover breaks p < q: ``from_json``
+    would relabel it, and ``--form`` and ``--identify`` read the file's labels."""
+    data = _load_json(path, "poset")
     try:
-        return Poset.from_json(_load_json(path, "poset"))
+        poset = Poset.from_json(data)
     except PosetError as exc:
         raise InputError(f"{path}: {exc}") from exc
+    if bad := [pq for pq in data["covers"] if pq[0] > pq[1]]:
+        raise InputError(f"{path}: cover {bad[0]} breaks the p<q label convention")
+    return poset
 
 
 def analyze(poset, form=None, seed=0):

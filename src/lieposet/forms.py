@@ -132,7 +132,12 @@ class OneForm:
             try:
                 for key, val in data["coeffs"].items():
                     p, q = (int(x) for x in key.split(","))
-                    coeffs[(p, q)] = _exact(val if isinstance(val, str) else json_int(val))
+                    if isinstance(val, str):  # an integer or p/q: no decimal, no exponent
+                        num, slash, den = val.partition("/")
+                        val = Fraction(int(num), int(den) if slash else 1)
+                    else:
+                        val = json_int(val)
+                    coeffs[(p, q)] = _exact(val)
             except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise FormError(f"malformed one-form coefficient: {exc}") from exc
             if len(coeffs) < len(data["coeffs"]) or not coeffs.keys() <= set(pairs):

@@ -169,6 +169,11 @@ class Poset:
     def relabeling(self):
         return dict(self._relabeling or {p: p for p in self.elements})
 
+    @property
+    def dim_gA(self):
+        """dim g_A = n − 1 + |Rel|, known before g_A is built."""
+        return self.n - 1 + len(self.relations)
+
     def related(self, p, q):
         return p == q or (p, q) in self.relations or (q, p) in self.relations
 
@@ -222,28 +227,13 @@ class Poset:
     def connected_components(self):
         """Components of the comparability graph, in order of least label.
 
-        The adjacency is built per call and not cached: the enumeration
-        filters thousands of posets by connectivity."""
-        adj = {p: [] for p in self.elements}
-        for p, q in self.relations:
-            adj[p].append(q)
-            adj[q].append(p)
-        seen = set()
-        comps = []
-        for start in self.elements:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
+        Nothing is cached: the enumeration filters thousands of posets by
+        connectivity."""
+        find, _ = _union_find(self.elements, self.relations)
+        comps = {}
+        for p in self.elements:
+            comps.setdefault(find(p), set()).add(p)
+        return [frozenset(comp) for comp in comps.values()]
 
     def is_connected(self):
         return len(self.connected_components()) == 1
@@ -531,8 +521,10 @@ def _canonical_labelling(poset):
     return key, {p: c + 1 for p, c in enumerate(colour, start=1)}
 
 
-def is_forest(vertices, edges):
-    """True when the undirected graph on ``vertices`` has no cycle."""
+def _union_find(vertices, edges):
+    """``(find, acyclic)``: the root finder of the undirected graph on
+    ``vertices`` with every edge joined, and whether each edge joined two
+    different trees."""
     parent = {v: v for v in vertices}
 
     def find(x):
@@ -541,12 +533,17 @@ def is_forest(vertices, edges):
             x = parent[x]
         return x
 
+    acyclic = True
     for p, q in edges:
         rp, rq = find(p), find(q)
-        if rp == rq:
-            return False
+        acyclic = acyclic and rp != rq
         parent[rp] = rq
-    return True
+    return find, acyclic
+
+
+def is_forest(vertices, edges):
+    """True when the undirected graph on ``vertices`` has no cycle."""
+    return _union_find(vertices, edges)[1]
 
 
 __all__ = [

@@ -113,7 +113,7 @@ def classify_contact(poset, seed=0):
     round-off reads as nonzero on some non-contact posets. ROADMAP item 1
     removes it.
     """
-    d = poset.n - 1 + len(poset.relations)  # dim g_A, known before g_A is built
+    d = poset.dim_gA
     if d == 0:
         return False, "zero-dimensional algebra", None
     if d % 2 == 0:

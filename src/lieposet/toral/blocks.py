@@ -87,35 +87,46 @@ def _least_tree_form(poset, diagonal, verdict):
     support S whose form ``verdict(gA, form)`` accepts, or None.
 
     A candidate support S orients every edge from an ideal D to the
-    filter U = complement, so the search walks the ideals and, for each,
-    the spanning trees of the bipartite relation graph D x U that contain
-    all extremal relations, in lexicographic order. Every such tree is a
-    candidate exactly once, so the result does not depend on the order
-    of the ideals. g_A is built once and every verdict reads it.
+    filter U = complement. One include-first walk over the sorted
+    relations builds S: an edge goes in only while S stays a forest, no
+    element is both a tail and a head, and no head lies below a tail, so
+    the tails of a spanning tree form the ideal D. Every extremal
+    relation must go in. Include-first over sorted edges reaches the
+    (n - 1)-edge supports in lexicographic order, so the first one the
+    verdict accepts is the least. g_A is built once and every verdict
+    reads it.
     """
     need = poset.n - 1
-    if len(poset.relations) < need:
+    edges = sorted(poset.relations)
+    if len(edges) < need:
         return None
     gA = build_gA(poset)
     rel_e = poset.extremal_data().rel_e
+    down = poset.down_sets
+    chosen = []
 
-    def accept(support):
-        return verdict(gA, OneForm.from_support(poset, support + diagonal))
+    def walk(i, heads):
+        if len(chosen) == need:  # n - 1 edges and no cycle: a spanning tree
+            if not rel_e.issubset(chosen):
+                return None
+            form = OneForm.from_support(poset, chosen + diagonal)
+            return form if verdict(gA, form) else None
+        if len(chosen) + len(edges) - i < need:
+            return None
+        p, q = e = edges[i]
+        found = None
+        # every chosen tail is at most p < q, so q is no tail and lies below none:
+        # only p can break the orientation
+        if p not in heads and heads.isdisjoint(down[p]):
+            chosen.append(e)
+            if is_forest(poset.elements, chosen):
+                found = walk(i + 1, heads | {q})
+            chosen.pop()
+        if found is None and e not in rel_e:
+            found = walk(i + 1, heads)
+        return found
 
-    best = None
-    for ideal in poset.ideals():
-        d_set = set(ideal)
-        if any(p not in d_set or q in d_set for p, q in rel_e):
-            continue
-        edges = sorted(
-            (p, q) for p, q in poset.relations if p in d_set and q not in d_set
-        )
-        if len(edges) < need:
-            continue
-        found = _first_spanning_tree(poset.elements, edges, rel_e, need, accept, best)
-        if found is not None and (best is None or found < best):
-            best = found
-    return None if best is None else OneForm.from_support(poset, list(best) + diagonal)
+    return walk(0, frozenset())
 
 
 def derive_small_frobenius_form(poset):
@@ -128,7 +139,7 @@ def derive_small_frobenius_form(poset):
     trace-zero kernel the full incidence kernel is spanned by the
     identity matrix, which settles the kernel-shape condition for free.
     """
-    if (poset.n - 1 + len(poset.relations)) % 2 == 1:
+    if poset.dim_gA % 2 == 1:
         return None
     return _least_tree_form(
         poset, [], lambda gA, form: linalg.skew_rank(_dphi_rows(gA, form)[0], gA.dim) == gA.dim
@@ -138,40 +149,16 @@ def derive_small_frobenius_form(poset):
 def search_contact_form(poset):
     """Lexicographically smallest contact form E*_{1,1} + φ_S, or None.
 
-    The same spanning-tree search as the Frobenius one; S is accepted
+    The same walk as the Frobenius search; S is accepted
     when ``is_contact_form_volume`` accepts E*_{1,1} + φ_S, one exact
     rank of the bordered skew matrix per candidate. Nothing is sampled,
     so the result is exact. The search is exhaustive, with no cap on the
     number of supports tried; callers bound the poset size instead (the
     CLI's ``SEARCH_SIZE_CAP``).
     """
-    if (poset.n - 1 + len(poset.relations)) % 2 == 0 or not poset.is_connected():
+    if poset.dim_gA % 2 == 0 or not poset.is_connected():
         return None
     return _least_tree_form(poset, [(1, 1)], is_contact_form_volume)
-
-
-def _first_spanning_tree(vertices, edges, required, need, accept, bound):
-    """First (lex) spanning tree over ``edges`` containing ``required``
-    and passing ``accept``; supports lex-bounded pruning via ``bound``."""
-    chosen = []
-
-    def backtrack(idx):
-        if len(chosen) == need:
-            ok = all(e in chosen for e in required) and accept(chosen)
-            return tuple(chosen) if ok else None
-        if idx == len(edges) or len(chosen) + (len(edges) - idx) < need:
-            return None
-        if bound is not None and chosen and tuple(chosen) > bound[: len(chosen)]:
-            return None
-        e = edges[idx]
-        chosen.append(e)
-        found = backtrack(idx + 1) if is_forest(vertices, chosen) else None
-        chosen.pop()
-        if found is None and e not in required:
-            found = backtrack(idx + 1)
-        return found
-
-    return backtrack(0)
 
 
 # ----- the catalog -------------------------------------------------------------

@@ -472,8 +472,7 @@ def random_toral_script(
                 continue
             identify = options[rng.randrange(len(options))]
             result = glue(poset, blk, rule_name, identify)
-            new_dim = result.poset.n - 1 + len(result.poset.relations)
-            if max_dim is not None and new_dim > max_dim:
+            if max_dim is not None and result.poset.dim_gA > max_dim:
                 continue
             steps.append(
                 ScriptStep(

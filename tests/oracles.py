@@ -7,12 +7,13 @@ membership through ``dphi_matrix``), the structure table of a poset
 algebra built label by label, a script's built form composed one
 ``OneForm`` operation at a time, the covers of a closed relation set,
 matrix coordinates of a kernel report built from its Fraction vectors
-X / D, poset isomorphism as a truth value, the conjecture sweep as a
+X / D, poset isomorphism as a truth value, the components of the
+comparability graph by graph search, the conjecture sweep as a
 loop over the listed enumeration, dense Bareiss with its back-substitution,
 kernel and solve (the oracles of the sparse elimination, and in legacy mode
 of the known defect's float zeros), ``classify_contact`` on that legacy
-kernel, both spanning-tree form searches by exhaustion, and whether the
-stabilizer of a functional meets the Cartan."""
+kernel, the spanning-tree supports and both form searches by exhaustion,
+and whether the stabilizer of a functional meets the Cartan."""
 
 import random
 from fractions import Fraction
@@ -279,6 +280,30 @@ def is_isomorphic(a, b):
     return a.isomorphism_to(b) is not None
 
 
+def searched_components(poset):
+    """Components of the comparability graph by a depth-first search from
+    each unvisited label in turn, as frozensets in order of least label."""
+    adj = {p: [] for p in poset.elements}
+    for p, q in poset.relations:
+        adj[p].append(q)
+        adj[q].append(p)
+    seen = set()
+    comps = []
+    for start in poset.elements:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
 def listed_sweep(max_n, seed=0):
     """``conjecture_sweep`` as a loop over the whole listed enumeration: list
     the posets, then the reach keys, then classify and key each poset."""
@@ -424,16 +449,13 @@ def legacy_classify_contact(poset, seed=0):
     return False, "no contact witness found (empirical)", None
 
 
-def exhaustive_tree_form(poset, contact):
-    """``search_contact_form`` (``contact``) or ``derive_small_frobenius_form``
-    as a scan of ``combinations(sorted(relations), n - 1)`` in lexicographic
-    order: the first spanning tree with no interior vertex, whose sources
-    form an ideal, that contains Rel_E and whose form passes a Bareiss
-    verdict, ``is_contact_form`` on E*_{11} + φ_S or an empty ``kernel`` of
-    dφ_S. Returns the form or None."""
+def tree_supports(poset):
+    """The candidate supports of both form searches, as a scan of
+    ``combinations(sorted(relations), n - 1)`` in lexicographic order: each
+    spanning tree with no interior vertex, whose sources form an ideal, that
+    contains Rel_E."""
     n = poset.n
     rel_e = poset.extremal_data().rel_e
-    gA = build_gA(poset)
     for support in combinations(sorted(poset.relations), n - 1):
         sources = {p for p, _ in support}
         if sources & {q for _, q in support} or not poset.is_ideal(sources):
@@ -443,8 +465,17 @@ def exhaustive_tree_form(poset, contact):
         reached = {1}
         for _ in range(n):
             reached |= {b for pq in support for a, b in (pq, pq[::-1]) if a in reached}
-        if len(reached) < n:  # n - 1 edges that connect all n vertices form a tree
-            continue
+        if len(reached) == n:  # n - 1 edges that connect all n vertices form a tree
+            yield support
+
+
+def exhaustive_tree_form(poset, contact):
+    """``search_contact_form`` (``contact``) or ``derive_small_frobenius_form``
+    as the first of ``tree_supports`` whose form passes a Bareiss verdict,
+    ``is_contact_form`` on E*_{11} + φ_S or an empty ``kernel`` of dφ_S.
+    Returns the form or None."""
+    gA = build_gA(poset)
+    for support in tree_supports(poset):
         if contact:
             form = OneForm.from_support(poset, [*support, (1, 1)])
             if is_contact_form(gA, form).is_contact:

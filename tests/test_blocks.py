@@ -27,7 +27,7 @@ from lieposet.toral import (
 from lieposet.sweep import enumerate_posets
 from lieposet.toral import blocks
 from lieposet.toral.blocks import search_contact_form, verify_block
-from oracles import exhaustive_tree_form, in_kernel, vector_from_coords
+from oracles import exhaustive_tree_form, in_kernel, tree_supports, vector_from_coords
 
 
 def test_catalog_listing():
@@ -348,6 +348,16 @@ def test_both_searches_equal_the_exhaustive_oracle():
             assert form == exhaustive_tree_form(poset, name == "contact"), (name, poset.covers)
             found[name] += form is not None
     assert found == {"frobenius": 72, "contact": 73}
+
+
+def test_tree_walk_meets_every_candidate_support_in_order():
+    # a verdict that rejects every support sees the walk's whole candidate
+    # sequence: the scan's, so no candidate is missed or met twice and each
+    # has its sources as an ideal, whatever the verdicts accept
+    for poset in enumerate_posets(6, connected_only=False):
+        met = []
+        assert blocks._least_tree_form(poset, [], lambda gA, form: met.append(form.support)) is None
+        assert met == [frozenset(s) for s in tree_supports(poset)], poset.covers
 
 
 def test_jacobi_exhaustive_at_dim_98():

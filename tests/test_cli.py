@@ -315,6 +315,38 @@ def test_size_for_fixed_block_exit_code(tmp_path, capsys):
     assert _single_error_line(capsys)
 
 
+def test_poset_file_off_the_label_convention_exit_code(tmp_path, capsys):
+    # 1 < 3 < 2 used to be relabelled silently, and the file's labels then read
+    # as the new ones: this form is E*11 + E*12 in the stored labels, which is
+    # not contact, yet analyze printed contact_form: True; and the glue went to
+    # the file's element 2, though its 3 is not maximal
+    ppath = write(tmp_path, "chain.json", {"n": 3, "covers": [[1, 3], [3, 2]]})
+    fpath = write(tmp_path, "form.json", {"support": [[1, 1], [1, 3]]})
+    for argv in (
+        ["analyze", ppath, "--form", fpath],
+        ["glue", ppath, "--block", "chain2", "--rule", "A1", "--identify", "a1=3"],
+        ["export-dot", ppath],
+    ):
+        assert main(argv) == 2, argv
+        assert _single_error_line(capsys), argv
+    assert main(["analyze", write(tmp_path, "ok.json", {"n": 3, "covers": [[1, 3], [2, 3]]})]) == 0
+
+
+def test_form_coefficient_grammar(tmp_path, capsys):
+    # Fraction's decimal and exponent forms were read: "1e3000000" made a
+    # 10-million-bit integer and analyze did not finish
+    ppath = write(tmp_path, "chain2.json", {"n": 2, "covers": [[1, 2]]})
+    for coeff in ("1e3", "0.5", "1/2.0", "3/", " ", "1e3000000", "9" * 5000):
+        fpath = write(tmp_path, "form.json", {"support": [[1, 2]], "coeffs": {"1,2": coeff}})
+        assert main(["analyze", ppath, "--form", fpath]) == 2, coeff
+        assert _single_error_line(capsys), coeff
+    for coeff, value in (("-3/2", Fraction(-3, 2)), ("4/2", 2), ("7", 7)):
+        fpath = write(tmp_path, "form.json", {"support": [[1, 2]], "coeffs": {"1,2": coeff}})
+        out = tmp_path / "report.json"
+        assert main(["analyze", ppath, "--form", fpath, "--json-out", str(out)]) == 0
+        assert json.loads(out.read_text())["form"]["coeffs"] == {"1,2": str(value)}
+
+
 def test_export_dot(tmp_path, capsys):
     ppath = write(tmp_path, "gate.json", GATE)
     assert main(["export-dot", ppath]) == 0

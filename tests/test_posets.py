@@ -14,7 +14,7 @@ from lieposet.posets import (
 )
 from lieposet.sweep import enumerate_posets
 from lieposet.toral import block, catalog
-from oracles import is_isomorphic, transitive_reduction
+from oracles import is_isomorphic, searched_components, transitive_reduction
 
 GATE = Poset.from_covers(4, [(1, 2), (2, 3), (2, 4)])  # 1 < 2 < {3,4}
 
@@ -277,6 +277,21 @@ def test_beta0_equals_component_count_randomized():
         n = rng.randint(1, 7)
         p = Poset.from_covers(n, random_covers(rng, n, density=0.15))
         assert p.betti_numbers(0)[0] == len(p.connected_components())
+
+
+def test_components_match_graph_search():
+    # the union-find roots give the components of a graph search, order included
+    for p in enumerate_posets(6, connected_only=False):
+        assert p.connected_components() == searched_components(p), p
+    chain, claw = Poset.chain(3), Poset.from_covers(4, [(1, 2), (1, 3), (1, 4)])
+    for p in (
+        chain.disjoint_sum(claw),
+        claw.disjoint_sum(chain).disjoint_sum(Poset.antichain(2)),
+        GATE.dual().disjoint_sum(chain.dual()),
+        Poset.from_covers(7, [(5, 2), (2, 7), (6, 1), (3, 4)]),
+    ):
+        assert len(p.connected_components()) > 1
+        assert p.connected_components() == searched_components(p), p
 
 
 def test_isomorphism_chains():
