@@ -24,11 +24,10 @@ A form holds its integral coefficients as ints.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable
+from typing import NamedTuple
 
 from . import linalg
 from .algebras import PosetLieAlgebra
@@ -223,12 +222,21 @@ def coords_json(coords):
     return {f"{p},{q}": str(v) for (p, q), v in sorted(coords.items())}
 
 
-@dataclass
 class KernelReport:
-    space: str  # "g", "gA", or "custom"
-    generators: list  # integer vectors X in the algebra basis; each kernel vector is X / scale
-    scale: int = 1  # D, a Bareiss pivot: nonzero, of either sign
-    to_coords: Callable | None = field(default=None, repr=False, compare=False)  # (X, D) -> coords
+    def __init__(self, space, generators, scale=1, to_coords=None):
+        self.space = space  # "g", "gA", or "custom"
+        self.generators = generators  # integer vectors X in the basis; each kernel vector is X / scale
+        self.scale = scale  # D, a Bareiss pivot: nonzero, of either sign
+        self.to_coords = to_coords  # (X, D) -> coords; not compared or shown
+
+    def _key(self):
+        return self.space, self.generators, self.scale
+
+    def __eq__(self, other):
+        return type(other) is KernelReport and self._key() == other._key()
+
+    def __repr__(self):
+        return "KernelReport(space={!r}, generators={!r}, scale={!r})".format(*self._key())
 
     @property
     def dimension(self):
@@ -321,8 +329,7 @@ def index_failure_bound(algebra, trials=INDEX_TRIALS):
     return Fraction(0 if algebra.is_abelian() else algebra.dim // 2, linalg._MODP) ** trials
 
 
-@dataclass
-class ContactResult:
+class ContactResult(NamedTuple):
     is_contact: bool
     reason: str
     kernel: KernelReport | None = None

@@ -10,8 +10,8 @@ when the input violates it and record the permutation.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .linalg import int_rank
 
@@ -41,8 +41,7 @@ class UnsupportedSizeError(PosetError):
     """Operation refused above its documented size cap."""
 
 
-@dataclass(frozen=True)
-class ExtremalData:
+class ExtremalData(NamedTuple):
     minimal: frozenset
     maximal: frozenset
     ext: frozenset

@@ -14,10 +14,9 @@ verifier as everything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .. import linalg
 from ..algebras import build_gA
@@ -40,8 +39,7 @@ class BlockError(ValueError):
     """Unknown block id or parameter outside the supported range."""
 
 
-@dataclass(frozen=True)
-class BuildingBlock:
+class BuildingBlock(NamedTuple):
     id: str
     kind: str  # "toral" or "contact"
     poset: Poset
@@ -54,8 +52,7 @@ class BuildingBlock:
         return "min" if self.roles[role] in self.poset.minimal_elements else "max"
 
 
-@dataclass(frozen=True)
-class CatalogFamily:
+class CatalogFamily(NamedTuple):
     id: str
     kind: str  # "toral" or "contact"
     n_range: tuple | None  # inclusive (lo, hi) of documented support; None when fixed
@@ -352,14 +349,14 @@ def block(block_id, n=None):
 # ----- pair verification ------------------------------------------------------
 
 
-@dataclass
 class PairReport:
-    kind: str
-    conditions: dict
-    details: dict = field(default_factory=dict)
-    scaled_principal: tuple | None = field(default=None, repr=False, compare=False)  # x̂ as (X, D)
-    # (g_A, dφ), then dφ's kernel report if an elimination already gave it
-    contact_input: tuple | None = field(default=None, repr=False, compare=False)
+    def __init__(self, kind, conditions, details=None, scaled_principal=None, contact_input=None):
+        self.kind = kind
+        self.conditions = conditions
+        self.details = {} if details is None else details
+        self.scaled_principal = scaled_principal  # x̂ as (X, D)
+        # (g_A, dφ), then dφ's kernel report if an elimination already gave it
+        self.contact_input = contact_input
 
     @cached_property
     def contact_result(self):

@@ -25,9 +25,9 @@ caches empties it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
+from typing import NamedTuple
 
 from ..algebras import build_gA
 from ..forms import ContactResult, OneForm, index
@@ -43,8 +43,7 @@ class ScriptError(ValueError):
     """A construction script is structurally invalid."""
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+class RuleSpec(NamedTuple):
     name: str
     identified: frozenset  # roles merged into existing vertices
     related: dict  # role -> True (must relate to x) / False (must not)
@@ -69,8 +68,7 @@ RULES = {
 CONTACT_RULES = frozenset(name for name, rule in RULES.items() if rule.index_delta == 0)
 
 
-@dataclass
-class GlueResult:
+class GlueResult(NamedTuple):
     poset: Poset
     q_map: dict  # old accumulated label -> new label
     s_map: dict  # block-intrinsic label -> new label
@@ -149,8 +147,7 @@ def _catalog_block(block_id, n):
     return _row_block(family(block_id, n), n)
 
 
-@dataclass(frozen=True)
-class ScriptStep:
+class ScriptStep(NamedTuple):
     block_id: str
     n: int | None = None
     rule: str | None = None
@@ -174,12 +171,10 @@ class ScriptStep:
         return data
 
 
-@dataclass
 class ConstructionScript:
-    steps: list
-
-    def __post_init__(self):
-        if not self.steps:
+    def __init__(self, steps):
+        self.steps = steps
+        if not steps:
             raise ScriptError("scripts need at least one step")
         first = self.steps[0]
         if first.rule is not None or first.identify:
@@ -187,6 +182,12 @@ class ConstructionScript:
         for step in self.steps[1:]:
             if step.rule is None:
                 raise ScriptError("every step after the first needs a gluing rule")
+
+    def __eq__(self, other):
+        return type(other) is ConstructionScript and self.steps == other.steps
+
+    def __repr__(self):
+        return f"ConstructionScript(steps={self.steps!r})"
 
     def to_json(self):
         return {"steps": [s.to_json() for s in self.steps]}
@@ -228,16 +229,17 @@ def is_contact_sequence(script):
     return all(rule in CONTACT_RULES for rule in script.rules_used())
 
 
-@dataclass
 class StepAudit:
-    step: int
-    spec: ScriptStep
-    poset: Poset  # accumulated poset after this step, own labels
-    added: list = field(default_factory=list)  # summand pairs, final labels
-    subtracted: list = field(default_factory=list)
-    block_map: dict = field(default_factory=dict)  # intrinsic -> final labels
-    relabel: dict = field(default_factory=dict)  # previous step labels -> this step
-    to_final: dict = field(default_factory=dict)  # this step's labels -> final labels
+    def __init__(self, step, spec, poset, added=None, subtracted=None, block_map=None,
+                 relabel=None, to_final=None):
+        self.step = step
+        self.spec = spec  # the ScriptStep
+        self.poset = poset  # accumulated poset after this step, own labels
+        self.added = [] if added is None else added  # summand pairs, final labels
+        self.subtracted = [] if subtracted is None else subtracted
+        self.block_map = {} if block_map is None else block_map  # intrinsic -> final labels
+        self.relabel = {} if relabel is None else relabel  # previous step labels -> this step
+        self.to_final = {} if to_final is None else to_final  # this step's labels -> final labels
 
     def to_json(self):
         spec = self.spec
@@ -256,8 +258,7 @@ class StepAudit:
         }
 
 
-@dataclass
-class ScriptResult:
+class ScriptResult(NamedTuple):
     poset: Poset
     form: OneForm | None
     audits: list

@@ -13,7 +13,8 @@ loop over the listed enumeration, dense Bareiss with its back-substitution,
 kernel and solve (the oracles of the sparse elimination, and in legacy mode
 of the known defect's float zeros), ``classify_contact`` on that legacy
 kernel, the spanning-tree supports and both form searches by exhaustion,
-and whether the stabilizer of a functional meets the Cartan."""
+whether the stabilizer of a functional meets the Cartan, and the torus
+weight excess ex(P) of a poset."""
 
 import random
 from fractions import Fraction
@@ -495,3 +496,16 @@ def stabilizer_meets_cartan(gA, values):
     if len(gens) != 1:
         return None
     return any(x for (kind, _), x in zip(gA.labels, gens[0]) if kind == "h")
+
+
+def weight_excess(poset):
+    """ex(P) = Σ_x max(0, net(x)), net(x) = #{q : x < q} − #{p : p < x}.
+
+    wt(e_pq) = ε_p − ε_q and wt(h) = 0, so the weights of g_A's basis sum
+    to Σ_x net(x)·ε_x, and ex(P) is half that sum's ℓ1-norm (the nets sum
+    to 0)."""
+    net = dict.fromkeys(poset.elements, 0)
+    for p, q in poset.relations:
+        net[p] += 1
+        net[q] -= 1
+    return sum(max(0, v) for v in net.values())

@@ -661,14 +661,12 @@ def test_classify_contact_float_branch_on_1_2_345():
 
 def test_verify_catalog_flags_corrupted_entry(tmp_path, monkeypatch):
     # tamper with one block's form and expect a named condition failure
-    import dataclasses
-
     import lieposet.toral.blocks as blocks_mod
 
     row = blocks_mod._FAMILIES["six_a"]
     poset, support = row.build(None)
     broken = support[:-1] + [(4, 6)]  # break the split
-    tampered = dataclasses.replace(row, build=lambda n: (poset, broken))
+    tampered = row._replace(build=lambda n: (poset, broken))
     monkeypatch.setitem(blocks_mod._FAMILIES, "six_a", tampered)
     out = tmp_path / "catalog.json"
     assert main(["verify-catalog", "--n-range", "5", "5", "--json-out", str(out)]) == 1

@@ -29,7 +29,7 @@ from lieposet.forms import (
 )
 from lieposet.linalg import ShapeError, char_poly
 from lieposet.posets import Poset
-from lieposet.sweep import enumerate_posets
+from lieposet.sweep import enumerate_posets, iter_posets
 from lieposet.toral.blocks import verify_contact_toral_pair, verify_toral_pair
 from oracles import (
     ad_matrix,
@@ -42,6 +42,7 @@ from oracles import (
     stabilizer_meets_cartan,
     unit,
     vector_from_coords,
+    weight_excess,
 )
 
 CHAIN2 = Poset.chain(2)
@@ -975,3 +976,31 @@ def test_stabilizer_meets_cartan_agrees_with_the_volume_test():
         else:
             bad.append(sorted(poset.covers))
     assert (agree, no_bit, bad) == (627, 328, [])
+
+
+def test_index_meets_the_torus_weight_bounds_at_n7():
+    # Theorem A (proved, README): ind g_A(P) >= 2·ex(P) − d, so the sampled
+    # index, never below the true one, is at least max(d mod 2, 2·ex − d),
+    # and is exact where it meets that floor. The two-sided bound
+    # ind >= |2·ex − d| is a conjecture (rank dφ <= 2·ex), measured here.
+    # Every poset with n <= 7 and d > 0, connected or not, at seed 0
+    checked = violations = two_sided_violations = two_sided_exact = 0
+    connected = exact = above_parity = 0
+    for poset, _ in iter_posets(7, connected_only=False):
+        d = poset.dim_gA
+        if d == 0:
+            continue
+        ind = index(build_gA(poset), seed=0)
+        excess = 2 * weight_excess(poset) - d
+        floor = max(d % 2, excess)
+        checked += 1
+        violations += ind < floor
+        two_sided_violations += ind < abs(excess)
+        two_sided_exact += ind == abs(excess)
+        if poset.is_connected():
+            connected += 1
+            exact += ind == floor
+            above_parity += ind == floor > d % 2
+    assert (checked, violations, two_sided_violations) == (2449, 0, 0)
+    assert (connected, exact, above_parity) == (1946, 1206, 308)
+    assert two_sided_exact == 1850

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -182,8 +181,6 @@ def test_script_builds_each_block_once(monkeypatch):
 
 
 def test_replaced_catalog_row_is_built_fresh(monkeypatch):
-    import dataclasses
-
     import lieposet.toral.blocks as blocks_mod
 
     step = ScriptStep(block_id="six_a")
@@ -193,7 +190,7 @@ def test_replaced_catalog_row_is_built_fresh(monkeypatch):
     poset, support = row.build(None)
     other = support[:-1] + [(4, 6)]
     monkeypatch.setitem(
-        blocks_mod._FAMILIES, "six_a", dataclasses.replace(row, build=lambda n: (poset, other))
+        blocks_mod._FAMILIES, "six_a", row._replace(build=lambda n: (poset, other))
     )
     fresh = step.block()
     assert fresh is not cached
@@ -723,7 +720,7 @@ def test_coefficient_other_than_one_raises_the_oracle_message(monkeypatch):
         blk = catalog_block(block_id, n)
         if block_id != "chain2":
             return blk
-        return dataclasses.replace(blk, form=OneForm(blk.poset, {(1, 2): 2, (1, 1): Fraction(1, 2)}))
+        return blk._replace(form=OneForm(blk.poset, {(1, 2): 2, (1, 1): Fraction(1, 2)}))
 
     monkeypatch.setattr(gluing, "_catalog_block", heavy_chain2)
     # D1 merges the edge (1, 3): 1 + 2 - 1 = 2 there, and 1 + 1/2 at (1, 1)
@@ -760,7 +757,7 @@ def test_forms_hold_integral_coefficients_as_ints():
     pairs = 0
     for blk in catalog_blocks((5, 14)):  # the verify-catalog pairs
         _assert_prints_as_fractions(blk.form)
-        copy = dataclasses.replace(blk, form=_fraction_copy(blk.form))
+        copy = blk._replace(form=_fraction_copy(blk.form))
         assert json.dumps(verify_block(blk).to_json()) == json.dumps(verify_block(copy).to_json())
         pairs += 1
     assert pairs == 81
