@@ -229,17 +229,15 @@ def is_contact_sequence(script):
     return all(rule in CONTACT_RULES for rule in script.rules_used())
 
 
-class StepAudit:
-    def __init__(self, step, spec, poset, added=None, subtracted=None, block_map=None,
-                 relabel=None, to_final=None):
-        self.step = step
-        self.spec = spec  # the ScriptStep
-        self.poset = poset  # accumulated poset after this step, own labels
-        self.added = [] if added is None else added  # summand pairs, final labels
-        self.subtracted = [] if subtracted is None else subtracted
-        self.block_map = {} if block_map is None else block_map  # intrinsic -> final labels
-        self.relabel = {} if relabel is None else relabel  # previous step labels -> this step
-        self.to_final = {} if to_final is None else to_final  # this step's labels -> final labels
+class StepAudit(NamedTuple):
+    step: int
+    spec: ScriptStep
+    poset: Poset  # accumulated poset after this step, own labels
+    added: list  # summand pairs, final labels
+    subtracted: list
+    block_map: dict  # intrinsic -> final labels
+    relabel: dict  # previous step labels -> this step
+    to_final: dict  # this step's labels -> final labels
 
     def to_json(self):
         spec = self.spec
@@ -284,6 +282,11 @@ def run_script(script, build_form=True):
     merged extremal edge (the related identified sides of the rule),
     keeping all coefficients at one: one dict pass over both forms through
     the step's relabelings, and one validated ``OneForm`` per step.
+
+    Each step keeps its summands and maps in its own labels until one
+    backward pass builds its audit in final labels: the last step's labels
+    are final, and each earlier step's map to them is its successor's
+    relabeling followed by the successor's map.
     """
     steps = script.steps
     first_blk = steps[0].block()
@@ -294,16 +297,11 @@ def run_script(script, build_form=True):
         )
     poset = first_blk.poset
     form = first_blk.form if build_form else None
-    audits = [
-        StepAudit(
-            step=1,
-            spec=steps[0],
-            poset=poset,
-            added=sorted(first_blk.form.support),
-            block_map={p: p for p in poset.elements},
-        )
+    # per step: spec, poset after it, added, subtracted, s_map, q_map, in its own labels
+    trail = [
+        (steps[0], poset, sorted(first_blk.form.support), [], {p: p for p in poset.elements}, {})
     ]
-    for idx, step in enumerate(steps[1:], start=2):
+    for step in steps[1:]:
         blk = step.block()
         identify = dict(step.identify)
         result = glue(poset, blk, step.rule, identify)
@@ -326,35 +324,16 @@ def run_script(script, build_form=True):
                 raise ScriptError(f"built form left coefficients other than one: {bad}")
             form = OneForm(result.poset, coeffs)
         poset = result.poset
-        audits.append(
-            StepAudit(
-                step=idx,
-                spec=step,
-                poset=poset,
-                added=added,
-                subtracted=subtracted,
-                block_map=result.s_map,
-                relabel=result.q_map,
-            )
-        )
-    _finalize_audit_labels(audits)
-    return ScriptResult(poset, form, audits)
-
-
-def _finalize_audit_labels(audits):
-    """Rewrite audit summands and block maps into final poset labels.
-
-    One backward pass: the last step's labels are final, and each earlier
-    step's map to them is its successor's ``relabel`` followed by the
-    successor's map.
-    """
-    to_final = {p: p for p in audits[-1].poset.elements}
-    for audit in reversed(audits):
-        audit.added = [(to_final[p], to_final[q]) for p, q in audit.added]
-        audit.subtracted = [(to_final[p], to_final[q]) for p, q in audit.subtracted]
-        audit.block_map = {k: to_final[v] for k, v in audit.block_map.items()}
-        audit.to_final = to_final
-        to_final = {p: to_final[q] for p, q in audit.relabel.items()}
+        trail.append((step, poset, added, subtracted, result.s_map, result.q_map))
+    audits = []
+    to_final = {p: p for p in poset.elements}
+    for idx, (spec, after, added, subtracted, s_map, q_map) in reversed([*enumerate(trail, 1)]):
+        added = [(to_final[p], to_final[q]) for p, q in added]
+        subtracted = [(to_final[p], to_final[q]) for p, q in subtracted]
+        block_map = {k: to_final[v] for k, v in s_map.items()}
+        audits.append(StepAudit(idx, spec, after, added, subtracted, block_map, q_map, to_final))
+        to_final = {p: to_final[q] for p, q in q_map.items()}
+    return ScriptResult(poset, form, audits[::-1])
 
 
 def index_formula(poset, script):

@@ -13,8 +13,8 @@ loop over the listed enumeration, dense Bareiss with its back-substitution,
 kernel and solve (the oracles of the sparse elimination, and in legacy mode
 of the known defect's float zeros), ``classify_contact`` on that legacy
 kernel, the spanning-tree supports and both form searches by exhaustion,
-whether the stabilizer of a functional meets the Cartan, and the torus
-weight excess ex(P) of a poset."""
+whether the stabilizer of a functional meets the Cartan, the torus
+weight excess ex(P) of a poset, and the width of an element's diagonal."""
 
 import random
 from fractions import Fraction
@@ -509,3 +509,13 @@ def weight_excess(poset):
         net[p] += 1
         net[q] -= 1
     return sum(max(0, v) for v in net.values())
+
+
+def diagonal_width(gA, x, d):
+    """max − min of the matrix diagonal k of x / d, read by ``gA.diagonal``,
+    as an exact ``Fraction`` (the scale d has either sign).
+
+    For x̂ of a Frobenius form, tr ad x̂ = Σ_Rel (k_p − k_q) = ⟨k, net⟩ is
+    half of dim g_A, so a diagonal of width 1 bounds that half by ex(P)."""
+    k = gA.diagonal(x)
+    return Fraction(max(k) - min(k), abs(d))

@@ -30,10 +30,16 @@ from lieposet.forms import (
 from lieposet.linalg import ShapeError, char_poly
 from lieposet.posets import Poset
 from lieposet.sweep import enumerate_posets, iter_posets
-from lieposet.toral.blocks import verify_contact_toral_pair, verify_toral_pair
+from lieposet.toral.blocks import (
+    derive_small_frobenius_form,
+    search_contact_form,
+    verify_contact_toral_pair,
+    verify_toral_pair,
+)
 from oracles import (
     ad_matrix,
     bracket,
+    diagonal_width,
     in_kernel,
     is_skew_symmetric,
     is_zero,
@@ -433,8 +439,6 @@ def test_contact_volume_modp_certificate_matches_exact_rank():
 def test_every_rank_mod_p_input_is_square_and_skew(monkeypatch):
     # rank_mod_p reads only the upper triangle, so each of its callers must
     # hand it a square skew-symmetric matrix
-    from lieposet.toral.blocks import derive_small_frobenius_form, search_contact_form
-
     real = linalg.rank_mod_p
     calls = []
 
@@ -563,8 +567,6 @@ def test_ad_char_poly_matches_faddeev_for_non_diagonal_elements():
 
 
 def test_spectrum_matches_faddeev_on_searched_frobenius_forms():
-    from lieposet.toral.blocks import derive_small_frobenius_form
-
     forms = 0
     for poset in enumerate_posets(6):
         form = derive_small_frobenius_form(poset)
@@ -845,8 +847,6 @@ def test_rational_form_carries_its_lambda_to_rows_and_reeb():
 def test_binary_weights_in_integers_match_ad_char_poly():
     # the integer rule against the Fraction ad_char_poly, on x̂ = X / D of every
     # small Frobenius form at n <= 6 and of a seeded random form on each poset
-    from lieposet.toral.blocks import derive_small_frobenius_form
-
     rng = random.Random(23)
     found = {True: 0, False: 0}
     for poset in enumerate_posets(6):
@@ -1004,3 +1004,47 @@ def test_index_meets_the_torus_weight_bounds_at_n7():
     assert (checked, violations, two_sided_violations) == (2449, 0, 0)
     assert (connected, exact, above_parity) == (1946, 1206, 308)
     assert two_sided_exact == 1850
+
+
+def test_theorem_b_rejects_contact_when_the_weight_excess_is_large_at_n7():
+    # Theorem B (proved, README): d odd and 2·ex >= d + 1 => g_A not contact.
+    # Over the odd-d connected posets with n <= 7: every exact contact form
+    # sits on 2·ex − d = −1, none on a certified poset, and one seeded
+    # generic φ on each certified poset has a zero bordered determinant.
+    # Among the sampled index-one posets, contact splits off exactly the
+    # 2·ex − d = −1 side (ROADMAP item 10's split, measured, not proved)
+    odd, excess_of_forms, certified, rejected, index_one = 0, {}, 0, 0, {}
+    for i, poset in enumerate(enumerate_posets(7)):
+        d = poset.dim_gA
+        if d % 2 == 0:
+            continue
+        odd += 1
+        excess = 2 * weight_excess(poset) - d
+        contact = search_contact_form(poset) is not None
+        if contact:
+            excess_of_forms[excess] = excess_of_forms.get(excess, 0) + 1
+        gA = build_gA(poset)
+        if excess >= 1:
+            certified += 1
+            rng = random.Random(i)
+            rejected += not is_contact_form_volume(gA, [rng.randint(-1000, 1000) for _ in range(d)])
+        if index(gA, seed=0) == 1:
+            index_one[contact, excess] = index_one.get((contact, excess), 0) + 1
+    assert (odd, excess_of_forms) == (955, {-1: 340})
+    assert (certified, rejected) == (471, 471)
+    assert index_one == {(True, -1): 340, (False, 1): 287}
+
+
+def test_principal_elements_have_a_diagonal_of_width_one_at_n7():
+    # every searched Frobenius form with d > 0 on a connected poset with
+    # n <= 7: x̂'s diagonal takes exactly two values, one apart (ROADMAP
+    # item 13's lemma, measured, not proved)
+    forms = width_one = 0
+    for poset in enumerate_posets(7):
+        if poset.dim_gA == 0 or (form := derive_small_frobenius_form(poset)) is None:
+            continue
+        gA = build_gA(poset)
+        (x, d), _ = principal_or_kernel(gA, form)
+        forms += 1
+        width_one += len(set(gA.diagonal(x))) == 2 and diagonal_width(gA, x, d) == 1
+    assert (forms, width_one) == (271, 271)

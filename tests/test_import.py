@@ -47,14 +47,16 @@ def _records():
         RULES["A1"],
         glue(fork.poset, six_a, "A1", {"a1": 5}),
         steps[1],
-        run_script(ConstructionScript(steps)),
+        built := run_script(ConstructionScript(steps)),
+        built.audits[-1],
     ]
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
 def test_records_are_immutable(record):
+    field = record._fields[0]
     with pytest.raises(AttributeError):
-        setattr(record, record._fields[0], None)
+        setattr(record, field, None)
     with pytest.raises(AttributeError):
         record.extra = None
 
