@@ -15,7 +15,11 @@ from typing import NamedTuple
 
 from .linalg import int_rank
 
-ISO_SIZE_LIMIT = 12
+# leaves an isomorphism search may visit: 24 is the most measured, on four
+# disjoint 2-chains, over all 19,449 posets with n <= 8 and at most 4 on the
+# ten contact-sequence replays of 65-76 elements (CI); six identical
+# components (6! = 720 leaves) fit, seven do not
+LEAF_BUDGET = 1000
 # largest poset read from JSON: every catalog block and the timed chains
 # (up to 20 elements) fit, a hostile "n" allocates nothing
 JSON_SIZE_LIMIT = 32
@@ -403,7 +407,8 @@ class Poset:
     # ----- isomorphism ----------------------------------------------------
 
     def isomorphism_to(self, other):
-        """An order isomorphism as a dict, or None. Capped at 12 elements."""
+        """An order isomorphism as a dict, or None; ``UnsupportedSizeError`` past
+        the search's ``LEAF_BUDGET``."""
         if self.n != other.n:
             return None
         key, mine = _canonical_labelling(self)
@@ -446,78 +451,83 @@ class Poset:
 
 
 def canonical_key(poset):
-    """``(n, bits)``, the least relation tuple of ``_canonical_labelling`` packed
-    one-to-one into an int, bit (p - 1)·n + q - 1 per relation (p, q); two
-    posets get the same key exactly when they are isomorphic."""
-    n = poset.n
-    return n, sum(1 << ((p - 1) * n + q - 1) for p, q in _canonical_labelling(poset)[0])
+    """``(n, bits)``: the least leaf of ``_canonical_labelling``'s search, its
+    relations packed one-to-one into an int, bit (p - 1)·n + q - 1 per
+    relation (p, q); two posets get the same key exactly when they are
+    isomorphic."""
+    return poset.n, _least_leaf(poset)[0]
 
 
 def _canonical_labelling(poset):
-    """Least sorted relation tuple over the leaves of an individualise-and-
-    refine search, with a labelling that attains it.
+    """Sorted relation tuple of the least leaf of an individualise-and-refine
+    search (McKay & Piperno 2014), with a labelling that attains it.
 
-    Colours start at depth and are refined by the sorted colours of each
-    down-set and up-set, numbered by signature rank, so every class is an
-    antichain and classes come in depth order: each leaf labelling is a
-    linear extension and keeps the p<q convention. Ties are broken in the
-    first tied class, one branch per twin class (equal down- and up-sets),
-    since swapping twins is an automorphism; the branch individualises the
-    class's last element. The search grows as k! on k identical disjoint
-    components, hence the cap. It runs on index lists built per call and
-    caches nothing on the poset.
+    Down-sets, up-sets and colour classes are int bitmasks. Colours start
+    at the rank of (depth, |down-set|, |up-set|) and are refined by each
+    element's count of down-set and up-set members in every class
+    (popcounts), numbered by signature rank, so every class is an antichain
+    and classes come in depth order: each leaf labelling is a linear
+    extension and keeps the p<q convention. Ties are broken in the first
+    tied class, one branch per twin class (equal down- and up-sets), since
+    swapping twins is an automorphism; the branch individualises the
+    class's last element. Leaves compare as their packed relations
+    (``canonical_key``). The search grows as k! on k identical disjoint
+    components, so it stops past ``LEAF_BUDGET`` leaves. It caches nothing
+    on the poset.
     """
-    n = poset.n
-    if n > ISO_SIZE_LIMIT:
-        raise UnsupportedSizeError(f"isomorphism search is capped at {ISO_SIZE_LIMIT} elements")
-    # element p is index p - 1
-    rels = [(p - 1, q - 1) for p, q in poset.relations]
-    down = [[] for _ in range(n)]
-    up = [[] for _ in range(n)]
-    for p, q in sorted(rels):
-        up[p].append(q)
-        down[q].append(p)
-    depth = [0] * n
-    for q in range(n):  # labels ascend along every relation
-        depth[q] = max((depth[p] + 1 for p in down[q]), default=0)
-    twin_ids = {}
-    twin = [twin_ids.setdefault((tuple(down[p]), tuple(up[p])), p) for p in range(n)]
+    labelling = {p: c + 1 for p, c in enumerate(_least_leaf(poset)[1], start=1)}
+    return tuple(sorted((labelling[p], labelling[q]) for p, q in poset.relations)), labelling
 
-    def refine(colour):
-        classes = len(set(colour))
-        while classes < n:
+
+def _least_leaf(poset):
+    """``(packed, colour)`` of the search's least leaf; element p is index p - 1."""
+    n = poset.n
+    down, up, depth = [0] * n, [0] * n, [0] * n
+    rels = [(p - 1, q - 1) for p, q in sorted(poset.relations)]
+    for p, q in rels:  # sorted, so depth[p] is final here
+        up[p] |= 1 << q
+        down[q] |= 1 << p
+        if depth[q] <= depth[p]:
+            depth[q] = depth[p] + 1
+    start = [(depth[p], down[p].bit_count(), up[p].bit_count()) for p in range(n)]
+    rank = {s: i for i, s in enumerate(sorted(set(start)))}
+    stack = [([rank[s] for s in start], len(rank))]
+    best = None
+    leaves = 0
+    while stack:
+        colour, k = stack.pop()
+        while k < n:
+            masks = [0] * k
+            for p, c in enumerate(colour):
+                masks[c] |= 1 << p
+            # a down-set meets only earlier classes, an up-set only later ones
             sig = [
-                (
-                    c,
-                    tuple(sorted([colour[q] for q in down[p]])),
-                    tuple(sorted([colour[q] for q in up[p]])),
-                )
+                (c, tuple([(down[p] & m).bit_count() for m in masks[:c]]),
+                 tuple([(up[p] & m).bit_count() for m in masks[c + 1:]]))
+                if masks[c] & (masks[c] - 1) else (c,)
                 for p, c in enumerate(colour)
             ]
             rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-            if len(rank) == classes:
+            if len(rank) == k:
                 break
-            colour = [rank[s] for s in sig]
-            classes = len(rank)
-        return colour
-
-    def leaves(colour):
-        colour = refine(colour)
-        tied = min((c for c in colour if colour.count(c) > 1), default=None)
-        if tied is None:
-            yield tuple(sorted((colour[p] + 1, colour[q] + 1) for p, q in rels)), colour
-            return
+            colour, k = [rank[s] for s in sig], len(rank)
+        if k == n:
+            leaves += 1
+            if leaves > LEAF_BUDGET:
+                raise UnsupportedSizeError(f"isomorphism search passed its budget of {LEAF_BUDGET} leaves")
+            packed = sum([1 << (colour[p] * n + colour[q]) for p, q in rels])
+            if best is None or packed < best[0]:
+                best = packed, colour
+            continue
+        tied = next(c for c, m in enumerate(masks) if m & (m - 1))
         last = {}  # the last element of each twin class, classes in order of first element
         for p, c in enumerate(colour):
             if c == tied:
-                last[twin[p]] = p
+                last[down[p], up[p]] = p
         for v in last.values():
             # v keeps colour tied, the rest of its class and later classes move up one
-            marked = [c + (c > tied or (c == tied and p != v)) for p, c in enumerate(colour)]
-            yield from leaves(marked)
-
-    key, colour = min(leaves(depth), key=lambda leaf: leaf[0])
-    return key, {p: c + 1 for p, c in enumerate(colour, start=1)}
+            stack.append(([c + (c > tied or (c == tied and p != v)) for p, c in enumerate(colour)], k + 1))
+    return best
 
 
 def _union_find(vertices, edges):
@@ -548,8 +558,8 @@ def is_forest(vertices, edges):
 __all__ = [
     "CycleError",
     "ExtremalData",
-    "ISO_SIZE_LIMIT",
     "JSON_SIZE_LIMIT",
+    "LEAF_BUDGET",
     "Poset",
     "PosetError",
     "UnsupportedSizeError",

@@ -46,6 +46,11 @@ def iter_posets(max_n, connected_only=True):
     the swapped ideal first (a is decided before b, "out" before "in"), so
     the child is isomorphic to an earlier one and never a representative.
 
+    A child is connected exactly when its ideal meets every component of
+    the parent. With ``connected_only``, a disconnected child at the last
+    level is dropped before it is keyed: it is never yielded nor a parent,
+    and isomorphism keeps it apart from every connected child.
+
     Only the level being built keeps its keys, and only levels below
     max_n keep their representatives, as the next level's parents. A
     parent is dropped once its children are listed, and with it its
@@ -67,8 +72,13 @@ def _stream_levels(max_n, connected_only):
         while level:
             parent = level.pop()
             twin_pairs = _twin_pairs(parent)
+            components = parent.connected_components()
             for ideal in parent.ideals():
                 if any(a in ideal and b not in ideal for a, b in twin_pairs):
+                    continue
+                # n joins the components its ideal meets
+                connected = all(not comp.isdisjoint(ideal) for comp in components)
+                if connected_only and n == max_n and not connected:
                     continue
                 # n lies above a down-closed set, so the union stays closed
                 child = Poset.from_closed(n, parent.relations | {(i, n) for i in ideal})
@@ -78,7 +88,7 @@ def _stream_levels(max_n, connected_only):
                 seen.add(key)
                 if n < max_n:
                     children.append(child)
-                if not connected_only or child.is_connected():
+                if connected or not connected_only:
                     yield child, key
         level = children
 

@@ -298,9 +298,8 @@ def run_script(script, build_form=True):
     poset = first_blk.poset
     form = first_blk.form if build_form else None
     # per step: spec, poset after it, added, subtracted, s_map, q_map, in its own labels
-    trail = [
-        (steps[0], poset, sorted(first_blk.form.support), [], {p: p for p in poset.elements}, {})
-    ]
+    added = sorted(first_blk.form.support) if build_form else []
+    trail = [(steps[0], poset, added, [], {p: p for p in poset.elements}, {})]
     for step in steps[1:]:
         blk = step.block()
         identify = dict(step.identify)

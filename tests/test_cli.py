@@ -482,6 +482,21 @@ def test_iter_posets_pairs_match_the_list_and_its_keys():
         iter_posets(sweep.SWEEP_MAX_N + 1)  # refused before the first poset is asked for
 
 
+def test_connected_stream_is_the_connected_part_of_the_full_stream(monkeypatch):
+    calls = []
+
+    def counted_key(poset):
+        calls.append(poset.n)
+        return canonical_key(poset)
+
+    monkeypatch.setattr(sweep, "canonical_key", counted_key)
+    full = [(p.n, p.relations, key) for p, key in iter_posets(7, connected_only=False) if p.is_connected()]
+    keyed = len(calls)
+    assert [(p.n, p.relations, key) for p, key in iter_posets(7)] == full
+    # the connected stream keys no disconnected child at the last level
+    assert (keyed, len(calls) - keyed) == (5070, 5070 - 1053)
+
+
 def test_iter_posets_drops_parents_two_levels_back():
     # a level-n poset's parents are at level n - 1, so once the first
     # level-n poset is out nothing at level n - 2 or below is still held

@@ -140,6 +140,14 @@ def test_run_script_rejects_late_contact_block():
     assert run_script(script, build_form=False).poset.n == 8
 
 
+def test_audit_lists_summands_only_of_a_built_form():
+    script = random_toral_script(3, 4)
+    bare = run_script(script, build_form=False).audits
+    assert [(len(a.added), len(a.subtracted)) for a in bare] == [(0, 0)] * 4
+    built = run_script(script).audits
+    assert [len(a.added) for a in built] == [5, 4, 5, 2]
+
+
 def test_script_json_roundtrip():
     script = script_of(
         ("contact_fork", None),

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from lieposet.posets import (
     JSON_SIZE_LIMIT,
+    LEAF_BUDGET,
     CycleError,
     Poset,
     PosetError,
     UnsupportedSizeError,
+    canonical_key,
 )
-from lieposet.sweep import enumerate_posets
+from lieposet.sweep import enumerate_posets, iter_posets
 from lieposet.toral import block, catalog
 from oracles import is_isomorphic, searched_components, transitive_reduction
 
@@ -345,9 +347,50 @@ def test_fork_and_dual_fork_not_isomorphic():
 
 
 def test_isomorphism_size_cap():
-    big = Poset.antichain(13)
-    with pytest.raises(UnsupportedSizeError):
-        big.isomorphism_to(Poset.antichain(13))
+    # eight disjoint 2-chains have 8! leaves, past the search's budget
+    chains = Poset.from_covers(16, [(i, i + 1) for i in range(1, 16, 2)])
+    with pytest.raises(UnsupportedSizeError, match=f"budget of {LEAF_BUDGET} leaves"):
+        chains.isomorphism_to(chains)
+    # an antichain is one twin class, so one leaf at any size
+    assert canonical_key(Poset.antichain(13)) == (13, 0)
+    assert Poset.antichain(13).isomorphism_to(Poset.antichain(13)) is not None
+
+
+def _relabelled_keys(poset, seed):
+    """Keys of three seeded relabellings of ``poset``."""
+    rng = random.Random(seed)
+    keys = []
+    for _ in range(3):
+        perm = list(poset.elements)
+        rng.shuffle(perm)
+        keys.append(canonical_key(Poset.from_covers(poset.n, [(perm[p - 1], perm[q - 1]) for p, q in poset.covers])))
+    return keys
+
+
+def test_keys_survive_relabelling_at_n8():
+    eight = (p for p, _ in iter_posets(8, connected_only=False) if p.n == 8)
+    for i, poset in enumerate(eight):
+        if i % 7 == 0:
+            assert _relabelled_keys(poset, i) == [canonical_key(poset)] * 3, poset
+
+
+def test_keys_survive_relabelling_past_twelve_elements():
+    # seeded connected random posets, and two copies of one under a common
+    # top, whose swap is an automorphism that no twins explain
+    rng = random.Random(29)
+    cases = []
+    while len(cases) < 40:
+        n = rng.randint(13, 20)
+        poset = Poset.from_covers(n, random_covers(rng, n, density=rng.choice((0.15, 0.25, 0.4))))
+        if poset.is_connected():
+            cases.append(poset)
+    for m in range(6, 10):
+        half = Poset.from_covers(m, random_covers(rng, m))
+        two = half.disjoint_sum(half)
+        top = 2 * m + 1
+        cases.append(Poset.from_covers(top, list(two.covers) + [(p, top) for p in two.maximal_elements]))
+    for i, poset in enumerate(cases):
+        assert _relabelled_keys(poset, i) == [canonical_key(poset)] * 3, poset
 
 
 def test_json_roundtrip_and_dot():
