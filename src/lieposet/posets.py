@@ -555,6 +555,21 @@ def is_forest(vertices, edges):
     return _union_find(vertices, edges)[1]
 
 
+def net_weights(poset):
+    """net(x) = #{q : x < q} − #{p : p < x}; g_A's torus weights
+    (wt(e_pq) = ε_p − ε_q, wt(h) = 0) sum to Σ_x net(x)·ε_x."""
+    net = dict.fromkeys(poset.elements, 0)
+    for p, q in poset.relations:
+        net[p] += 1
+        net[q] -= 1
+    return net
+
+
+def weight_excess(poset):
+    """ex(P) = Σ_x max(0, net(x)), half of that sum's ℓ1-norm."""
+    return sum(max(0, v) for v in net_weights(poset).values())
+
+
 __all__ = [
     "CycleError",
     "ExtremalData",
@@ -565,4 +580,6 @@ __all__ = [
     "UnsupportedSizeError",
     "canonical_key",
     "is_forest",
+    "net_weights",
+    "weight_excess",
 ]

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .algebras import build_gA
 from .forms import index, kernel
-from .posets import Poset, canonical_key
+from .posets import Poset, canonical_key, net_weights, weight_excess
 from .toral.blocks import catalog_blocks
 from .toral.gluing import (
     CONTACT_RULES,
@@ -108,15 +108,25 @@ def _twin_pairs(poset):
 
 
 def classify_contact(poset, seed=0):
-    """(verdict, reason, witness-or-None); empirical, never a proof.
-
-    A witness is φ on g_A's basis as a list of ints.
+    """(verdict, reason, witness-or-None); empirical, never a proof. A
+    witness is φ on g_A's basis as a list of ints.
 
     The index check comes after the first witness kernel: in odd
     dimension a one-dimensional exact kernel of dφ bounds the index by 1
     and parity bounds it below by 1, so it certifies index 1. The sampled
     ``index`` (``forms.INDEX_TRIALS`` draws from ``seed``) decides only
     the posets whose first kernel has dimension other than 1.
+
+    Torus weights (proofs in README, "Guarantees and limits") settle two
+    cases as the loop would. If 2·ex − d ≥ 3, ind ≥ 3 (Theorem A). If
+    2·ex − d = 1, a one-dimensional ker dφ is spanned by X_b = ±Pf(dφ
+    without b), where X_h ≡ 0 and X_pq ≢ 0 only if net(p) ≥ 2, net(q) ≤ −2
+    (at net(p) = 1 no φ_rs in X_pq touches p; with those zero, E_pp − I/n
+    has a zero row of dφ, so X_pq ≡ 0). The h-rows of dφ·X = 0 make
+    φ_pq·X_pq a circulation, so the terms of each tail p sum to 0. They
+    are adjacent in ``_pairing``'s sorted order, and two cancel in floats
+    too: fl(−t/D) = −fl(t/D). So where no tail has more than two terms,
+    every draw pairs to 0 with no diagonal entry, and one draw decides.
 
     Known defect, kept so that the sweep's totals stay as they were: the
     pairing of φ with the kernel generator is ``_pairing``'s float sum, whose
@@ -133,11 +143,17 @@ def classify_contact(poset, seed=0):
         return res.is_contact, res.reason, None
     if ext_hasse_has_cycle(poset):
         return False, "extremal Hasse diagram contains a cycle", None
+    excess = 2 * weight_excess(poset) - d
+    if excess >= 3:
+        return False, "index is not one", None
+    net = net_weights(poset)
+    tails = [p for p, q in poset.relations if net[p] >= 2 and net[q] <= -2]
+    one_draw = excess == 1 and all(tails.count(p) <= 2 for p in tails)
     gA = build_gA(poset)
     rng = random.Random(seed)
     strict_idx = [i for i, lab in enumerate(gA.labels) if lab[0] == "e"]
     diag_idx = [i for i, lab in enumerate(gA.labels) if lab[0] == "h"]
-    for attempt in range(WITNESS_ATTEMPTS):
+    for attempt in range(1 if one_draw else WITNESS_ATTEMPTS):
         values = [0] * d
         for i in strict_idx:
             values[i] = rng.randint(1, 1 << 16)

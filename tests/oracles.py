@@ -12,9 +12,11 @@ comparability graph by graph search, the conjecture sweep as a
 loop over the listed enumeration, dense Bareiss with its back-substitution,
 kernel and solve (the oracles of the sparse elimination, and in legacy mode
 of the known defect's float zeros), ``classify_contact`` on that legacy
-kernel, the spanning-tree supports and both form searches by exhaustion,
-whether the stabilizer of a functional meets the Cartan, the torus
-weight excess ex(P) of a poset, and the width of an element's diagonal."""
+kernel, ``classify_contact``'s witness loop run through all its draws, the
+spanning-tree supports and both form searches by exhaustion, whether the
+stabilizer of a functional meets the Cartan, and the width of an element's
+diagonal. The torus weight excess ex(P) is ``posets.weight_excess``,
+imported here for the tests that read it from this module."""
 
 import random
 from fractions import Fraction
@@ -32,9 +34,10 @@ from lieposet.forms import (
     kernel,
 )
 from lieposet.linalg import RatMatrix, ShapeError, int_null_space
-from lieposet.posets import canonical_key
+from lieposet.posets import canonical_key, weight_excess
 from lieposet.sweep import (
     WITNESS_ATTEMPTS,
+    _pairing,
     classify_contact,
     enumerate_posets,
     reachable_contact_posets,
@@ -450,6 +453,37 @@ def legacy_classify_contact(poset, seed=0):
     return False, "no contact witness found (empirical)", None
 
 
+def full_witness_loop(poset, seed=0):
+    """``classify_contact``'s witness loop past every gate, all
+    ``WITNESS_ATTEMPTS`` draws, over ``forms.kernel`` and ``sweep._pairing``:
+    the loop as it ran before the torus-weight stop, for a poset that reaches
+    it (connected, odd d, no extremal cycle)."""
+    gA = build_gA(poset)
+    d = gA.dim
+    rng = random.Random(seed)
+    strict_idx = [i for i, lab in enumerate(gA.labels) if lab[0] == "e"]
+    diag_idx = [i for i, lab in enumerate(gA.labels) if lab[0] == "h"]
+    for attempt in range(WITNESS_ATTEMPTS):
+        values = [0] * d
+        for i in strict_idx:
+            values[i] = rng.randint(1, 1 << 16)
+        rep = kernel(gA, values)
+        if attempt == 0 and rep.dimension != 1 and index(gA, seed=seed) != 1:
+            return False, "index is not one", None
+        if rep.dimension != 1:
+            continue
+        x, scale, empty = rep.generators[0], rep.scale, rep.empty_sums[0]
+        if _pairing(values, x, scale, empty, strict_idx) != 0:
+            return True, "random regular form is contact", values
+        for i in diag_idx:
+            if x[i]:
+                values[i] = 1
+                if _pairing(values, x, scale, empty, range(d)) == 0:
+                    values[i] = 2
+                return True, "regular form completed on the diagonal", values
+    return False, "no contact witness found (empirical)", None
+
+
 def tree_supports(poset):
     """The candidate supports of both form searches, as a scan of
     ``combinations(sorted(relations), n - 1)`` in lexicographic order: each
@@ -496,19 +530,6 @@ def stabilizer_meets_cartan(gA, values):
     if len(gens) != 1:
         return None
     return any(x for (kind, _), x in zip(gA.labels, gens[0]) if kind == "h")
-
-
-def weight_excess(poset):
-    """ex(P) = Σ_x max(0, net(x)), net(x) = #{q : x < q} − #{p : p < x}.
-
-    wt(e_pq) = ε_p − ε_q and wt(h) = 0, so the weights of g_A's basis sum
-    to Σ_x net(x)·ε_x, and ex(P) is half that sum's ℓ1-norm (the nets sum
-    to 0)."""
-    net = dict.fromkeys(poset.elements, 0)
-    for p, q in poset.relations:
-        net[p] += 1
-        net[q] -= 1
-    return sum(max(0, v) for v in net.values())
 
 
 def diagonal_width(gA, x, d):

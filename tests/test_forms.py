@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from lieposet import linalg
+from lieposet import linalg, sweep
 from lieposet.algebras import build_custom, build_g, build_gA, footnote_algebra
 from lieposet.forms import (
     INDEX_TRIALS,
@@ -28,7 +28,7 @@ from lieposet.forms import (
     _dphi_rows,
 )
 from lieposet.linalg import ShapeError, char_poly
-from lieposet.posets import Poset
+from lieposet.posets import Poset, net_weights
 from lieposet.sweep import enumerate_posets, iter_posets
 from lieposet.toral.blocks import (
     derive_small_frobenius_form,
@@ -36,10 +36,12 @@ from lieposet.toral.blocks import (
     verify_contact_toral_pair,
     verify_toral_pair,
 )
+from lieposet.toral.gluing import ext_hasse_has_cycle
 from oracles import (
     ad_matrix,
     bracket,
     diagonal_width,
+    full_witness_loop,
     in_kernel,
     is_skew_symmetric,
     is_zero,
@@ -1033,6 +1035,56 @@ def test_theorem_b_rejects_contact_when_the_weight_excess_is_large_at_n7():
     assert (odd, excess_of_forms) == (955, {-1: 340})
     assert (certified, rejected) == (471, 471)
     assert index_one == {(True, -1): 340, (False, 1): 287}
+
+
+def test_one_draw_decides_where_the_torus_weights_leave_no_witness_at_n7(monkeypatch):
+    # classify_contact's stop (proof in README, "Guarantees and limits"): on
+    # the connected posets with odd d, no extremal cycle and 2·ex − d = 1,
+    # a draw with a one-dimensional kernel has x_h = 0 and x_pq = 0 unless
+    # net(p) >= 2 and net(q) <= −2, and the terms φ_pq·x_pq of each tail p
+    # sum to 0. Where no tail has more than two such relations, one draw
+    # decides: the verdict equals the full loop's at seeds 0, 1 and 2, and
+    # the other posets that find no witness still run every draw
+    calls = []
+
+    def counted_kernel(gA, values):
+        calls.append(gA)
+        return kernel(gA, values)
+
+    monkeypatch.setattr(sweep, "kernel", counted_kernel)
+    checked = one_dim = settled = full_runs = 0
+    for i, poset in enumerate(enumerate_posets(7)):
+        d = poset.dim_gA
+        if d % 2 == 0 or ext_hasse_has_cycle(poset) or 2 * weight_excess(poset) - d != 1:
+            continue
+        checked += 1
+        net = net_weights(poset)
+        support = {(p, q) for p, q in poset.relations if net[p] >= 2 and net[q] <= -2}
+        gA = build_gA(poset)
+        rng = random.Random(i)
+        values = [rng.randint(1, 1 << 16) if kind == "e" else 0 for kind, _ in gA.labels]
+        rep = kernel(gA, values)
+        if rep.dimension == 1:
+            one_dim += 1
+            tail_sums = dict.fromkeys(poset.elements, 0)
+            for (kind, pq), v, x in zip(gA.labels, values, rep.generators[0]):
+                assert x == 0 or (kind == "e" and pq in support), (sorted(poset.covers), kind, pq)
+                if kind == "e":
+                    tail_sums[pq[0]] += v * x
+            assert set(tail_sums.values()) == {0}, sorted(poset.covers)
+        tails = [p for p, _ in support]
+        if all(tails.count(p) <= 2 for p in tails):
+            settled += 1
+            for seed in (0, 1, 2):
+                calls.clear()
+                assert sweep.classify_contact(poset, seed) == full_witness_loop(poset, seed)
+                assert len(calls) == 1
+            continue
+        calls.clear()
+        if not sweep.classify_contact(poset)[0] and len(calls) > 1:
+            full_runs += 1
+            assert len(calls) == sweep.WITNESS_ATTEMPTS
+    assert (checked, one_dim, settled, full_runs) == (129, 117, 33, 6)
 
 
 def test_principal_elements_have_a_diagonal_of_width_one_at_n7():
